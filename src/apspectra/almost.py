@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetTooSmall, EmptyShiftRange, MissingSamples
+from .errors import EmptyShiftRange
 from .folner import (Converged, EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     _judge, partial_means, upper_mean)
-from .points import PointGen, Track, cylinder_weights
+                     as_dense, estimate, partial_means, sliding_sums,
+                     uniform_mean, upper_mean, window_sums)
+from .points import PointGen, Track, mismatch_track, shift, smeared_mismatch
 
 __all__ = [
     "ScanBudget",
@@ -72,18 +73,6 @@ class ScanBudget:
 # ---------------------------------------------------------------------------
 
 
-def _self_mismatch(x: PointGen, t: int, s0: int, s1: int,
-                   radius: int) -> np.ndarray:
-    """d(s.x, (t+s).x) for s in [s0, s1)."""
-    w, c = cylinder_weights(radius)
-    lo, hi = s0 - radius + min(t, 0), s1 + radius + max(t, 0)
-    seq = x.codes(lo, hi)
-    a = s0 - radius - lo
-    n = (s1 - s0) + 2 * radius
-    m = (seq[a:a + n] != seq[a + t:a + t + n]).astype(float)
-    return np.convolve(m, w, mode="valid") / c
-
-
 def averaged_D(x: PointGen, t: int, schedule: FolnerSchedule,
                radius: int = 16,
                config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
@@ -93,7 +82,7 @@ def averaged_D(x: PointGen, t: int, schedule: FolnerSchedule,
     lie in [0, 1]; at t = 0 the track is identically zero.
     """
     lo, hi = schedule.span()
-    d = _self_mismatch(x, t, lo, hi, radius)
+    d = mismatch_track(x, shift(x, t), lo, hi, radius)
     return partial_means(Track(lo, d), schedule, config=config)
 
 
@@ -108,12 +97,9 @@ def averaged_Dn(x: PointGen, t: int, schedule: FolnerSchedule, n: int,
     if s_max < s_min:
         raise EmptyShiftRange(f"empty shift range {shifts}")
     start, length = schedule.window(n)
-    lo, hi = start + s_min, start + s_max + length
-    d = _self_mismatch(x, t, lo, hi, radius)
-    csum = np.concatenate(([0.0], np.cumsum(d)))
-    sums = csum[length:] - csum[:-length]
-    idx = int(np.argmax(sums))
-    return float(sums[idx] / length), s_min + idx
+    lo = start + s_min
+    d = mismatch_track(x, shift(x, t), lo, start + s_max + length, radius)
+    return uniform_mean(Track(lo, d), schedule, n, shifts)
 
 
 def superlevel_density(x: PointGen, t: int, delta: float,
@@ -123,7 +109,7 @@ def superlevel_density(x: PointGen, t: int, delta: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     lo, hi = schedule.span()
-    d = _self_mismatch(x, t, lo, hi, radius)
+    d = mismatch_track(x, shift(x, t), lo, hi, radius)
     return partial_means(Track(lo, (d >= delta).astype(float)),
                          schedule, config=config)
 
@@ -143,34 +129,24 @@ class OrbitProfile:
     weyl_value: np.ndarray
     bohr_value: np.ndarray
     budget: ScanBudget
-    saturated: bool = True
 
 
-def _profile_one(x, t, budget, lo_needed, hi_needed, kinds):
+def _profile_one(d, lo_needed, budget, kinds):
+    """Mean / weyl / bohr summaries of one mismatch track d on [lo_needed, ...)."""
     sched = budget.schedule
-    radius = budget.metric_radius
-    d = _self_mismatch(x, t, lo_needed, hi_needed, radius)
-    csum = np.concatenate(([0.0], np.cumsum(d)))
-
-    def window_sum(a, b):
-        return csum[b - lo_needed] - csum[a - lo_needed]
-
     mean_tail_max, converged, weyl, bohr = np.nan, False, np.nan, np.nan
     if "mean" in kinds:
-        tail = budget.estimator.tail
-        avgs = np.array([window_sum(s, s + l) / l for s, l in sched.windows])
-        verdict, _ = _judge(avgs.astype(complex), float(np.max(d, initial=0.0)),
-                            budget.estimator)
-        mean_tail_max = float(np.max(avgs[-min(tail, len(avgs)):]))
-        converged = isinstance(verdict, Converged)
+        avgs = window_sums(d, lo_needed, sched.windows) / sched.lengths()
+        est = estimate(avgs, float(np.max(d, initial=0.0)), budget.estimator)
+        mean_tail_max = est.tail_max()
+        converged = isinstance(est.verdict, Converged)
 
     if "weyl" in kinds:
         n = budget.resolved_weyl_index()
         span = budget.resolved_weyl_span()
         start, length = sched.window(n)
         seg = d[start - span - lo_needed:start + span + length - lo_needed]
-        c2 = np.concatenate(([0.0], np.cumsum(seg)))
-        weyl = float(np.max(c2[length:] - c2[:-length]) / length)
+        weyl = float(np.max(sliding_sums(seg, length)) / length)
 
     if "bohr" in kinds:
         h = budget.bohr_horizon
@@ -203,8 +179,18 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
         hi_parts.append(budget.bohr_horizon + 1)
     lo_needed, hi_needed = min(lo_parts), max(hi_parts)
 
+    # one codes sample serves every translate: x on the needed range
+    # (widened by the metric radius) against x moved by t
+    radius = budget.metric_radius
+    base = lo_needed - radius + int(t_values.min(initial=0))
+    codes = x.codes(base, hi_needed + radius + int(t_values.max(initial=0)))
+    a = lo_needed - radius - base
+    n = hi_needed - lo_needed + 2 * radius
+
     def work(t):
-        return _profile_one(x, int(t), budget, lo_needed, hi_needed, kinds)
+        mask = codes[a:a + n] != codes[a + t:a + t + n]
+        return _profile_one(smeared_mismatch(mask, radius), lo_needed,
+                            budget, kinds)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -227,7 +213,6 @@ class AlmostPeriodScan:
     periods: tuple[int, ...]
     max_gap: int
     budget_fingerprint: dict
-    saturated: bool = True
 
     def describe(self) -> dict:
         return {
@@ -236,7 +221,6 @@ class AlmostPeriodScan:
             "scan_range": list(self.scan_range),
             "periods": list(self.periods),
             "max_gap": self.max_gap,
-            "saturated": self.saturated,
             "budget": self.budget_fingerprint,
         }
 
@@ -256,7 +240,7 @@ def _scan_from_profile(profile: OrbitProfile, epsilon: float, kind: str,
     periods = tuple(int(t) for t in profile.t_values[mask])
     gap = _max_gap(periods, scan_range[0], scan_range[1])
     return AlmostPeriodScan(epsilon, kind, scan_range, periods, gap,
-                            profile.budget.fingerprint(), profile.saturated)
+                            profile.budget.fingerprint())
 
 
 def almost_period_scan(x: PointGen, epsilon: float, kind: str,
@@ -276,8 +260,6 @@ def almost_period_scan(x: PointGen, epsilon: float, kind: str,
     lo, hi = scan_range
     if hi < lo:
         raise ValueError("scan range is empty")
-    if budget.schedule.largest_length() <= 0:
-        raise BudgetTooSmall("schedule has no usable window")
     profile = orbit_profile(x, range(lo, hi + 1), budget, threads=threads,
                             kinds=(kind,))
     return _scan_from_profile(profile, epsilon, kind, scan_range)
@@ -323,7 +305,7 @@ def _kind_verdict(per_eps: dict, kind: str, profile: OrbitProfile,
         return EVIDENCE_FOR
     converged_majority = bool(np.mean(profile.mean_converged) > 0.5)
     for scan in per_eps.values():
-        if scan.periods == (0,) and scan.saturated:
+        if scan.periods == (0,):
             if kind != "mean" or converged_majority:
                 return EVIDENCE_AGAINST
     return UNDECIDED
@@ -385,14 +367,9 @@ def function_almost_periods(track, epsilon: float, schedule: FolnerSchedule,
     """
     lo, hi = scan_range
     s0, s1 = schedule.span()
-    values = np.asarray(track.values)
-    start = track.start
-    a, b = s0 - start, s1 - start
-    need_lo, need_hi = min(s0, s0 - hi), max(s1, s1 - lo)
-    if need_lo < start:
-        raise MissingSamples(need_lo)
-    if need_hi > start + len(values):
-        raise MissingSamples(start + len(values))
+    need_lo = min(s0, s0 - hi)
+    values = as_dense(track, need_lo, max(s1, s1 - lo))
+    a, b = s0 - need_lo, s1 - need_lo
     out = []
     for t in range(lo, hi + 1):
         diff = np.abs(values[a:b] - values[a - t:b - t])

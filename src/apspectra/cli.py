@@ -155,6 +155,13 @@ def _scan_budget(cfg: dict, schedule: FolnerSchedule) -> almost.ScanBudget:
     return budget
 
 
+def _list(cfg: dict, key: str, default: list) -> list:
+    raw = cfg.get(key, default)
+    if not isinstance(raw, list):
+        raise ConfigError(key, f"expected a list, got {raw!r}")
+    return raw
+
+
 def _range(cfg: dict, key: str = "range", default=(-256, 256)) -> tuple[int, int]:
     raw = cfg.get(key, list(default))
     if (not isinstance(raw, list) or len(raw) != 2
@@ -211,7 +218,7 @@ def _cmd_scan(cfg: dict, threads: int) -> dict:
     epsilon = _number(cfg.get("epsilon", 0.1), "epsilon")
     if epsilon <= 0:
         raise ConfigError("epsilon", "must be positive")
-    kinds = cfg.get("kinds", list(almost.KINDS))
+    kinds = _list(cfg, "kinds", list(almost.KINDS))
     for kind in kinds:
         if kind not in almost.KINDS:
             raise ConfigError("kinds", f"unknown kind {kind!r}")
@@ -287,7 +294,7 @@ def _cmd_spectrum(cfg: dict, threads: int) -> dict:
                                 extra={"command": "spectrum",
                                        "grid_sizes": list(grid_sizes),
                                        "budget": report.budget_fingerprint})
-    biggest = spectral.fourier_bohr_grid(obs, point, max(int(n) for n in grid_sizes))
+    biggest = report.grids[-1]
     rows = [[t, a.real, a.imag, abs(a)]
             for t, a in zip(biggest.thetas, biggest.amplitudes)]
     return {
@@ -303,6 +310,8 @@ def _detect_thetas(cfg: dict, point, obs) -> list[float]:
             raise ConfigError("thetas", "expected a list")
         return [_number(t, "thetas") for t in cfg["thetas"]]
     det = cfg.get("detect", {})
+    if not isinstance(det, dict):
+        raise ConfigError("detect", "expected an object")
     grid_sizes = det.get("grid_sizes", [16384, 65536])
     if not isinstance(grid_sizes, list) or len(grid_sizes) < 2:
         raise ConfigError("detect.grid_sizes",
@@ -349,13 +358,13 @@ def _cmd_eigen(cfg: dict, threads: int) -> dict:
     if "theta" not in cfg:
         raise ConfigError("theta", "missing")
     theta = _number(cfg["theta"], "theta")
-    shifts = cfg.get("point_shifts", [0, 1, 2, 3, 5])
-    probes = cfg.get("shift_probes", [1, 2, 3, 5, 8])
-    points = [shift(point, _integer(s, "point_shifts")) for s in shifts]
-    probes = [_integer(p, "shift_probes") for p in probes]
+    shifts = [_integer(s, "point_shifts")
+              for s in _list(cfg, "point_shifts", [0, 1, 2, 3, 5])]
+    probes = [_integer(p, "shift_probes")
+              for p in _list(cfg, "shift_probes", [1, 2, 3, 5, 8])]
+    points = [shift(point, s) for s in shifts]
     sample = spectral.eigenfunction_sample(obs, theta, points, schedule,
-                                           tuple(int(p) for p in probes),
-                                           estimator)
+                                           tuple(probes), estimator)
     expanded = _expanded_common(cfg, point, schedule, obs,
                                 extra={"command": "eigen", "theta": theta,
                                        "point_shifts": list(shifts),

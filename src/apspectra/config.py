@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .errors import ConfigError
 from .folner import EstimatorConfig, FolnerSchedule
@@ -43,9 +44,13 @@ def _require(spec: dict, key: str, field: str):
 
 
 def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:      # an int beyond the float range
+            pass
+    raise ConfigError(field, f"expected a finite number, got {value!r}")
 
 
 def _integer(value, field: str) -> int:
@@ -55,13 +60,10 @@ def _integer(value, field: str) -> int:
 
 
 def parse_complex(value, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(field, f"expected a number or [re, im], got {value!r}")
+    """A number, or [re, im]."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_number(value[0], field), _number(value[1], field))
+    return complex(_number(value, field), 0.0)
 
 
 # ---------------------------------------------------------------------------

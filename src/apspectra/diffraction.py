@@ -11,13 +11,16 @@ two routes to the same quantity and are cross-checked in the tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FractionExceedsOne
-from .folner import EstimatorConfig, FolnerSchedule, MeanEstimate, _judge
+from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate, estimate,
+                     window_sums)
 from .points import Observable, PointGen, Track, observable_track
+from .spectral import _windowed_character_means
 
 __all__ = [
     "WeightedComb",
@@ -46,12 +49,9 @@ class WeightedComb:
             raise ValueError(f"weights missing for letters {sorted(missing)}")
 
     def values(self, start: int, stop: int) -> np.ndarray:
-        codes = self.point.codes(start, stop)
-        lut = np.array([complex(self.weights[a]) for a in self.point.alphabet])
-        vals = lut[codes]
-        if np.max(np.abs(vals.imag), initial=0.0) == 0.0:
-            return vals.real.copy()
-        return vals
+        """Weights w(t) for t in [start, stop)."""
+        return observable_track(self.as_observable(), self.point,
+                                start, stop - 1).values
 
     def sup_weight(self) -> float:
         return float(max(abs(complex(v)) for v in self.weights.values()))
@@ -124,19 +124,13 @@ def autocorrelation(comb: WeightedComb, k_max: int,
     w = comb.values(lo - k_max, hi)
     w = np.asarray(w, dtype=complex)
     table = np.empty((len(schedule), k_max + 1), dtype=complex)
+    lengths = schedule.lengths()
     for k in range(k_max + 1):
         prod = w[k_max:] * np.conj(w[k_max - k:len(w) - k])
-        csum = np.concatenate(([0.0 + 0.0j], np.cumsum(prod)))
-        for i, (s, l) in enumerate(schedule.windows):
-            table[i, k] = (csum[s + l - lo] - csum[s - lo]) / l
+        table[:, k] = window_sums(prod, lo, schedule.windows) / lengths
     sup = float(np.max(np.abs(w), initial=0.0)) ** 2
-    verdicts = []
-    for k in range(k_max + 1):
-        verdict, spread = _judge(table[:, k], sup, config)
-        partials = tuple((n + 1, complex(a)) for n, a in enumerate(table[:, k]))
-        verdicts.append(MeanEstimate(partials, verdict, spread,
-                                     min(config.tail, len(schedule)), sup))
-    return AutocorrEstimate(k_max, schedule.windows, table, tuple(verdicts))
+    verdicts = tuple(estimate(table[:, k], sup, config) for k in range(k_max + 1))
+    return AutocorrEstimate(k_max, schedule.windows, table, verdicts)
 
 
 def bombieri_taylor_atom(comb: WeightedComb, theta: float,
@@ -148,18 +142,10 @@ def bombieri_taylor_atom(comb: WeightedComb, theta: float,
     mass estimate at theta.
     """
     lo, hi = schedule.span()
-    w = np.asarray(comb.values(lo, hi), dtype=complex)
-    t = np.arange(lo, hi, dtype=float)
-    prod = w * np.exp(-2j * np.pi * theta * t)
-    csum = np.concatenate(([0.0 + 0.0j], np.cumsum(prod)))
-    vals = np.empty(len(schedule), dtype=complex)
-    for i, (s, l) in enumerate(schedule.windows):
-        vals[i] = np.abs((csum[s + l - lo] - csum[s - lo]) / l) ** 2
-    sup = comb.sup_weight() ** 2
-    verdict, spread = _judge(vals, sup, config)
-    partials = tuple((n + 1, complex(a)) for n, a in enumerate(vals))
-    return MeanEstimate(partials, verdict, spread,
-                        min(config.tail, len(schedule)), sup)
+    means = _windowed_character_means(Track(lo, comb.values(lo, hi)), theta,
+                                      schedule)
+    return estimate((np.abs(means) ** 2).astype(complex),
+                    comb.sup_weight() ** 2, config)
 
 
 @dataclass(frozen=True)
@@ -250,19 +236,11 @@ def nphi_bridge(comb: WeightedComb, kernel: dict, t0: int, t1: int) -> NphiBridg
         a = t0 + u - lo
         direct += w[a:a + n] * np.conj(complex(kernel[u]))
 
-    alphabet = comb.point.alphabet
-    table = {}
     # cylinder route: one table entry per letter pattern on the kernel support
-    width = len(offsets)
-    for key in range(len(alphabet) ** width):
-        digits, kk = [], key
-        for _ in range(width):
-            digits.append(kk % len(alphabet))
-            kk //= len(alphabet)
-        pattern = "".join(alphabet[d] for d in digits)
-        value = sum(complex(comb.weights[pattern[i]]) * np.conj(complex(kernel[u]))
-                    for i, u in enumerate(offsets))
-        table[pattern] = value
+    table = {"".join(letters): sum(complex(comb.weights[a]) * np.conj(complex(kernel[u]))
+                                   for a, u in zip(letters, offsets))
+             for letters in itertools.product(comb.point.alphabet,
+                                              repeat=len(offsets))}
     obs = Observable(tuple(offsets), table, "kernel-correlation")
     via_obs = observable_track(obs, comb.point, t0, t1)
     residual = float(np.max(np.abs(direct - np.asarray(via_obs.values,

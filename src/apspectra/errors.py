@@ -17,10 +17,6 @@ class EmptyShiftRange(ApspectraError):
     """A uniform-mean evaluation was asked to scan an empty set of shifts."""
 
 
-class BudgetTooSmall(ApspectraError):
-    """A scan budget cannot cover the requested evaluation range."""
-
-
 class NeverBelow(ApspectraError):
     """No scanned window index brought the uniform mean under the target.
 

@@ -27,6 +27,9 @@ __all__ = [
     "MeanEstimate",
     "AdmissibleSeminorm",
     "StabilizationReport",
+    "window_sums",
+    "sliding_sums",
+    "estimate",
     "partial_means",
     "upper_mean",
     "uniform_mean",
@@ -114,6 +117,9 @@ class FolnerSchedule:
 
     def largest_length(self) -> int:
         return max(l for _, l in self.windows)
+
+    def lengths(self) -> np.ndarray:
+        return np.array([l for _, l in self.windows])
 
     def describe(self) -> dict:
         return {
@@ -271,6 +277,17 @@ def _judge(values: np.ndarray, sup_samples: float,
     return Undecided("tail neither settled nor persistently oscillating"), spread
 
 
+def estimate(avgs: np.ndarray, sup: float, config: EstimatorConfig) -> MeanEstimate:
+    """The partial means ``avgs`` (window n at index n - 1) with their verdict.
+
+    ``sup`` is the sup norm of the averaged samples, which scales the
+    verdict tolerances.
+    """
+    verdict, spread = _judge(avgs, sup, config)
+    partials = tuple((n, complex(a)) for n, a in enumerate(avgs, start=1))
+    return MeanEstimate(partials, verdict, spread, min(config.tail, len(avgs)), sup)
+
+
 # ---------------------------------------------------------------------------
 # sample access
 # ---------------------------------------------------------------------------
@@ -303,21 +320,25 @@ def as_dense(samples, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _window_averages(samples, schedule: FolnerSchedule, n_max: int,
-                     transform=None) -> tuple[np.ndarray, float]:
-    """Averages over B_1..B_n_max plus the sup norm of the touched samples."""
-    lo = min(s for s, _ in schedule.windows[:n_max])
-    hi = max(s + l for s, l in schedule.windows[:n_max])
-    dense = as_dense(samples, lo, hi)
-    if transform is not None:
-        dense = transform(dense)
-    sup = float(np.max(np.abs(dense), initial=0.0))
-    csum = np.concatenate(([0.0 + 0.0j], np.cumsum(dense.astype(complex))))
-    avgs = np.empty(n_max, dtype=complex)
-    for i, (s, l) in enumerate(schedule.windows[:n_max]):
-        a, b = s - lo, s - lo + l
-        avgs[i] = (csum[b] - csum[a]) / l
-    return avgs, sup
+def window_sums(values: np.ndarray, start: int, windows) -> np.ndarray:
+    """Sums of ``values`` over each window ``(s, l)``, i.e. over [s, s + l).
+
+    ``values[0]`` sits at coordinate ``start`` and the array must cover
+    every window.
+    """
+    # no zero is prepended to csum: that would copy it once per call
+    csum = np.cumsum(values)
+    a = np.array([s for s, _ in windows]) - start
+    b = a + np.array([l for _, l in windows])
+    return csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
+
+
+def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:
+    """Sums of every run of ``length`` consecutive entries of ``values``."""
+    csum = np.cumsum(values)
+    sums = csum[length - 1:].copy()
+    sums[1:] -= csum[:-length]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +352,21 @@ def partial_means(samples, schedule: FolnerSchedule, n_max: int | None = None,
     n_max = len(schedule) if n_max is None else n_max
     if not 1 <= n_max <= len(schedule):
         raise ValueError(f"n_max must lie in 1..{len(schedule)}")
-    avgs, sup = _window_averages(samples, schedule, n_max)
-    verdict, spread = _judge(avgs, sup, config)
-    partials = tuple((n + 1, complex(avgs[n])) for n in range(n_max))
-    return MeanEstimate(partials, verdict, spread, min(config.tail, n_max), sup)
+    head = FolnerSchedule(schedule.kind, schedule.windows[:n_max])
+    lo, hi = head.span()
+    dense = as_dense(samples, lo, hi)
+    sup = float(np.max(np.abs(dense), initial=0.0))
+    # complex division: a real track gives the same bits as its complex copy
+    sums = window_sums(dense.astype(complex), lo, head.windows)
+    return estimate(sums / head.lengths(), sup, config)
 
 
 def upper_mean(samples, schedule: FolnerSchedule, n_max: int | None = None,
                tail: int = 5) -> float:
     """Finite proxy for the upper mean: tail max of window averages of |h|."""
-    n_max = len(schedule) if n_max is None else n_max
-    avgs, _ = _window_averages(samples, schedule, n_max, transform=np.abs)
-    return float(np.max(avgs[-min(tail, n_max):]).real)
+    est = partial_means(_AbsView(samples), schedule, n_max,
+                        EstimatorConfig(tail=tail))
+    return float(np.max(est.tail_values()).real)
 
 
 def _real_dense(samples, lo: int, hi: int) -> np.ndarray:
@@ -367,9 +391,7 @@ def uniform_mean(samples, schedule: FolnerSchedule, n: int,
     start, length = schedule.window(n)
     lo = start + s_min
     hi = start + s_max + length
-    dense = _real_dense(samples, lo, hi)
-    csum = np.concatenate(([0.0], np.cumsum(dense)))
-    sums = csum[length:] - csum[:-length]          # one per shift s_min..s_max
+    sums = sliding_sums(_real_dense(samples, lo, hi), length)  # one per shift
     idx = int(np.argmax(sums))
     return float(sums[idx] / length), s_min + idx
 

@@ -9,6 +9,7 @@ convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections.abc import Mapping
@@ -31,6 +32,8 @@ __all__ = [
     "observable_track",
     "CylinderMetric",
     "cylinder_weights",
+    "smeared_mismatch",
+    "mismatch_track",
     "metric_d",
     "sup_metric_lb",
     "FIBONACCI_RULES",
@@ -382,15 +385,11 @@ class Observable:
         Raises KeyError naming the first missing pattern, which is how
         partial tables get caught.
         """
-        base = len(alphabet)
         width = len(self.window)
-        lut = np.empty(base ** width, dtype=complex)
-        for key in range(base ** width):
-            digits, k = [], key
-            for _ in range(width):
-                digits.append(k % base)
-                k //= base
-            pattern = "".join(alphabet[d] for d in digits)
+        lut = np.empty(len(alphabet) ** width, dtype=complex)
+        # the digits of key in base len(alphabet), lowest first, spell the pattern
+        for key, letters in enumerate(itertools.product(alphabet, repeat=width)):
+            pattern = "".join(reversed(letters))
             if pattern not in self.table:
                 raise KeyError(f"observable table misses pattern {pattern!r}")
             lut[key] = self.table[pattern]
@@ -464,30 +463,31 @@ class CylinderMetric:
         return metric_d(x, y, self.radius)
 
 
-def metric_d(x: PointGen, y: PointGen, radius: int = 16) -> float:
-    """Weighted mismatch metric (1/C) sum_{|k|<=K} 2^-|k| [x(k) != y(k)]."""
+def smeared_mismatch(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Cylinder distances from a letter-mismatch mask along a run of coordinates.
+
+    Entry i is (1/C) sum_{|k|<=radius} 2^-|k| mask[i + radius + k], so
+    the result drops ``radius`` coordinates at each end of the run.
+    """
     w, c = cylinder_weights(radius)
-    xc = x.codes(-radius, radius + 1)
-    yc = y.codes(-radius, radius + 1)
-    xa = np.array([x.alphabet[i] for i in xc])
-    ya = np.array([y.alphabet[i] for i in yc])
-    return float(np.dot(w, (xa != ya).astype(float)) / c)
+    return np.convolve(np.asarray(mask, dtype=float), w, mode="valid") / c
 
 
 def mismatch_track(x: PointGen, y: PointGen, s0: int, s1: int,
                    radius: int = 16) -> np.ndarray:
-    """d(s.x, s.y) for s in [s0, s1) via one convolution pass."""
-    w, c = cylinder_weights(radius)
+    """d(s.x, s.y) for s in [s0, s1)."""
     lo, hi = s0 - radius, s1 + radius
     xc = x.codes(lo, hi)
     yc = y.codes(lo, hi)
-    if x.alphabet == y.alphabet:
-        m = (xc != yc).astype(float)
-    else:
-        xa = np.array([x.alphabet[i] for i in xc])
-        ya = np.array([y.alphabet[i] for i in yc])
-        m = (xa != ya).astype(float)
-    return np.convolve(m, w, mode="valid") / c
+    if x.alphabet != y.alphabet:
+        xc = np.array([x.alphabet[i] for i in xc])
+        yc = np.array([y.alphabet[i] for i in yc])
+    return smeared_mismatch(xc != yc, radius)
+
+
+def metric_d(x: PointGen, y: PointGen, radius: int = 16) -> float:
+    """Weighted mismatch metric (1/C) sum_{|k|<=K} 2^-|k| [x(k) != y(k)]."""
+    return float(mismatch_track(x, y, 0, 1, radius)[0])
 
 
 def sup_metric_lb(x: PointGen, y: PointGen, horizon: int,

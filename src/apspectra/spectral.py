@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingSamples
 from .folner import (Character, Converged, EstimatorConfig, FolnerSchedule,
-                     MeanEstimate, Oscillating, _judge, partial_means)
-from .points import Observable, PointGen, Track, observable_track, shift
+                     MeanEstimate, Oscillating, as_dense, estimate,
+                     partial_means, sliding_sums, window_sums)
+from .points import Observable, PointGen, Track, observable_track
 
 __all__ = [
     "fourier_bohr",
@@ -38,21 +38,18 @@ __all__ = [
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _character_means(values: np.ndarray, phase: np.ndarray,
+                     schedule: FolnerSchedule) -> np.ndarray:
+    """Window means of values * phase, both given on the schedule span."""
+    lo, _ = schedule.span()
+    return window_sums(values * phase, lo, schedule.windows) / schedule.lengths()
+
+
 def _windowed_character_means(track: Track, theta: float,
                               schedule: FolnerSchedule) -> np.ndarray:
     lo, hi = schedule.span()
-    if lo < track.start:
-        raise MissingSamples(lo)
-    if hi > track.stop:
-        raise MissingSamples(track.stop)
-    t = np.arange(lo, hi, dtype=float)
-    vals = np.asarray(track.values)[lo - track.start:hi - track.start]
-    prod = vals * np.exp(-2j * np.pi * theta * t)
-    csum = np.concatenate(([0.0 + 0.0j], np.cumsum(prod)))
-    out = np.empty(len(schedule), dtype=complex)
-    for i, (s, l) in enumerate(schedule.windows):
-        out[i] = (csum[s + l - lo] - csum[s - lo]) / l
-    return out
+    return _character_means(as_dense(track, lo, hi),
+                            Character(theta).conj_values(lo, hi), schedule)
 
 
 def fourier_bohr(f: Observable, x: PointGen, theta: float,
@@ -68,12 +65,8 @@ def fourier_bohr_from_track(track: Track, theta: float,
                             schedule: FolnerSchedule,
                             config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
     """Same as :func:`fourier_bohr` for an already-sampled track."""
-    avgs = _windowed_character_means(track, theta, schedule)
-    sup = track.sup_norm()
-    verdict, spread = _judge(avgs, sup, config)
-    partials = tuple((n + 1, complex(a)) for n, a in enumerate(avgs))
-    return MeanEstimate(partials, verdict, spread,
-                        min(config.tail, len(avgs)), sup)
+    return estimate(_windowed_character_means(track, theta, schedule),
+                    track.sup_norm(), config)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +278,18 @@ def parseval_defect(f: Observable, x: PointGen, thetas,
     thetas = tuple(float(t) for t in thetas)
     lo, hi = schedule.span()
     track = observable_track(f, x, lo, hi - 1)
+    means = [_windowed_character_means(track, t, schedule) for t in thetas]
+    return _parseval(track, thetas, means, schedule, config)
+
+
+def _parseval(track: Track, thetas: tuple, means, schedule: FolnerSchedule,
+              config: EstimatorConfig) -> ParsevalTrajectory:
+    """Parseval trajectory from the character means of each theta."""
     sq = Track(track.start, np.abs(np.asarray(track.values)) ** 2)
     energy = partial_means(sq, schedule, config=config)
     captured = np.zeros(len(schedule))
-    for theta in thetas:
-        captured += np.abs(_windowed_character_means(track, theta, schedule)) ** 2
+    for m in means:
+        captured += np.abs(m) ** 2
     defects = tuple(float(e.real - c) for (_, e), c in zip(energy.partials, captured))
     return ParsevalTrajectory(thetas, energy, tuple(float(c) for c in captured),
                               defects)
@@ -342,24 +342,32 @@ def eigenfunction_sample(f: Observable, theta: float, points,
     if not points:
         raise ValueError("need at least one sample point")
     xi = Character(theta)
-    values, flags = [], []
-    for p in points:
-        est = fourier_bohr(f, p, theta, schedule, config)
-        v, flag = _eigen_value(est)
-        values.append(v)
-        flags.append(flag)
+    probes = [int(t) for t in shift_probes]
+    first, last = min([0, *probes]), max([0, *probes])
+    lo, hi = schedule.span()
+    phase = xi.conj_values(lo, hi)
 
+    def value_at(track, t):
+        """Eigen value of t.p from the track of p, sampled from lo + first."""
+        vals = track.values[t - first:t - first + hi - lo]
+        est = estimate(_character_means(vals, phase, schedule),
+                       Track(lo, vals).sup_norm(), config)
+        return _eigen_value(est)
+
+    values, flags = [], []
     residual = 0.0
-    for p, e_p, flag in zip(points, values, flags):
+    for p in points:
+        track = observable_track(f, p, lo + first, hi - 1 + last)
+        e_p, flag = value_at(track, 0)
+        values.append(e_p)
+        flags.append(flag)
         if flag == "undecided":
             continue
-        for t in shift_probes:
-            est = fourier_bohr(f, shift(p, int(t)), theta, schedule, config)
-            e_shift, flag_shift = _eigen_value(est)
+        for t in probes:
+            e_shift, flag_shift = value_at(track, t)
             if flag_shift == "undecided":
                 continue
-            residual = max(residual,
-                           abs(e_shift - complex(xi(int(t))) * e_p))
+            residual = max(residual, abs(e_shift - complex(xi(t)) * e_p))
 
     mods = [abs(v) for v, flag in zip(values, flags) if flag != "undecided"]
     spread = (max(mods) - min(mods)) if mods else 0.0
@@ -396,11 +404,8 @@ def weyl_uniform_fb(f: Observable, x: PointGen, theta: float,
     start, length = schedule.window(n)
     lo, hi = start + s_min, start + s_max + length
     track = observable_track(f, x, lo, hi - 1)
-    t = np.arange(lo, hi, dtype=float)
-    prod = np.asarray(track.values) * np.exp(-2j * np.pi * theta * t)
-    csum = np.concatenate(([0.0 + 0.0j], np.cumsum(prod)))
-    sums = (csum[length:] - csum[:-length]) / length
-    mods = np.abs(sums)
+    prod = track.values * Character(theta).conj_values(lo, hi)
+    mods = np.abs(sliding_sums(prod, length) / length)
     i_max, i_min = int(np.argmax(mods)), int(np.argmin(mods))
     return WeylUniformity(float(mods[i_max]), float(mods[i_min]),
                           float(mods[i_max] - mods[i_min]),
@@ -423,9 +428,16 @@ class SpectralReport:
     energy: MeanEstimate
     parseval: ParsevalTrajectory
     purity: str
-    grid_sizes: tuple[int, ...]
-    cross_residuals: tuple[float | None, ...]
+    grids: tuple[FourierBohrGrid, ...]   # ascending length
     budget_fingerprint: dict
+
+    @property
+    def grid_sizes(self) -> tuple[int, ...]:
+        return tuple(g.n for g in self.grids)
+
+    @property
+    def cross_residuals(self) -> tuple[float | None, ...]:
+        return tuple(g.cross_residual for g in self.grids)
 
     def describe(self) -> dict:
         return {
@@ -466,15 +478,14 @@ def spectral_report(f: Observable, x: PointGen, schedule: FolnerSchedule,
     freqs = detect_frequencies(grids, threshold, refine_steps)[:max_frequencies]
     lo, hi = schedule.span()
     track = observable_track(f, x, lo, hi - 1)
-    trajectories = {fr.theta: fourier_bohr_from_track(track, fr.theta, schedule,
-                                                      config)
-                    for fr in freqs}
-    parseval = parseval_defect(f, x, [fr.theta for fr in freqs], schedule,
-                               config)
+    thetas = tuple(fr.theta for fr in freqs)
+    means = [_windowed_character_means(track, t, schedule) for t in thetas]
+    sup = track.sup_norm()
+    trajectories = {t: estimate(m, sup, config) for t, m in zip(thetas, means)}
+    parseval = _parseval(track, thetas, means, schedule, config)
     purity = _purity_verdict(parseval.energy, parseval.defects)
     return SpectralReport(tuple(freqs), trajectories, parseval.energy, parseval,
-                          purity, grid_sizes,
-                          tuple(g.cross_residual for g in grids),
+                          purity, tuple(grids),
                           {"schedule": schedule.describe(),
                            "grid_sizes": list(grid_sizes),
                            "threshold": threshold,

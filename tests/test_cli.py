@@ -219,6 +219,10 @@ def test_diffract_command(tmp_path):
     assert dens[2] == "theta,density"
 
 
+SMALL_AB = {"point": "periodic:AB",
+            "schedule": {"kind": "intervals", "base": 10, "n_max": 3}}
+
+
 @pytest.mark.parametrize("command,cfg,field", [
     ("spectrum", {"point": "periodic:AB", "observable": "indicator:A",
                   "schedule": {"kind": "intervals", "base": 10, "n_max": 3},
@@ -239,6 +243,22 @@ def test_diffract_command(tmp_path):
     ("classify", {"point": "periodic:AB",
                   "schedule": {"kind": "intervals", "base": 10, "n_max": 3},
                   "weyl_index": 9}, "weyl_index"),
+    # JSON admits NaN and +-Infinity; numbers must be finite
+    ("scan", {**SMALL_AB, "epsilon": float("nan")}, "epsilon"),
+    ("scan", {**SMALL_AB, "epsilon": float("inf")}, "epsilon"),
+    ("classify", {**SMALL_AB, "eps_grid": [float("inf")]}, "eps_grid"),
+    ("classify", {**SMALL_AB, "gap_threshold": float("-inf")},
+     "gap_threshold"),
+    ("scan", {**SMALL_AB, "epsilon": 10 ** 400}, "epsilon"),
+    ("diffract", {**SMALL_AB, "weights": {"A": [1.0, float("nan")], "B": 0.0},
+                  "atom_thetas": [0.0]}, "weights.A"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "detect": [1]},
+     "detect"),
+    ("scan", {**SMALL_AB, "kinds": 3}, "kinds"),
+    ("eigen", {**SMALL_AB, "observable": "indicator:A", "theta": 0.5,
+               "point_shifts": 3}, "point_shifts"),
+    ("eigen", {**SMALL_AB, "observable": "indicator:A", "theta": 0.5,
+               "shift_probes": 3}, "shift_probes"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)

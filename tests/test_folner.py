@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apspectra.errors import EmptyShiftRange, MissingSamples, NeverBelow
 from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
                               Undecided, partial_means, seminorm_eval,
-                              stabilization_check, uniform_mean, upper_mean)
+                              sliding_sums, stabilization_check, uniform_mean,
+                              upper_mean, window_sums)
 from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
                               THUE_MORSE_RULES, Track, observable_track)
 
@@ -330,3 +333,36 @@ def test_stabilization_never_below_on_unimodular_track():
     with pytest.raises(NeverBelow) as err:
         stabilization_check(track, s, 0.9, shift_budget=64)
     assert min(err.value.values) == 1.0  # |h| constant 1 makes every mean 1
+
+
+# ---------------------------------------------------------------------------
+# window kernels against brute sums
+# ---------------------------------------------------------------------------
+
+
+INTEGER_ARRAYS = st.lists(st.integers(-1000, 1000), min_size=1, max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=INTEGER_ARRAYS, start=st.integers(-50, 50),
+       dtype=st.sampled_from([np.int64, float, complex]), data=st.data())
+def test_window_sums_equal_brute_sums(values, start, dtype, data):
+    n = len(values)
+    windows = data.draw(st.lists(
+        st.integers(0, n - 1).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(1, n - a))),
+        min_size=1, max_size=8))
+    windows = [(start + a, l) for a, l in windows]
+    sums = window_sums(np.array(values, dtype=dtype), start, windows)
+    assert sums.tolist() == [sum(values[s - start:s - start + l])
+                             for s, l in windows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=INTEGER_ARRAYS, dtype=st.sampled_from([np.int64, float, complex]),
+       data=st.data())
+def test_sliding_sums_equal_brute_sums(values, dtype, data):
+    length = data.draw(st.integers(1, len(values)))
+    sums = sliding_sums(np.array(values, dtype=dtype), length)
+    assert sums.tolist() == [sum(values[i:i + length])
+                             for i in range(len(values) - length + 1)]

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apspectra.points import (FIBONACCI_RULES, PERIOD_DOUBLING_RULES,
                               THUE_MORSE_RULES, BernoulliPoint, BlockPoint,
                               Observable, PeriodicPoint, StepPoint,
                               SturmianPoint, SubstitutionPoint, Track,
                               cylinder_weights, eval_window, metric_d,
-                              observable_track, shift, sup_metric_lb)
+                              mismatch_track, observable_track, shift,
+                              sup_metric_lb)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -266,3 +269,35 @@ def test_sup_metric_monotone_in_horizon():
     z = shift(y, 3)
     values = [sup_metric_lb(y, z, s, 8) for s in (0, 2, 5, 20, 100)]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# properties of the shift action and the mismatch kernel
+# ---------------------------------------------------------------------------
+
+POINTS = all_points()
+
+
+@pytest.mark.parametrize("x", POINTS, ids=lambda x: type(x).__name__)
+@settings(max_examples=15, deadline=None)
+@given(t=st.integers(-300, 300), a=st.integers(-300, 300),
+       length=st.integers(0, 80))
+def test_shift_codes_read_translated_coordinates(x, t, a, length):
+    b = a + length
+    assert np.array_equal(shift(x, t).codes(a, b), x.codes(a + t, b + t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(i=st.integers(0, len(POINTS) - 1), j=st.integers(0, len(POINTS) - 1),
+       t=st.integers(-20, 20), s0=st.integers(-100, 100),
+       n=st.integers(1, 12), radius=st.integers(1, 6))
+def test_mismatch_track_is_metric_along_the_orbit(i, j, t, s0, n, radius):
+    x, y = POINTS[i], shift(POINTS[j], t)
+    track = mismatch_track(x, y, s0, s0 + n, radius)
+    w, c = cylinder_weights(radius)
+    for s, d in zip(range(s0, s0 + n), track):
+        assert d == metric_d(shift(x, s), shift(y, s), radius)
+        xs = eval_window(x, s - radius, s + radius)
+        ys = eval_window(y, s - radius, s + radius)
+        brute = sum(wk for wk, p, q in zip(w, xs, ys) if p != q) / c
+        assert d == brute
