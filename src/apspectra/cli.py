@@ -19,9 +19,9 @@ import click
 import numpy as np
 
 from . import almost, diffraction, spectral
-from .config import (_integer, _number, build_estimator, build_observable,
-                     build_point, build_schedule, build_weights,
-                     canonical_json, config_hash, load_config)
+from .config import (_integer, _number, _preset_spec, build_estimator,
+                     build_observable, build_point, build_schedule,
+                     build_weights, canonical_json, config_hash, load_config)
 from .errors import ApspectraError, ConfigError
 from .folner import FolnerSchedule
 from .points import eval_window, observable_track, shift
@@ -45,17 +45,12 @@ def _resolve_threads(threads: int | None) -> int:
 def _apply_seed_override(cfg: dict, seed_override: int | None) -> dict:
     if seed_override is None:
         return cfg
-    cfg = dict(cfg)
-    cfg["seed"] = seed_override
+    cfg = dict(cfg, seed=seed_override)
     point = cfg.get("point")
     if isinstance(point, str) and point.startswith("bernoulli:"):
-        parts = point.split(":")
-        if len(parts) == 3:
-            cfg["point"] = f"bernoulli:{parts[1]}:{seed_override}"
-    elif isinstance(point, dict) and point.get("kind") == "bernoulli":
-        point = dict(point)
-        point["seed"] = seed_override
-        cfg["point"] = point
+        point = _preset_spec(point, "point")
+    if isinstance(point, dict) and point.get("kind") == "bernoulli":
+        cfg["point"] = dict(point, seed=seed_override)
     return cfg
 
 
@@ -121,14 +116,22 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _grid_lines(grid: spectral.FourierBohrGrid) -> list[str]:
+    """theta,re,im,|c| lines with the digits ``_fmt`` writes; the scalar
+    ``abs`` rounds |c| as numpy scalars do, ``np.abs`` of the array may not."""
+    return [f"{t!r},{a.real!r},{a.imag!r},{abs(a)!r}"
+            for t, a in zip(grid.thetas.tolist(), grid.amplitudes.tolist())]
+
+
 def _csv_doc(header: list[str], rows, expanded: dict, budget: dict | None) -> str:
+    """A row is a list of cells or an already joined line."""
     lines = [f"# config_hash={config_hash(expanded)}"]
     if budget is not None:
         lines.append(f"# budget={canonical_json(budget)}")
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row))
+        lines.append(row if isinstance(row, str) else ",".join(
+            _fmt(v) if not isinstance(v, str) else v for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -137,21 +140,19 @@ def _scan_budget(cfg: dict, schedule: FolnerSchedule) -> almost.ScanBudget:
     weyl_span = cfg.get("weyl_shift_span")
     budget = almost.ScanBudget(
         schedule=schedule,
-        metric_radius=_integer(cfg.get("metric_radius", 16), "metric_radius"),
+        metric_radius=_integer(cfg.get("metric_radius", 16), "metric_radius",
+                               least=1),
         estimator=build_estimator(cfg.get("estimator")),
         weyl_index=None if weyl_index is None else _integer(weyl_index,
                                                             "weyl_index"),
         weyl_shift_span=None if weyl_span is None else _integer(
             weyl_span, "weyl_shift_span"),
-        bohr_horizon=_integer(cfg.get("bohr_horizon", 512), "bohr_horizon"),
+        bohr_horizon=_integer(cfg.get("bohr_horizon", 512), "bohr_horizon",
+                              least=0),
     )
-    if budget.metric_radius < 1:
-        raise ConfigError("metric_radius", "must be a positive integer")
     if not 1 <= budget.resolved_weyl_index() <= len(schedule):
         raise ConfigError("weyl_index",
                           f"must lie in 1..{len(schedule)}")
-    if budget.bohr_horizon < 0:
-        raise ConfigError("bohr_horizon", "must be nonnegative")
     return budget
 
 
@@ -159,6 +160,18 @@ def _list(cfg: dict, key: str, default: list) -> list:
     raw = cfg.get(key, default)
     if not isinstance(raw, list):
         raise ConfigError(key, f"expected a list, got {raw!r}")
+    return raw
+
+
+def _grid_sizes(raw, field: str) -> list[int]:
+    if not isinstance(raw, list) or len(raw) < 2:
+        raise ConfigError(field, "expected at least two grid lengths >= 2")
+    return [_integer(n, field, least=2) for n in raw]
+
+
+def _threshold(raw, field: str):
+    if raw is not None and _number(raw, field) <= 0:
+        raise ConfigError(field, "must be positive")
     return raw
 
 
@@ -274,33 +287,26 @@ def _cmd_spectrum(cfg: dict, threads: int) -> dict:
     point = build_point(cfg.get("point", ""))
     obs = build_observable(cfg.get("observable", {}), point)
     schedule = build_schedule(cfg.get("schedule", {}))
-    grid_sizes = cfg.get("grid_sizes", [4096, 16384, 65536])
-    if (not isinstance(grid_sizes, list) or len(grid_sizes) < 2
-            or any(_integer(n, "grid_sizes") < 2 for n in grid_sizes)):
-        raise ConfigError("grid_sizes",
-                          "expected at least two grid lengths >= 2")
-    threshold = cfg.get("threshold")
-    if threshold is not None and _number(threshold, "threshold") <= 0:
-        raise ConfigError("threshold", "must be positive")
+    grid_sizes = _grid_sizes(cfg.get("grid_sizes", [4096, 16384, 65536]),
+                             "grid_sizes")
     estimator = build_estimator(cfg.get("estimator"))
     report = spectral.spectral_report(
         obs, point, schedule, grid_sizes,
-        threshold=threshold,
-        refine_steps=_integer(cfg.get("refine_steps", 48), "refine_steps"),
+        threshold=_threshold(cfg.get("threshold"), "threshold"),
+        refine_steps=_integer(cfg.get("refine_steps", 48), "refine_steps",
+                              least=1),
         max_frequencies=_integer(cfg.get("max_frequencies", 32),
-                                 "max_frequencies"),
+                                 "max_frequencies", least=0),
         config=estimator)
     expanded = _expanded_common(cfg, point, schedule, obs,
                                 extra={"command": "spectrum",
                                        "grid_sizes": list(grid_sizes),
                                        "budget": report.budget_fingerprint})
-    biggest = report.grids[-1]
-    rows = [[t, a.real, a.imag, abs(a)]
-            for t, a in zip(biggest.thetas, biggest.amplitudes)]
     return {
         "spectrum.json": _json_doc({"report": report.describe()}, expanded),
         "spectrum.csv": _csv_doc(["theta", "amp_re", "amp_im", "amp_abs"],
-                                 rows, expanded, report.budget_fingerprint),
+                                 _grid_lines(report.grids[-1]), expanded,
+                                 report.budget_fingerprint),
     }
 
 
@@ -312,20 +318,17 @@ def _detect_thetas(cfg: dict, point, obs) -> list[float]:
     det = cfg.get("detect", {})
     if not isinstance(det, dict):
         raise ConfigError("detect", "expected an object")
-    grid_sizes = det.get("grid_sizes", [16384, 65536])
-    if not isinstance(grid_sizes, list) or len(grid_sizes) < 2:
-        raise ConfigError("detect.grid_sizes",
-                          "expected at least two grid lengths")
-    grids = [spectral.fourier_bohr_grid(obs, point,
-                                        _integer(n, "detect.grid_sizes"))
-             for n in grid_sizes]
-    freqs = spectral.detect_frequencies(
-        grids, det.get("threshold"),
-        _integer(det.get("refine_steps", 48), "detect.refine_steps"))
+    grid_sizes = _grid_sizes(det.get("grid_sizes", [16384, 65536]),
+                             "detect.grid_sizes")
+    threshold = _threshold(det.get("threshold"), "detect.threshold")
+    steps = _integer(det.get("refine_steps", 48), "detect.refine_steps",
+                     least=1)
     top = det.get("top")
-    if top is not None:
-        freqs = freqs[:_integer(top, "detect.top")]
-    return [fr.theta for fr in freqs]
+    top = None if top is None else _integer(top, "detect.top", least=0)
+    track = observable_track(obs, point, 0, max(grid_sizes) - 1)
+    freqs = spectral.detect_frequencies(
+        spectral.fourier_bohr_grids(track, grid_sizes), threshold, steps)
+    return [fr.theta for fr in freqs[:top]]
 
 
 def _cmd_parseval(cfg: dict, threads: int) -> dict:
@@ -378,9 +381,7 @@ def _cmd_diffract(cfg: dict, threads: int) -> dict:
     schedule = build_schedule(cfg.get("schedule", {}))
     estimator = build_estimator(cfg.get("estimator"))
     comb = diffraction.WeightedComb(point, weights)
-    k_max = _integer(cfg.get("k_max", 32), "k_max")
-    if k_max < 0:
-        raise ConfigError("k_max", "must be nonnegative")
+    k_max = _integer(cfg.get("k_max", 32), "k_max", least=0)
     taper = cfg.get("taper", "triangular")
     if taper not in ("none", "triangular"):
         raise ConfigError("taper", "must be 'none' or 'triangular'")

@@ -43,6 +43,14 @@ def _require(spec: dict, key: str, field: str):
     return spec[key]
 
 
+def _typed(spec: dict, key: str, field: str, kind: type = dict):
+    value = _require(spec, key, field)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{field}.{key}",
+                          f"expected a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _number(value, field: str) -> float:
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
@@ -53,9 +61,11 @@ def _number(value, field: str) -> float:
     raise ConfigError(field, f"expected a finite number, got {value!r}")
 
 
-def _integer(value, field: str) -> int:
+def _integer(value, field: str, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(field, f"expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(field, f"must be at least {least}, got {value}")
     return value
 
 
@@ -71,86 +81,67 @@ def parse_complex(value, field: str) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _point_from_preset(preset: str, field: str) -> PointGen:
+def _parse(text: str, convert, field: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
+def _preset_spec(preset: str, field: str) -> dict:
+    """The object form of a point preset string such as ``bernoulli:0.5:7``."""
     head, _, rest = preset.partition(":")
+    parts = rest.split(":") if rest else []
     if head in _SUBSTITUTIONS:
-        return SubstitutionPoint(_SUBSTITUTIONS[head], ("0", "0"), head)
+        return {"kind": "substitution", "rules": _SUBSTITUTIONS[head],
+                "name": head}
     if head == "periodic":
-        if not rest:
-            raise ConfigError(f"{field}.pattern", "periodic preset needs a pattern")
-        return PeriodicPoint(rest)
+        return {"kind": "periodic", "pattern": rest} if rest else {"kind": head}
+    if head in ("step", "block"):
+        return {"kind": head, "fill": rest or "0"}
     if head == "sturmian":
-        parts = rest.split(":") if rest else []
         if not parts or not parts[0]:
             raise ConfigError(f"{field}.alpha", "sturmian preset needs an alpha")
-        try:
-            alpha = float(parts[0])
-            rho = float(parts[1]) if len(parts) > 1 else 0.0
-        except ValueError as exc:
-            raise ConfigError(f"{field}.alpha", str(exc)) from None
-        try:
-            return SturmianPoint(alpha, rho)
-        except ValueError as exc:
-            raise ConfigError(f"{field}.alpha", str(exc)) from None
+        return {"kind": head, "alpha": _parse(parts[0], float, f"{field}.alpha"),
+                "rho": _parse(parts[1], float, f"{field}.rho")
+                if len(parts) > 1 else 0.0}
     if head == "bernoulli":
-        parts = rest.split(":") if rest else []
         if len(parts) != 2:
             raise ConfigError(f"{field}.seed",
                               "bernoulli preset is bernoulli:<p>:<seed>")
-        try:
-            p = float(parts[0])
-        except ValueError as exc:
-            raise ConfigError(f"{field}.p", str(exc)) from None
-        try:
-            seed = int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"{field}.seed", str(exc)) from None
-        try:
-            return BernoulliPoint(p, seed)
-        except ValueError as exc:
-            raise ConfigError(f"{field}.p", str(exc)) from None
-    if head == "step":
-        return StepPoint()
-    if head == "block":
-        try:
-            return BlockPoint(rest or "0")
-        except ValueError as exc:
-            raise ConfigError(f"{field}.fill", str(exc)) from None
+        return {"kind": head, "p": _parse(parts[0], float, f"{field}.p"),
+                "seed": _parse(parts[1], int, f"{field}.seed")}
     raise ConfigError(field, f"unknown point preset {preset!r}")
 
 
 def build_point(spec, field: str = "point") -> PointGen:
     """A point generator from a preset string or an explicit dict."""
+    if isinstance(spec, dict) and "preset" in spec:
+        spec = str(spec["preset"])
     if isinstance(spec, str):
-        return _point_from_preset(spec, field)
+        spec = _preset_spec(spec, field)
     if not isinstance(spec, dict):
         raise ConfigError(field, "expected a preset string or an object")
-    if "preset" in spec:
-        return _point_from_preset(str(spec["preset"]), field)
     kind = _require(spec, "kind", field)
+    # the field a generator's own ValueError is reported against
+    blame = {"sturmian": ".alpha", "bernoulli": ".p", "block": ".fill"}
     try:
         if kind == "periodic":
             return PeriodicPoint(str(_require(spec, "pattern", field)))
         if kind == "substitution":
-            rules = _require(spec, "rules", field)
+            rules = _typed(spec, "rules", field)
             seed = spec.get("seed", ["0", "0"])
             return SubstitutionPoint({str(k): str(v) for k, v in rules.items()},
                                      (str(seed[0]), str(seed[1])),
                                      str(spec.get("name", "")))
         if kind == "sturmian":
-            alpha = _number(_require(spec, "alpha", field), f"{field}.alpha")
-            rho = _number(spec.get("rho", 0.0), f"{field}.rho")
-            try:
-                return SturmianPoint(alpha, rho)
-            except ValueError as exc:
-                raise ConfigError(f"{field}.alpha", str(exc)) from None
+            return SturmianPoint(
+                _number(_require(spec, "alpha", field), f"{field}.alpha"),
+                _number(spec.get("rho", 0.0), f"{field}.rho"))
         if kind == "bernoulli":
-            p = _number(_require(spec, "p", field), f"{field}.p")
-            seed = _integer(_require(spec, "seed", field), f"{field}.seed")
-            try:
-                return BernoulliPoint(p, seed)
-            except ValueError as exc:
-                raise ConfigError(f"{field}.p", str(exc)) from None
+            return BernoulliPoint(
+                _number(_require(spec, "p", field), f"{field}.p"),
+                _integer(_require(spec, "seed", field), f"{field}.seed"))
         if kind == "step":
             return StepPoint()
         if kind == "block":
@@ -158,7 +149,7 @@ def build_point(spec, field: str = "point") -> PointGen:
     except ConfigError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(field, str(exc)) from None
+        raise ConfigError(field + blame.get(kind, ""), str(exc)) from None
     raise ConfigError(f"{field}.kind", f"unknown point kind {kind!r}")
 
 
@@ -172,12 +163,10 @@ def build_observable(spec, point: PointGen, field: str = "observable") -> Observ
         head, _, rest = spec.partition(":")
         if head == "indicator":
             letter, _, off = rest.partition("@")
-            if letter not in point.alphabet:
-                raise ConfigError(f"{field}.letter",
-                                  f"{letter!r} is not a letter of the point")
-            return Observable.indicator(letter, point.alphabet,
-                                        int(off) if off else 0)
-        raise ConfigError(field, f"unknown observable preset {spec!r}")
+            spec = {"kind": "indicator", "letter": letter,
+                    "offset": _parse(off or "0", int, f"{field}.offset")}
+        else:
+            raise ConfigError(field, f"unknown observable preset {spec!r}")
     if not isinstance(spec, dict):
         raise ConfigError(field, "expected a preset string or an object")
     kind = _require(spec, "kind", field)
@@ -189,9 +178,8 @@ def build_observable(spec, point: PointGen, field: str = "observable") -> Observ
         offset = _integer(spec.get("offset", 0), f"{field}.offset")
         return Observable.indicator(letter, point.alphabet, offset)
     if kind == "letter_values":
-        raw = _require(spec, "map", field)
         values = {str(k): parse_complex(v, f"{field}.map.{k}")
-                  for k, v in raw.items()}
+                  for k, v in _typed(spec, "map", field).items()}
         missing = set(point.alphabet) - set(values)
         if missing:
             raise ConfigError(f"{field}.map",
@@ -199,11 +187,10 @@ def build_observable(spec, point: PointGen, field: str = "observable") -> Observ
         offset = _integer(spec.get("offset", 0), f"{field}.offset")
         return Observable.letter_values(values, offset)
     if kind == "table":
-        window = tuple(_integer(v, f"{field}.window") for v in
-                       _require(spec, "window", field))
-        raw = _require(spec, "table", field)
+        window = tuple(_integer(v, f"{field}.window")
+                       for v in _typed(spec, "window", field, list))
         table = {str(k): parse_complex(v, f"{field}.table.{k}")
-                 for k, v in raw.items()}
+                 for k, v in _typed(spec, "table", field).items()}
         try:
             return Observable(window, table, str(spec.get("name", "")))
         except ValueError as exc:
@@ -256,7 +243,7 @@ def build_estimator(spec, field: str = "estimator") -> EstimatorConfig:
     if not isinstance(spec, dict):
         raise ConfigError(field, "expected an object")
     return EstimatorConfig(
-        tail=_integer(spec.get("tail", 5), f"{field}.tail"),
+        tail=_integer(spec.get("tail", 5), f"{field}.tail", least=1),
         convergence_tol=_number(spec.get("convergence_tol", 1e-3),
                                 f"{field}.convergence_tol"),
         oscillation_threshold=_number(spec.get("oscillation_threshold", 0.1),

@@ -3,7 +3,8 @@
 The grid transform comes in two independently coded routes (a direct
 sum and a fast transform) that are cross-checked against each other;
 off-grid frequencies are recovered by persistence filtering over grids
-of increasing length followed by golden-section refinement, since the
+of increasing length, then refined by interpolating the peak between
+grid bins and polishing with a safeguarded Newton ascent, since the
 sequences of interest carry irrational frequencies that no rational
 grid hits exactly.
 """
@@ -23,6 +24,7 @@ __all__ = [
     "fourier_bohr",
     "FourierBohrGrid",
     "fourier_bohr_grid",
+    "fourier_bohr_grids",
     "DetectedFrequency",
     "detect_frequencies",
     "ParsevalTrajectory",
@@ -34,8 +36,6 @@ __all__ = [
     "SpectralReport",
     "spectral_report",
 ]
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _character_means(values: np.ndarray, phase: np.ndarray,
@@ -58,13 +58,6 @@ def fourier_bohr(f: Observable, x: PointGen, theta: float,
     """Averages of f(t.x) against conj(character theta) along the schedule."""
     lo, hi = schedule.span()
     track = observable_track(f, x, lo, hi - 1)
-    return fourier_bohr_from_track(track, theta, schedule, config)
-
-
-def fourier_bohr_from_track(track: Track, theta: float,
-                            schedule: FolnerSchedule,
-                            config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
-    """Same as :func:`fourier_bohr` for an already-sampled track."""
     return estimate(_windowed_character_means(track, theta, schedule),
                     track.sup_norm(), config)
 
@@ -87,9 +80,6 @@ class FourierBohrGrid:
     @property
     def thetas(self) -> np.ndarray:
         return np.arange(self.n) / self.n
-
-    def sup_amplitude(self) -> float:
-        return float(np.max(np.abs(self.amplitudes)))
 
 
 def _grid_direct(values: np.ndarray) -> np.ndarray:
@@ -114,12 +104,24 @@ def fourier_bohr_grid(f: Observable, x: PointGen, n: int,
     for the fast method up to ``direct_check_limit``) the residual of
     the comparison is recorded and must stay at rounding level.
     """
-    if n < 2:
-        raise ValueError("grid length must be at least 2")
     if method not in ("fast", "direct"):
         raise ValueError("method must be 'fast' or 'direct'")
-    track = observable_track(f, x, 0, n - 1)
-    values = np.asarray(track.values, dtype=complex)
+    return _grid(observable_track(f, x, 0, n - 1).values, method,
+                 direct_check_limit)
+
+
+def fourier_bohr_grids(track: Track, sizes) -> list[FourierBohrGrid]:
+    """Fast grid transforms over [0, N) for every N in ``sizes``, ascending,
+    all read from one ``track`` that covers [0, max N)."""
+    return [_grid(as_dense(track, 0, n)) for n in sorted(sizes)]
+
+
+def _grid(values: np.ndarray, method: str = "fast",
+          direct_check_limit: int = 4096) -> FourierBohrGrid:
+    values = np.asarray(values, dtype=complex)
+    n = len(values)
+    if n < 2:
+        raise ValueError("grid length must be at least 2")
     fast = np.fft.fft(values) / n
     residual = None
     if method == "direct" or n <= direct_check_limit:
@@ -164,22 +166,52 @@ def _amp_at(track: np.ndarray, theta: float) -> complex:
     return complex(np.mean(track * np.exp(-2j * np.pi * theta * t)))
 
 
-def _golden_refine(track: np.ndarray, lo: float, hi: float, steps: int) -> float:
-    """Golden-section maximization of |mean(track * e(-theta t))| on [lo, hi]."""
+def _peak_offset(amps: np.ndarray, j: int) -> float:
+    """Jacobsen's three-bin estimate of the peak's offset from bin j, in bins."""
+    left, mid, right = amps[j - 1], amps[j], amps[(j + 1) % len(amps)]
+    den = 2.0 * mid - left - right
+    offset = ((left - right) / den).real if den != 0 else 0.0
+    return min(max(offset, -1.0), 1.0)
+
+
+def _slopes(track: np.ndarray, powers: np.ndarray,
+            theta: float) -> tuple[float, float]:
+    """|A|^2' and |A|^2'' at theta up to one positive factor, where
+    A = sum track * e(-theta s) and ``powers`` holds 1, s, s^2 of the
+    centred times s."""
+    g = np.exp((-2j * np.pi * theta) * powers[1])
+    g *= track
+    a, b, c = powers @ g.view(np.float64).reshape(-1, 2) @ (1.0, 1j)
+    return ((a.conjugate() * b).imag,
+            2.0 * np.pi * (abs(b) ** 2 - (a.conjugate() * c).real))
+
+
+def _newton_refine(track: np.ndarray, powers: np.ndarray, theta: float,
+                   lo: float, hi: float, steps: int) -> float:
+    """Safeguarded Newton ascent of |A|^2 on [lo, hi], at most ``steps`` iterates.
+
+    The bracket shrinks to the side the slope points to.  A step that
+    leaves it is clamped to an edge of [lo, hi], else bisects, as does a
+    step where |A|^2 is not concave; an edge the slope points out of
+    collapses the bracket there.
+    """
+    tol = 0.5e-6 * (hi - lo)
     a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = abs(_amp_at(track, c)), abs(_amp_at(track, d))
     for _ in range(steps):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = abs(_amp_at(track, d))
+        d1, d2 = _slopes(track, powers, theta)
+        if d1 > 0:
+            a = theta
         else:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = abs(_amp_at(track, c))
-    return (a + b) / 2.0
+            b = theta
+        new = theta - d1 / d2 if d2 < 0 else 0.5 * (a + b)
+        if new < a:
+            new = a if a == lo else 0.5 * (a + b)
+        elif new > b:
+            new = b if b == hi else 0.5 * (a + b)
+        step, theta = new - theta, new
+        if abs(step) < tol:
+            break
+    return theta
 
 
 def _persists(grid: FourierBohrGrid, theta0: float, thr: float) -> bool:
@@ -204,10 +236,12 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     at or above the threshold (default 0.02 times the sup of the
     track).  It must be visible within one grid cell on every smaller
     stage, which suppresses leakage spikes that do not persist across
-    window lengths.  Survivors are refined by golden-section search on
-    a bracket of one grid cell on each side; only the strongest
-    ``max_candidates`` are refined.  The returned list is sorted by
-    amplitude, largest first.
+    window lengths.  Only the strongest ``max_candidates`` are refined.
+    Each survivor starts from the three-bin interpolation of its peak
+    (Jacobsen) and is polished by a safeguarded Newton ascent of
+    |A(theta)|^2 inside a bracket of one grid cell on each side;
+    ``refine_steps`` caps the Newton iterates.  The returned list is
+    sorted by amplitude, largest first.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grid stages")
@@ -224,13 +258,16 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     candidates = np.nonzero(is_peak)[0]
     candidates = sorted(candidates, key=lambda j: -amps[j])[:max_candidates]
 
+    s = np.arange(n) - 0.5 * (n - 1)
+    powers = np.stack([np.ones(n), s, s * s])
     found: list[DetectedFrequency] = []
     for j in candidates:
         theta0 = j / n
         if not all(_persists(g, theta0, thr) for g in grids[:-1]):
             continue
-        theta = _golden_refine(base.track, theta0 - 1.0 / n, theta0 + 1.0 / n,
-                               refine_steps) % 1.0
+        start = theta0 + _peak_offset(base.amplitudes, j) / n
+        theta = _newton_refine(base.track, powers, start, theta0 - 1.0 / n,
+                               theta0 + 1.0 / n, refine_steps) % 1.0
         amp = _amp_at(base.track, theta)
         found.append(DetectedFrequency(theta0, theta, amp, float(amps[j])))
 
@@ -472,12 +509,17 @@ def spectral_report(f: Observable, x: PointGen, schedule: FolnerSchedule,
                     grid_sizes, threshold: float | None = None,
                     refine_steps: int = 48, max_frequencies: int = 32,
                     config: EstimatorConfig = EstimatorConfig()) -> SpectralReport:
-    """Detect frequencies, estimate their trajectories, test Parseval."""
+    """Detect frequencies, estimate their trajectories, test Parseval.
+
+    One track, over the grids' [0, max N) and the schedule span, feeds
+    every grid and every average.
+    """
     grid_sizes = tuple(sorted(int(n) for n in grid_sizes))
-    grids = [fourier_bohr_grid(f, x, n) for n in grid_sizes]
-    freqs = detect_frequencies(grids, threshold, refine_steps)[:max_frequencies]
     lo, hi = schedule.span()
-    track = observable_track(f, x, lo, hi - 1)
+    whole = observable_track(f, x, min(0, lo), max(grid_sizes[-1], hi) - 1)
+    grids = fourier_bohr_grids(whole, grid_sizes)
+    freqs = detect_frequencies(grids, threshold, refine_steps)[:max_frequencies]
+    track = Track(lo, as_dense(whole, lo, hi))
     thetas = tuple(fr.theta for fr in freqs)
     means = [_windowed_character_means(track, t, schedule) for t in thetas]
     sup = track.sup_norm()

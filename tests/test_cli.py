@@ -3,10 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from apspectra.cli import main
+from apspectra.cli import _fmt, _grid_lines, main
+from apspectra.points import BernoulliPoint, Observable
+from apspectra.spectral import FourierBohrGrid, fourier_bohr_grid
 
 
 def run_cli(args, env=None):
@@ -259,6 +262,40 @@ SMALL_AB = {"point": "periodic:AB",
                "point_shifts": 3}, "point_shifts"),
     ("eigen", {**SMALL_AB, "observable": "indicator:A", "theta": 0.5,
                "shift_probes": 3}, "shift_probes"),
+    # nested values are type-checked
+    ("parseval", {**SMALL_AB, "thetas": [0.0],
+                  "observable": {"kind": "letter_values", "map": [1]}},
+     "observable.map"),
+    ("parseval", {**SMALL_AB, "thetas": [0.0],
+                  "observable": {"kind": "table", "window": 0,
+                                 "table": {"A": 1, "B": 0}}},
+     "observable.window"),
+    ("parseval", {**SMALL_AB, "thetas": [0.0],
+                  "observable": {"kind": "table", "window": [0],
+                                 "table": [1]}}, "observable.table"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A@x",
+                  "thetas": [0.0]}, "observable.offset"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A",
+                  "detect": {"threshold": "x"}}, "detect.threshold"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A",
+                  "detect": {"grid_sizes": [1, 64]}}, "detect.grid_sizes"),
+    ("generate", {"point": {"kind": "substitution", "rules": [1]}},
+     "point.rules"),
+    # integer settings below their least meaningful value
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
+                  "estimator": {"tail": -3}}, "estimator.tail"),
+    ("spectrum", {**SMALL_AB, "observable": "indicator:A",
+                  "grid_sizes": [64, 128], "refine_steps": -5},
+     "refine_steps"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A",
+                  "detect": {"grid_sizes": [64, 128], "refine_steps": 0}},
+     "detect.refine_steps"),
+    ("spectrum", {**SMALL_AB, "observable": "indicator:A",
+                  "grid_sizes": [64, 128], "max_frequencies": -1},
+     "max_frequencies"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A",
+                  "detect": {"grid_sizes": [64, 128], "top": -1}},
+     "detect.top"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
@@ -276,3 +313,18 @@ def test_missing_eigen_theta_exit_two(tmp_path):
     res = run_cli(["eigen", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert "theta" in res.output
+
+
+def test_spectrum_csv_rows_match_cell_formatting():
+    # spectrum.csv formats Python floats from .tolist(); each cell must read
+    # as the per-cell route over numpy scalars wrote it, signed zeros too
+    amps = np.array([0.0, -0.0, complex(-0.0, -0.0), -1.5 + 2j,
+                     3e-17 - 0.25j, complex(-2.0, 0.0), 0.1 + 0.2j])
+    tiny = FourierBohrGrid(len(amps), amps, "fast", None, amps)
+    x = BernoulliPoint(0.5, 3)
+    noisy = fourier_bohr_grid(
+        Observable.letter_values({"0": 0.3 - 0.7j, "1": -1.0}), x, 8192)
+    for grid in (tiny, noisy):
+        cells = [",".join(_fmt(v) for v in (t, a.real, a.imag, abs(a)))
+                 for t, a in zip(grid.thetas, grid.amplitudes)]
+        assert _grid_lines(grid) == cells

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apspectra import spectral
 from apspectra.folner import (Character, Converged, EstimatorConfig,
                               FolnerSchedule)
 from apspectra.points import (FIBONACCI_RULES, THUE_MORSE_RULES,
                               BernoulliPoint, Observable, PeriodicPoint,
                               StepPoint, SturmianPoint, SubstitutionPoint,
-                              observable_track, shift)
+                              Track, observable_track, shift)
 from apspectra.spectral import (detect_frequencies, eigenfunction_sample,
                                 fourier_bohr, fourier_bohr_grid,
-                                parseval_defect, spectral_report,
-                                weyl_uniform_fb)
+                                fourier_bohr_grids, parseval_defect,
+                                spectral_report, weyl_uniform_fb)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -181,6 +184,108 @@ def test_detect_sturmian_golden_frequencies():
         assert min(circ(fr.theta, target) for fr in freqs) < 1e-3
     amp0 = next(fr for fr in freqs if circ(fr.theta, 0.0) < 1e-3)
     assert abs(abs(amp0.amplitude) - (1 - GOLDEN)) < 5e-3
+
+
+def test_grids_from_one_track_equal_separate_grids():
+    x = SturmianPoint(GOLDEN, 0.2)
+    f = Observable.indicator("0", x.alphabet)
+    track = observable_track(f, x, -50, 2047)
+    for g in fourier_bohr_grids(track, [2048, 512, 1024]):
+        alone = fourier_bohr_grid(f, x, g.n)
+        assert np.array_equal(g.amplitudes, alone.amplitudes)
+        assert g.cross_residual == alone.cross_residual
+    with pytest.raises(ValueError):
+        fourier_bohr_grids(track, [1, 512])
+
+
+# ---------------------------------------------------------------------------
+# refinement: Newton against the golden-section oracle
+# ---------------------------------------------------------------------------
+
+
+def amp(track, theta):
+    t = np.arange(len(track), dtype=float)
+    return complex(np.mean(track * np.exp(-2j * np.pi * theta * t)))
+
+
+def golden_max(track, lo, hi, steps=48):
+    """Golden-section maximization of |amp| on [lo, hi], the test oracle."""
+    a, b = lo, hi
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = abs(amp(track, c)), abs(amp(track, d))
+    for _ in range(steps):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = abs(amp(track, d))
+        else:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = abs(amp(track, c))
+    return (a + b) / 2.0
+
+
+@pytest.mark.parametrize("x,f,sizes,evals", [
+    # Sturmian peaks are near-pure tones: from the interpolated start one
+    # Newton step lands within tolerance, so about 2 evaluations each
+    (SturmianPoint(GOLDEN, 0.0), Observable.indicator("0", ("0", "1")),
+     (4096, 16384), 3),
+    (SubstitutionPoint(THUE_MORSE_RULES, ("0", "0")),
+     Observable.letter_values({"0": 1.0, "1": -1.0}), (2 ** 12, 2 ** 13), 6),
+])
+def test_newton_matches_golden_oracle(monkeypatch, x, f, sizes, evals):
+    calls = {"evals": 0, "refines": 0}
+    slopes, refine = spectral._slopes, spectral._newton_refine
+
+    def counted_slopes(*args):
+        calls["evals"] += 1
+        return slopes(*args)
+
+    def counted_refine(*args):
+        calls["refines"] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(spectral, "_slopes", counted_slopes)
+    monkeypatch.setattr(spectral, "_newton_refine", counted_refine)
+    grids = [fourier_bohr_grid(f, x, n) for n in sizes]
+    freqs = detect_frequencies(grids)
+    base, n = grids[-1], sizes[-1]
+    assert len(freqs) >= 5
+    for fr in freqs:
+        oracle = golden_max(base.track, fr.theta_grid - 1.0 / n,
+                            fr.theta_grid + 1.0 / n) % 1.0
+        assert circ(fr.theta, oracle) <= 1e-9
+        best = abs(amp(base.track, oracle))
+        assert abs(fr.amplitude) >= best * (1.0 - 1e-9)
+    # mean evaluations per candidate; golden section spends 2 + 48
+    assert calls["evals"] <= evals * calls["refines"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(256, 1500), theta=st.floats(0.0, 1.0, exclude_max=True),
+       c=st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+       gap=st.floats(0.25, 0.75), small=st.floats(-1e-6, 1e-6))
+def test_newton_recovers_tone(n, theta, c, gap, small):
+    t = np.arange(n)
+    values = (c * np.exp(2j * np.pi * theta * t)
+              + small * c * np.exp(2j * np.pi * (theta + gap) * t))
+    freqs = detect_frequencies(fourier_bohr_grids(Track(0, values),
+                                                  [n // 2, n]))
+    assert circ(freqs[0].theta, theta) <= 1e-9
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_newton_stops_at_bracket_edge(side):
+    # one tone at theta; the bracket holds one monotone flank of its peak
+    n, theta = 1024, 0.3
+    track = np.exp(2j * np.pi * theta * np.arange(n))
+    near, far = theta + side * 0.25 / n, theta + side * 0.75 / n
+    lo, hi = min(near, far), max(near, far)
+    s = np.arange(n) - 0.5 * (n - 1)
+    powers = np.stack([np.ones(n), s, s * s])
+    got = spectral._newton_refine(track, powers, 0.5 * (lo + hi), lo, hi, 48)
+    assert got == near
+    assert abs(golden_max(track, lo, hi) - near) < 1e-12
 
 
 # ---------------------------------------------------------------------------
