@@ -9,6 +9,7 @@ classifier only ever reports finite-scale evidence, never theorems.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from .errors import EmptyShiftRange
 from .folner import (Converged, EstimatorConfig, FolnerSchedule, MeanEstimate,
                      as_dense, estimate, partial_means, sliding_sums,
                      uniform_mean, upper_mean, window_sums)
-from .points import PointGen, Track, mismatch_track, shift, smeared_mismatch
+from .points import PointGen, Track, mismatch_track, shift, smeared_counts
 
 __all__ = [
     "ScanBudget",
@@ -131,13 +132,21 @@ class OrbitProfile:
     budget: ScanBudget
 
 
-def _profile_one(d, lo_needed, budget, kinds):
-    """Mean / weyl / bohr summaries of one mismatch track d on [lo_needed, ...)."""
+def _profile_one(s, c, lo_needed, budget, kinds):
+    """Mean / weyl / bohr summaries of the cylinder sums s on [lo_needed, ...).
+
+    s holds the int32 sums of ``smeared_counts`` and c their total
+    weight.  numpy accumulates int32 prefix sums in int64, so every
+    window sum is exact and each summary is one correctly rounded
+    division.
+    """
     sched = budget.schedule
     mean_tail_max, converged, weyl, bohr = np.nan, False, np.nan, np.nan
     if "mean" in kinds:
-        avgs = window_sums(d, lo_needed, sched.windows) / sched.lengths()
-        est = estimate(avgs, float(np.max(d, initial=0.0)), budget.estimator)
+        lo, hi = sched.span()
+        seg = s[lo - lo_needed:hi - lo_needed]
+        avgs = window_sums(seg, lo, sched.windows) / (c * sched.lengths())
+        est = estimate(avgs, int(np.max(seg)) / c, budget.estimator)
         mean_tail_max = est.tail_max()
         converged = isinstance(est.verdict, Converged)
 
@@ -145,12 +154,12 @@ def _profile_one(d, lo_needed, budget, kinds):
         n = budget.resolved_weyl_index()
         span = budget.resolved_weyl_span()
         start, length = sched.window(n)
-        seg = d[start - span - lo_needed:start + span + length - lo_needed]
-        weyl = float(np.max(sliding_sums(seg, length)) / length)
+        seg = s[start - span - lo_needed:start + span + length - lo_needed]
+        weyl = int(np.max(sliding_sums(seg, length))) / (c * length)
 
     if "bohr" in kinds:
         h = budget.bohr_horizon
-        bohr = float(np.max(d[-h - lo_needed:h + 1 - lo_needed]))
+        bohr = int(np.max(s[-h - lo_needed:h + 1 - lo_needed])) / c
     return mean_tail_max, converged, weyl, bohr
 
 
@@ -189,11 +198,12 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
 
     def work(t):
         mask = codes[a:a + n] != codes[a + t:a + t + n]
-        return _profile_one(smeared_mismatch(mask, radius), lo_needed,
+        return _profile_one(*smeared_counts(mask, radius), lo_needed,
                             budget, kinds)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(t_values), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(work, t_values))
     else:
         rows = [work(t) for t in t_values]

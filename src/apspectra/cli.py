@@ -24,7 +24,7 @@ from .config import (_integer, _number, _preset_spec, build_estimator,
                      build_weights, canonical_json, config_hash, load_config)
 from .errors import ApspectraError, ConfigError
 from .folner import FolnerSchedule
-from .points import eval_window, observable_track, shift
+from .points import MAX_RADIUS, eval_window, observable_track, shift
 
 __all__ = ["main"]
 
@@ -141,12 +141,12 @@ def _scan_budget(cfg: dict, schedule: FolnerSchedule) -> almost.ScanBudget:
     budget = almost.ScanBudget(
         schedule=schedule,
         metric_radius=_integer(cfg.get("metric_radius", 16), "metric_radius",
-                               least=1),
+                               least=1, most=MAX_RADIUS),
         estimator=build_estimator(cfg.get("estimator")),
         weyl_index=None if weyl_index is None else _integer(weyl_index,
                                                             "weyl_index"),
         weyl_shift_span=None if weyl_span is None else _integer(
-            weyl_span, "weyl_shift_span"),
+            weyl_span, "weyl_shift_span", least=0),
         bohr_horizon=_integer(cfg.get("bohr_horizon", 512), "bohr_horizon",
                               least=0),
     )

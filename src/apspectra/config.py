@@ -61,11 +61,14 @@ def _number(value, field: str) -> float:
     raise ConfigError(field, f"expected a finite number, got {value!r}")
 
 
-def _integer(value, field: str, least: int | None = None) -> int:
+def _integer(value, field: str, least: int | None = None,
+             most: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(field, f"expected an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(field, f"must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ConfigError(field, f"must be at most {most}, got {value}")
     return value
 
 

@@ -31,7 +31,9 @@ __all__ = [
     "Track",
     "observable_track",
     "CylinderMetric",
+    "MAX_RADIUS",
     "cylinder_weights",
+    "smeared_counts",
     "smeared_mismatch",
     "mismatch_track",
     "metric_d",
@@ -431,10 +433,18 @@ def observable_track(f: Observable, x: PointGen, t0: int, t1: int) -> Track:
 # ---------------------------------------------------------------------------
 
 
+# the largest cylinder sum, 3 * 2^MAX_RADIUS - 2, must fit an int32
+MAX_RADIUS = 28
+
+
+def _check_radius(radius: int) -> None:
+    if not 1 <= radius <= MAX_RADIUS:
+        raise ValueError(f"metric radius must lie in 1..{MAX_RADIUS}")
+
+
 def cylinder_weights(radius: int) -> tuple[np.ndarray, float]:
     """Weights 2^-|k| for |k| <= radius and their total mass."""
-    if radius < 1:
-        raise ValueError("metric radius must be a positive integer")
+    _check_radius(radius)
     k = np.arange(-radius, radius + 1)
     w = np.power(2.0, -np.abs(k))
     return w, float(w.sum())
@@ -463,14 +473,56 @@ class CylinderMetric:
         return metric_d(x, y, self.radius)
 
 
-def smeared_mismatch(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Cylinder distances from a letter-mismatch mask along a run of coordinates.
+def _geometric_sums(g: np.ndarray, taps: int, rising: bool) -> np.ndarray:
+    """Sums of ``taps`` consecutive entries of the int32 array ``g`` with
+    power-of-two weights.
 
-    Entry i is (1/C) sum_{|k|<=radius} 2^-|k| mask[i + radius + k], so
-    the result drops ``radius`` coordinates at each end of the run.
+    Entry i is sum_{k<taps} 2^k g[i + k] when ``rising``, else
+    sum_{k<taps} 2^(taps-1-k) g[i + k].  The tap count is built from its
+    leading bit by doubling (h_2L from two copies of h_L) and one
+    add-one step (h_L+1 from h_L and g) per further set bit.
     """
-    w, c = cylinder_weights(radius)
-    return np.convolve(np.asarray(mask, dtype=float), w, mode="valid") / c
+    h, length = g, 1
+    for bit in bin(taps)[3:]:
+        if rising:
+            h2 = h[length:] << length
+            h2 += h[:-length]
+        else:
+            h2 = h[:-length] << length
+            h2 += h[length:]
+        h, length = h2, 2 * length
+        if bit == "1":
+            if rising:
+                h2 = h[1:] << 1
+                h2 += g[:len(h) - 1]
+            else:
+                h2 = h[:-1] << 1
+                h2 += g[length:]
+            h, length = h2, length + 1
+    return h
+
+
+def smeared_counts(mask: np.ndarray, radius: int) -> tuple[np.ndarray, int]:
+    """Integer cylinder sums of a letter-mismatch mask along a run of coordinates.
+
+    Entry i of S is sum_{|k|<=radius} 2^(radius-|k|) mask[i + radius + k]
+    in int32, and C = 3 * 2^radius - 2 is the total weight, so S / C is
+    the cylinder distance at i.  The run loses ``radius`` coordinates at
+    each end.
+    """
+    _check_radius(radius)
+    g = np.asarray(mask).astype(np.int32)
+    n = len(g) - 2 * radius
+    left = _geometric_sums(g[:n + radius - 1], radius, rising=True)
+    right = _geometric_sums(g[radius:], radius + 1, rising=False)
+    right += left
+    return right, 3 * 2 ** radius - 2
+
+
+def smeared_mismatch(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Cylinder distances (1/C) sum_{|k|<=radius} 2^-|k| mask[i + radius + k]."""
+    s, c = smeared_counts(mask, radius)
+    return s / c
 
 
 def mismatch_track(x: PointGen, y: PointGen, s0: int, s1: int,

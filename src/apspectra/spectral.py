@@ -266,8 +266,11 @@ def detect_frequencies(grids: list[FourierBohrGrid],
         if not all(_persists(g, theta0, thr) for g in grids[:-1]):
             continue
         start = theta0 + _peak_offset(base.amplitudes, j) / n
-        theta = _newton_refine(base.track, powers, start, theta0 - 1.0 / n,
-                               theta0 + 1.0 / n, refine_steps) % 1.0
+        theta = float(_newton_refine(base.track, powers, start,
+                                     theta0 - 1.0 / n, theta0 + 1.0 / n,
+                                     refine_steps)) % 1.0
+        if theta == 1.0:       # a tiny negative theta rounds up to 1.0
+            theta = 0.0
         amp = _amp_at(base.track, theta)
         found.append(DetectedFrequency(theta0, theta, amp, float(amps[j])))
 
@@ -479,7 +482,7 @@ class SpectralReport:
     def describe(self) -> dict:
         return {
             "frequencies": [fr.describe() for fr in self.frequencies],
-            "trajectories": {f"{theta!r}": est.describe()
+            "trajectories": {repr(float(theta)): est.describe()
                              for theta, est in self.trajectories.items()},
             "energy": self.energy.describe(),
             "parseval": self.parseval.describe(),

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from apspectra import almost
 from apspectra.almost import (EVIDENCE_AGAINST, EVIDENCE_FOR, ScanBudget,
                               almost_period_scan, averaged_D, averaged_Dn,
                               classify_point, function_almost_periods,
                               orbit_profile, superlevel_density)
 from apspectra.errors import EmptyShiftRange, MissingSamples
-from apspectra.folner import Converged, EstimatorConfig, FolnerSchedule
+from apspectra.folner import (Converged, EstimatorConfig, FolnerSchedule,
+                              partial_means, uniform_mean)
 from apspectra.points import (FIBONACCI_RULES, THUE_MORSE_RULES,
                               BernoulliPoint, Observable, PeriodicPoint,
                               StepPoint, SturmianPoint, SubstitutionPoint,
-                              Track, metric_d, observable_track, shift)
+                              BlockPoint, Track, cylinder_weights, metric_d,
+                              observable_track, shift)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -282,6 +285,92 @@ def test_profile_threads_deterministic():
     assert np.array_equal(one.mean_tail_max, four.mean_tail_max)
     assert np.array_equal(one.weyl_value, four.weyl_value)
     assert np.array_equal(one.bohr_value, four.bohr_value)
+
+
+def test_profile_pool_is_bounded(monkeypatch):
+    # a recorder stands in for the pool: it logs max_workers and runs the
+    # work inline, so no real thread is started
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(almost, "ThreadPoolExecutor", Recorder)
+    x = PeriodicPoint("AB")
+    b = budget(base=20, n_max=3, bohr_horizon=8)
+    serial = orbit_profile(x, range(-5, 6), b)
+    assert sizes == []
+    monkeypatch.setattr(almost.os, "cpu_count", lambda: 8)
+    pooled = orbit_profile(x, range(-5, 6), b, threads=10 ** 6)
+    assert np.array_equal(pooled.weyl_value, serial.weyl_value)
+    orbit_profile(x, range(3), b, threads=10 ** 6)
+    monkeypatch.setattr(almost.os, "cpu_count", lambda: None)
+    orbit_profile(x, range(3), b, threads=10 ** 6)
+    assert sizes == [8, 3]
+
+
+def float_profile_row(x, t, b):
+    """The per-translate float route orbit_profile replaced, the test oracle:
+    convolved cylinder distances, then float window and sliding sums."""
+    r = b.metric_radius
+    n = b.resolved_weyl_index()
+    span = b.resolved_weyl_span()
+    start, length = b.schedule.window(n)
+    lo = min(b.schedule.span()[0], start - span, -b.bohr_horizon)
+    hi = max(b.schedule.span()[1], start + span + length, b.bohr_horizon + 1)
+    mask = x.codes(lo - r, hi + r) != x.codes(lo - r + t, hi + r + t)
+    w, c = cylinder_weights(r)
+    d = Track(lo, np.convolve(mask.astype(float), w, "valid") / c)
+    est = partial_means(d, b.schedule, config=b.estimator)
+    weyl, _ = uniform_mean(d, b.schedule, n, (-span, span))
+    h = b.bohr_horizon
+    bohr = float(np.max(d.values[-h - lo:h + 1 - lo]))
+    empty = {"mean": not mask[b.schedule.span()[0] - lo:
+                              b.schedule.span()[1] - lo + 2 * r].any(),
+             "weyl": not mask[start - span - lo:
+                              start + span + length - lo + 2 * r].any(),
+             "bohr": not mask[-h - lo:h + 1 - lo + 2 * r].any()}
+    return (est.tail_max(), isinstance(est.verdict, Converged), weyl, bohr,
+            empty)
+
+
+@pytest.mark.parametrize("x,schedule", [
+    (BernoulliPoint(0.5, 5), FolnerSchedule.intervals(base=60, n_max=6)),
+    (PeriodicPoint("AAB"), FolnerSchedule.intervals(base=60, n_max=6)),
+    (BlockPoint(), FolnerSchedule.dyadic(n_max=9)),
+], ids=["bernoulli", "periodic", "block"])
+def test_profile_matches_float_route(x, schedule):
+    b = ScanBudget(schedule, metric_radius=10, bohr_horizon=40,
+                   estimator=EstimatorConfig(convergence_tol=0.05))
+    ts = range(-30, 31)
+    prof = orbit_profile(x, ts, b)
+    for i, t in enumerate(ts):
+        mean, converged, weyl, bohr, empty = float_profile_row(x, t, b)
+        assert prof.bohr_value[i] == bohr
+        assert prof.mean_converged[i] == converged
+        assert prof.mean_tail_max[i] == pytest.approx(mean, rel=1e-12, abs=0)
+        assert prof.weyl_value[i] == pytest.approx(weyl, rel=1e-12, abs=0)
+        for kind, value in zip(almost.KINDS, (prof.mean_tail_max[i],
+                                              prof.weyl_value[i],
+                                              prof.bohr_value[i])):
+            assert (value == 0.0) == empty[kind]
+    # each kind's column is the same whichever kinds are requested
+    for kind, column in zip(almost.KINDS, ("mean_tail_max", "weyl_value",
+                                           "bohr_value")):
+        alone = orbit_profile(x, ts, b, kinds=(kind,))
+        assert np.array_equal(getattr(alone, column), getattr(prof, column))
+        if kind == "mean":
+            assert np.array_equal(alone.mean_converged, prof.mean_converged)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,10 @@ SMALL_AB = {"point": "periodic:AB",
     ("parseval", {**SMALL_AB, "observable": "indicator:A",
                   "detect": {"grid_sizes": [64, 128], "top": -1}},
      "detect.top"),
+    ("scan", {**SMALL_AB, "kinds": ["weyl"], "weyl_shift_span": -100},
+     "weyl_shift_span"),
+    # the int32 cylinder sums hold radii up to 28
+    ("classify", {**SMALL_AB, "metric_radius": 29}, "metric_radius"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)

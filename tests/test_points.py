@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apspectra.points import (FIBONACCI_RULES, PERIOD_DOUBLING_RULES,
-                              THUE_MORSE_RULES, BernoulliPoint, BlockPoint,
-                              Observable, PeriodicPoint, StepPoint,
-                              SturmianPoint, SubstitutionPoint, Track,
-                              cylinder_weights, eval_window, metric_d,
-                              mismatch_track, observable_track, shift,
+from apspectra.points import (FIBONACCI_RULES, MAX_RADIUS,
+                              PERIOD_DOUBLING_RULES, THUE_MORSE_RULES,
+                              BernoulliPoint, BlockPoint, Observable,
+                              PeriodicPoint, StepPoint, SturmianPoint,
+                              SubstitutionPoint, Track, cylinder_weights,
+                              eval_window, metric_d, mismatch_track,
+                              observable_track, shift, smeared_counts,
                               sup_metric_lb)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -301,3 +302,38 @@ def test_mismatch_track_is_metric_along_the_orbit(i, j, t, s0, n, radius):
         ys = eval_window(y, s - radius, s + radius)
         brute = sum(wk for wk, p, q in zip(w, xs, ys) if p != q) / c
         assert d == brute
+
+
+def convolved_mismatch(mask, radius):
+    """The float route the integer kernel replaced, the test oracle."""
+    w, c = cylinder_weights(radius)
+    return np.convolve(np.asarray(mask, dtype=float), w, "valid") / c
+
+
+@settings(max_examples=120, deadline=None)
+@given(radius=st.integers(1, MAX_RADIUS), extra=st.integers(0, 90),
+       fill=st.sampled_from(["random", "zeros", "ones"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_smeared_counts_equal_convolution_bit_for_bit(radius, extra, fill,
+                                                      seed):
+    n = 2 * radius + 1 + extra
+    if fill == "random":
+        mask = np.random.default_rng(seed).integers(0, 2, n).astype(bool)
+    else:
+        mask = np.full(n, fill == "ones")
+    s, c = smeared_counts(mask, radius)
+    assert s.dtype == np.int32 and len(s) == extra + 1
+    assert c == 3 * 2 ** radius - 2
+    assert np.array_equal(s / c, convolved_mismatch(mask, radius))
+
+
+def test_metric_radius_bound():
+    ones = np.ones(2 * MAX_RADIUS + 1, dtype=bool)
+    s, c = smeared_counts(ones, MAX_RADIUS)
+    assert s.tolist() == [c] and c == 3 * 2 ** 28 - 2
+    assert cylinder_weights(MAX_RADIUS)[1] * 2 ** MAX_RADIUS == c
+    for bad in (0, MAX_RADIUS + 1, 2000):
+        with pytest.raises(ValueError, match="radius"):
+            cylinder_weights(bad)
+        with pytest.raises(ValueError, match="radius"):
+            smeared_counts(np.ones(2 * bad + 1, dtype=bool), bad)

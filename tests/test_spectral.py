@@ -184,6 +184,22 @@ def test_detect_sturmian_golden_frequencies():
         assert min(circ(fr.theta, target) for fr in freqs) < 1e-3
     amp0 = next(fr for fr in freqs if circ(fr.theta, 0.0) < 1e-3)
     assert abs(abs(amp0.amplitude) - (1 - GOLDEN)) < 5e-3
+    assert all(0.0 <= fr.theta < 1.0 for fr in freqs)
+
+
+def test_detected_thetas_fold_into_unit_interval(monkeypatch):
+    # Newton may stop a hair below 0, which % 1.0 rounds up to 1.0
+    refine = spectral._newton_refine
+    monkeypatch.setattr(spectral, "_newton_refine",
+                        lambda *args: refine(*args) - 2.0 ** -60)
+    f, x = ab_indicator()
+    rep = spectral_report(f, x, intervals(base=100, n_max=6), [256, 512])
+    thetas = sorted(fr.theta for fr in rep.frequencies)
+    assert thetas == [0.0, 0.5]
+    assert all(type(t) is float for t in thetas)
+    # spectrum.json keys its trajectories by theta, each one a plain number
+    keys = rep.describe()["trajectories"]
+    assert sorted(float(k) for k in keys) == thetas
 
 
 def test_grids_from_one_track_equal_separate_grids():
