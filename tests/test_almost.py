@@ -348,7 +348,10 @@ def float_profile_row(x, t, b):
     (BernoulliPoint(0.5, 5), FolnerSchedule.intervals(base=60, n_max=6)),
     (PeriodicPoint("AAB"), FolnerSchedule.intervals(base=60, n_max=6)),
     (BlockPoint(), FolnerSchedule.dyadic(n_max=9)),
-], ids=["bernoulli", "periodic", "block"])
+    # the step sits at -span (4 * 360), so every weyl maximum lies at the
+    # first shift only, and mean and bohr see no mismatch
+    (shift(StepPoint(), 4 * 360), FolnerSchedule.intervals(base=60, n_max=6)),
+], ids=["bernoulli", "periodic", "block", "step"])
 def test_profile_matches_float_route(x, schedule):
     b = ScanBudget(schedule, metric_radius=10, bohr_horizon=40,
                    estimator=EstimatorConfig(convergence_tol=0.05))
