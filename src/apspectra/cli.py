@@ -9,6 +9,7 @@ guarded by a lock file against concurrent runs.  Exit codes: 0 success,
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
@@ -55,38 +56,62 @@ def _apply_seed_override(cfg: dict, seed_override: int | None) -> dict:
 
 
 class OutputDir:
-    """Lock-guarded output directory with atomic writes."""
+    """Lock-guarded output directory with atomic writes.
+
+    The lock is an ``flock`` on ``.lock``, which the kernel drops when
+    its holder dies, so a file left behind by a crashed run never
+    blocks the directory.
+    """
 
     def __init__(self, path: str):
         self.path = Path(path)
         self.lock = self.path / ".lock"
-        self._held = False
+        self._fd = None
 
     def __enter__(self):
         self.path.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                "out", f"another run holds the lock {self.lock}") from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        self._held = True
+        while True:
+            fd = os.open(self.lock, os.O_CREAT | os.O_WRONLY, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise ConfigError(
+                    "out", f"another run holds the lock {self.lock}") from None
+            # a holder that exits unlinks the file it locked; a lock on
+            # that unlinked file guards nothing, so take the new file's
+            try:
+                current = os.stat(self.lock).st_ino
+            except FileNotFoundError:
+                current = None
+            if current == os.fstat(fd).st_ino:
+                break
+            os.close(fd)
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode())
+        self._fd = fd
         return self
 
     def __exit__(self, *exc):
-        if self._held:
+        if self._fd is not None:
+            # unlink while still locked: once unlocked, the file may be
+            # another run's lock
             try:
                 self.lock.unlink()
             except FileNotFoundError:
                 pass
+            os.close(self._fd)
+            self._fd = None
         return False
 
     def write_text(self, name: str, content: str) -> None:
         target = self.path / name
         tmp = self.path / f"{name}.tmp-{os.getpid()}"
-        tmp.write_text(content, encoding="utf-8", newline="\n")
-        os.replace(tmp, target)
+        try:
+            tmp.write_text(content, encoding="utf-8", newline="\n")
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _json_default(obj):
@@ -492,3 +517,7 @@ def _make_command(name: str):
 
 for _name in _HANDLERS:
     _make_command(_name)
+
+
+if __name__ == "__main__":
+    main()

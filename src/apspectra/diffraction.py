@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FractionExceedsOne
 from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate, estimate,
-                     window_sums)
+                     lag_window_sums)
 from .points import Observable, PointGen, Track, observable_track
 from .spectral import _windowed_character_means
 
@@ -121,13 +121,9 @@ def autocorrelation(comb: WeightedComb, k_max: int,
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     lo, hi = schedule.span()
-    w = comb.values(lo - k_max, hi)
-    w = np.asarray(w, dtype=complex)
-    table = np.empty((len(schedule), k_max + 1), dtype=complex)
-    lengths = schedule.lengths()
-    for k in range(k_max + 1):
-        prod = w[k_max:] * np.conj(w[k_max - k:len(w) - k])
-        table[:, k] = window_sums(prod, lo, schedule.windows) / lengths
+    w = np.asarray(comb.values(lo - k_max, hi), dtype=complex)
+    table = (lag_window_sums(w, lo - k_max, schedule.windows, k_max)
+             / schedule.lengths()[:, None])
     sup = float(np.max(np.abs(w), initial=0.0)) ** 2
     verdicts = tuple(estimate(table[:, k], sup, config) for k in range(k_max + 1))
     return AutocorrEstimate(k_max, schedule.windows, table, verdicts)

@@ -28,6 +28,7 @@ __all__ = [
     "AdmissibleSeminorm",
     "StabilizationReport",
     "window_sums",
+    "lag_window_sums",
     "sliding_sums",
     "estimate",
     "partial_means",
@@ -143,8 +144,8 @@ class Character:
 
     def conj_values(self, t0: int, t1: int) -> np.ndarray:
         """conj(xi(t)) for t in [t0, t1)."""
-        t = np.arange(t0, t1, dtype=float)
-        return np.exp(-2j * np.pi * self.theta * t)
+        z = -2j * np.pi * self.theta * np.arange(t0, t1, dtype=float)
+        return np.exp(z, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +321,64 @@ def as_dense(samples, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+# prefix sums run in blocks of this many entries (see window_sums)
+WINDOW_BLOCK = 1 << 16
+
+
 def window_sums(values: np.ndarray, start: int, windows) -> np.ndarray:
     """Sums of ``values`` over each window ``(s, l)``, i.e. over [s, s + l).
 
     ``values[0]`` sits at coordinate ``start`` and the array must cover
-    every window.
+    every window.  Arrays longer than ``WINDOW_BLOCK`` are prefix-summed
+    one block at a time, so no full-length prefix sum is held.
     """
-    # no zero is prepended to csum: that would copy it once per call
-    csum = np.cumsum(values)
     a = np.array([s for s, _ in windows]) - start
     b = a + np.array([l for _, l in windows])
-    return csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
+    if len(values) <= WINDOW_BLOCK:
+        # no zero is prepended to csum: that would copy it once per call
+        csum = np.cumsum(values)
+        return csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
+    # prefix sums at b - 1 then a - 1 (an entry for a == 0 is never read)
+    pos = np.concatenate((b, a)) - 1
+    at = np.zeros(len(pos), dtype=np.cumsum(values[:0]).dtype)
+    buf = np.empty(WINDOW_BLOCK, dtype=at.dtype)
+    for j in range(0, int(pos.max()) + 1, WINDOW_BLOCK):
+        blk = buf[:min(WINDOW_BLOCK, len(values) - j)]
+        blk[:] = values[j:j + len(blk)]
+        if j:
+            # cumsum adds left to right, so seeding the first entry with
+            # the carry reproduces the full-length prefix sums bit for bit
+            blk[0] += carry
+        np.cumsum(blk, out=blk)
+        hit = (pos >= j) & (pos < j + len(blk))
+        at[hit] = blk[pos[hit] - j]
+        carry = blk[-1]               # prefix sum at j + len(blk) - 1
+    n = len(a)
+    return at[:n] - np.where(a > 0, at[n:], 0)
+
+
+def lag_window_sums(values: np.ndarray, start: int, windows,
+                    max_lag: int) -> np.ndarray:
+    """Lag sums sum_{t in [s, s + l)} v(t) conj(v(t - k)) per window and lag.
+
+    Row n, column k holds window n at lag k = 0..max_lag.  ``values[0]``
+    sits at coordinate ``start`` and the array must cover every window
+    and the ``max_lag`` coordinates before it.  The span is cut at the
+    window ends into segments whose lag sums are one BLAS dot product
+    each; a window's row is a difference of cumulative segment sums, so
+    no product array of the span's length is formed.
+    """
+    ends = np.unique([e for s, l in windows for e in (s, s + l)])
+    seg = np.zeros((len(ends), max_lag + 1), dtype=complex)
+    for i in range(1, len(ends)):
+        a, b = ends[i - 1] - start, ends[i] - start
+        cur = values[a:b]
+        for k in range(max_lag + 1):
+            seg[i, k] = np.vdot(values[a - k:b - k], cur)
+    cum = np.cumsum(seg, axis=0)
+    first = np.searchsorted(ends, [s for s, _ in windows])
+    last = np.searchsorted(ends, [s + l for s, l in windows])
+    return cum[last] - cum[first]
 
 
 def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Front-door behavior: exit codes, determinism, locks, overrides."""
 
+import fcntl
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,13 +146,49 @@ def test_lock_file_blocks_concurrent_runs(tmp_path):
                        {"point": "step", "range": [0, 5]})
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").write_text("held")
-    res = run_cli(["generate", "--config", cfg, "--out", str(out)])
-    assert res.exit_code == 2
-    assert "lock" in res.output
-    (out / ".lock").unlink()
+    with open(out / ".lock", "w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        res = run_cli(["generate", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "config error: out: another run holds the lock" in res.output
     assert run_cli(["generate", "--config", cfg, "--out", str(out)]).exit_code == 0
     assert not (out / ".lock").exists()  # released after the run
+
+
+def test_stale_lock_file_does_not_block(tmp_path):
+    cfg = write_config(tmp_path / "c.json",
+                       {"point": "step", "range": [0, 5]})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text("12345")     # left by a run that died
+    assert run_cli(["generate", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["generate.json",
+                                                     "sequence.csv"]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    cfg = write_config(tmp_path / "c.json",
+                       {"point": "step", "range": [0, 5]})
+    out = tmp_path / "out"
+    (out / "sequence.csv").mkdir(parents=True)   # os.replace onto it fails
+    res = run_cli(["generate", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 1
+    # generate.json went in before the failure; no temp file or lock stays
+    assert sorted(p.name for p in out.iterdir()) == ["generate.json",
+                                                     "sequence.csv"]
+
+
+def test_module_entry_point_lists_commands():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "apspectra.cli", "--help"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0
+    for name in ("generate", "scan", "classify", "spectrum", "parseval",
+                 "eigen", "diffract"):
+        assert re.search(rf"^\s+{name}\b", res.stdout, re.M), name
 
 
 def test_spectrum_fibonacci_contains_golden_thetas(tmp_path):

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apspectra.diffraction import (WeightedComb, autocorrelation,
                                    bombieri_taylor_atom, diffraction_density,
                                    nphi_bridge, pure_point_fraction)
 from apspectra.errors import FractionExceedsOne
-from apspectra.folner import FolnerSchedule
+from apspectra.folner import FolnerSchedule, lag_window_sums
 from apspectra.points import (THUE_MORSE_RULES, BernoulliPoint, Observable,
                               PeriodicPoint, StepPoint, SubstitutionPoint,
                               shift)
@@ -70,6 +72,73 @@ def test_autocorrelation_hermitian_and_bounded():
             assert eta.eta(-k) == np.conj(eta.eta(k))
             # small slack: the lag sum reaches |k| sites outside the window
             assert abs(eta.eta(k)) <= eta.eta0 + 4.0 * k / 500 + 1e-12
+
+
+def per_lag_oracle(w, lo, windows, k_max):
+    """Lag sums the direct way: one product and one prefix sum per lag.
+
+    ``w[0]`` sits at coordinate ``lo - k_max``.
+    """
+    a = np.array([s for s, _ in windows]) - lo
+    b = a + np.array([l for _, l in windows])
+    out = np.empty((len(windows), k_max + 1), dtype=complex)
+    for k in range(k_max + 1):
+        csum = np.concatenate(([0], np.cumsum(
+            w[k_max:] * np.conj(w[k_max - k:len(w) - k]))))
+        out[:, k] = csum[b] - csum[a]
+    return out
+
+
+@st.composite
+def chained_windows(draw):
+    """Custom windows, each starting 0..l after the previous start and
+    longer: they overlap without nesting, except that a shift of 0 shares
+    the start and a shift of l makes the two windows touch."""
+    s, l = draw(st.integers(-30, 30)), draw(st.integers(1, 12))
+    windows = [(s, l)]
+    for _ in range(draw(st.integers(0, 5))):
+        s += draw(st.integers(0, l))
+        l += draw(st.integers(1, 12))
+        windows.append((s, l))
+    return FolnerSchedule.custom(windows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(schedule=chained_windows(), k_max=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1), zero_one=st.booleans())
+def test_lag_window_sums_match_per_lag_oracle(schedule, k_max, seed, zero_one):
+    rng = np.random.default_rng(seed)
+    lo, hi = schedule.span()
+    n = hi - lo + k_max
+    if zero_one:
+        w = rng.integers(0, 2, n).astype(complex)
+    else:
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = lag_window_sums(w, lo - k_max, schedule.windows, k_max)
+    want = per_lag_oracle(w, lo, schedule.windows, k_max)
+    if zero_one:
+        assert np.array_equal(got, want)
+    else:
+        scale = schedule.lengths()[:, None] * np.max(np.abs(w)) ** 2
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=chained_windows(), k_max=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 31 - 1),
+       weights=st.sampled_from([{"0": 0.0, "1": 1.0},
+                                {"0": 0.3 - 0.7j, "1": -1.1 + 0.2j}]))
+def test_autocorrelation_matches_per_lag_oracle(schedule, k_max, seed, weights):
+    comb = WeightedComb(BernoulliPoint(0.5, seed), weights)
+    eta = autocorrelation(comb, k_max, schedule)
+    lo, hi = schedule.span()
+    w = np.asarray(comb.values(lo - k_max, hi), dtype=complex)
+    want = per_lag_oracle(w, lo, schedule.windows, k_max) \
+        / schedule.lengths()[:, None]
+    if set(weights.values()) <= {0.0, 1.0}:
+        assert np.array_equal(eta.table, want)
+    else:
+        assert np.all(np.abs(eta.table - want) <= 1e-12 * comb.sup_weight() ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
                               Undecided, partial_means, seminorm_eval,
                               sliding_sums, stabilization_check, uniform_mean,
-                              upper_mean, window_sums)
+                              upper_mean, window_sums, WINDOW_BLOCK)
 from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
                               THUE_MORSE_RULES, Track, observable_track)
 
@@ -356,6 +356,29 @@ def test_window_sums_equal_brute_sums(values, start, dtype, data):
     sums = window_sums(np.array(values, dtype=dtype), start, windows)
     assert sums.tolist() == [sum(values[s - start:s - start + l])
                              for s, l in windows]
+
+
+@pytest.mark.parametrize("dtype", [float, complex, np.int32])
+def test_blocked_window_sums_equal_one_cumsum(dtype):
+    rng = np.random.default_rng(3)
+    n = 3 * WINDOW_BLOCK + 1234 + 1                 # an odd tail past block 3
+    values = rng.standard_normal(n) * 1e3
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(n)
+    values = values.astype(dtype)
+    start = -17
+    edges = [WINDOW_BLOCK * j for j in range(1, 4)]
+    windows = [(0, n), (0, 1), (0, edges[0]), (0, edges[0] + 1),
+               (edges[0], edges[1] - edges[0]), (edges[0] - 1, 2),
+               (edges[1] + 5, n - edges[1] - 5), (edges[2], n - edges[2]),
+               (7, edges[2] - 7), (n - 1, 1)]
+    csum = np.cumsum(values)
+    a = np.array([s for s, _ in windows])
+    b = a + np.array([l for _, l in windows])
+    want = csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
+    got = window_sums(values, start, [(s + start, l) for s, l in windows])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)

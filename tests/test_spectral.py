@@ -121,6 +121,20 @@ def test_grid_methods_agree():
     assert np.max(np.abs(fast.amplitudes - direct.amplitudes)) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), pattern=st.text("ABC", min_size=1, max_size=7),
+       seed=st.one_of(st.none(), st.integers(0, 2 ** 31 - 1)),
+       re_=st.floats(-2, 2), im=st.floats(-2, 2))
+def test_grid_fast_equals_direct(n, pattern, seed, re_, im):
+    x = PeriodicPoint(pattern) if seed is None else BernoulliPoint(0.5, seed)
+    f = Observable.letter_values(
+        {a: complex(re_, im) if a in "A1" else 1.0 for a in x.alphabet})
+    fast = fourier_bohr_grid(f, x, n, method="fast", direct_check_limit=0)
+    direct = fourier_bohr_grid(f, x, n, method="direct")
+    scale = np.max(np.abs(direct.amplitudes))
+    assert np.max(np.abs(fast.amplitudes - direct.amplitudes)) <= 1e-10 * scale
+
+
 def test_grid_thue_morse_max_is_small_but_positive():
     # regression-pinned grid maximum near theta = 1/3
     tm = SubstitutionPoint(THUE_MORSE_RULES, ("0", "0"))
@@ -371,6 +385,21 @@ def test_eigen_periodic_half_frequency():
     assert sample.eigen_residual < 1e-9
     assert sample.modulus_spread < 1e-9
     assert sample.flags == ("", "")
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern=st.text("ABC", min_size=1, max_size=6), data=st.data())
+def test_eigen_residual_vanishes_on_periodic_points(pattern, data):
+    x = PeriodicPoint(pattern)
+    p = len(pattern)
+    theta = data.draw(st.integers(0, p - 1)) / p
+    letter = data.draw(st.sampled_from(x.alphabet))
+    f = Observable.indicator(letter, x.alphabet)
+    # windows of whole periods make every average exact
+    sample = eigenfunction_sample(f, theta, [x, shift(x, 1)],
+                                  intervals(base=p * 20, n_max=6))
+    assert sample.flags == ("", "")
+    assert sample.eigen_residual <= 1e-12
 
 
 def test_eigen_oscillating_average_is_zeroed_and_flagged():
