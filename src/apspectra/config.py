@@ -1,262 +1,409 @@
-"""Experiment configuration: parsing, validation, presets, canonical form.
+"""Experiment configuration: one table of accepted keys per command.
 
-Configs are JSON documents.  Presets expand to explicit parameters
-before anything runs, and the expanded form is what gets hashed and
-echoed into every output, so artifacts are self-describing and two
-runs of one config are byte-identical.
+Configs are JSON documents.  ``COMMANDS`` lists every key a command
+accepts, nested blocks included, with its type, bounds and default.
+``validate`` checks a config against that table once: an unknown key,
+a value of the wrong type or out of bounds, or a missing required key
+raises ``ConfigError`` naming the key's path.  What it returns is the
+expanded config (presets read as the objects they stand for, every
+default filled in), which is what gets hashed and echoed into every
+output, so artifacts are self-describing and two runs of one config
+are byte-identical.  Validating an expanded config changes nothing.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 
+from .almost import KINDS
 from .errors import ConfigError
-from .folner import EstimatorConfig, FolnerSchedule
-from .points import (FIBONACCI_RULES, PERIOD_DOUBLING_RULES, THUE_MORSE_RULES,
-                     BernoulliPoint, BlockPoint, Observable, PeriodicPoint,
-                     PointGen, StepPoint, SturmianPoint, SubstitutionPoint)
+from .folner import FolnerSchedule
+from .points import (FIBONACCI_RULES, MAX_RADIUS, PERIOD_DOUBLING_RULES,
+                     THUE_MORSE_RULES, BernoulliPoint, BlockPoint, Observable,
+                     PeriodicPoint, PointGen, StepPoint, SturmianPoint,
+                     SubstitutionPoint)
 
-__all__ = [
-    "build_point",
-    "build_observable",
-    "build_schedule",
-    "build_estimator",
-    "build_weights",
-    "parse_complex",
-    "canonical_json",
-    "config_hash",
-    "load_config",
-]
+__all__ = ["COMMANDS", "validate", "build_point", "build_observable",
+           "build_schedule", "build_weights", "canonical_json",
+           "config_hash", "load_config"]
 
-_SUBSTITUTIONS = {
-    "fibonacci": FIBONACCI_RULES,
-    "thue-morse": THUE_MORSE_RULES,
-    "period-doubling": PERIOD_DOUBLING_RULES,
+REQUIRED = object()     # the default of a key that must be given
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+class Spec:
+    """One config value: the JSON it takes, its bounds and its default.
+
+    ``check(value, path)`` returns the value in expanded form or raises
+    ``ConfigError`` naming ``path``.  A key left out takes its default,
+    which is checked like a given value; a key whose default is
+    ``REQUIRED`` must be given, and one whose default is None may be null.
+    """
+
+    def __init__(self, default=REQUIRED):
+        self.default = default
+
+    def with_default(self, default) -> "Spec":
+        spec = copy.copy(self)
+        spec.default = default
+        return spec
+
+
+class Int(Spec):
+    def __init__(self, default=REQUIRED, least=-2 ** 63, most=2 ** 63 - 1):
+        super().__init__(default)
+        self.least, self.most = least, most
+
+    def check(self, value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        if value < self.least:
+            raise ConfigError(path, f"must be at least {self.least}, got {value}")
+        if value > self.most:
+            raise ConfigError(path, f"must be at most {self.most}, got {value}")
+        return value
+
+
+class Num(Spec):
+    """A finite number, read as a float; ``positive`` excludes zero too."""
+
+    def __init__(self, default=REQUIRED, positive=False):
+        super().__init__(default)
+        self.positive = positive
+
+    def check(self, value, path):
+        if not isinstance(value, bool) and isinstance(value, (int, float)):
+            try:
+                number = float(value)
+            except OverflowError:       # an int beyond the float range
+                number = float("inf")
+            if math.isfinite(number):
+                if self.positive and number <= 0:
+                    raise ConfigError(path, f"must be positive, got {value!r}")
+                return number
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+
+
+class Complex(Spec):
+    """A number or [re, im], expanded to [re, im]."""
+
+    def check(self, value, path):
+        parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+        return [Num().check(v, path) for v in parts]
+
+
+class Str(Spec):
+    def __init__(self, default=REQUIRED, choices=()):
+        super().__init__(default)
+        self.choices = choices
+
+    def check(self, value, path):
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected a string, got {value!r}")
+        if self.choices and value not in self.choices:
+            raise ConfigError(path, f"must be one of {list(self.choices)}, "
+                                    f"got {value!r}")
+        return value
+
+
+class List(Spec):
+    def __init__(self, item: Spec, default=REQUIRED, least=0, most=None):
+        super().__init__(default)
+        self.item, self.least, self.most = item, least, most
+
+    def check(self, value, path):
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        if not self.least <= len(value) <= (self.most or len(value)):
+            at = "at least " if self.most is None else ""  # pairs: least == most
+            raise ConfigError(path, f"expected {at}{self.least} entries, "
+                                    f"got {len(value)}")
+        return [self.item.check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+class Map(Spec):
+    """An object whose keys are data (letters, patterns), not settings."""
+
+    def __init__(self, item: Spec, default=REQUIRED):
+        super().__init__(default)
+        self.item = item
+
+    def check(self, value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"expected an object, got {value!r}")
+        return {k: self.item.check(v, f"{path}.{k}") for k, v in value.items()}
+
+
+class Block(Spec):
+    """An object with a fixed set of keys; any other key is an error."""
+
+    def __init__(self, keys: dict, default=REQUIRED):
+        super().__init__(default)
+        self.keys = keys
+
+    def check(self, value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"expected an object, got {value!r}")
+        for key in value:
+            if key not in self.keys:
+                raise ConfigError(_join(path, key), "unknown key")
+        out = {}
+        for key, spec in self.keys.items():
+            field = _join(path, key)
+            given = value.get(key, spec.default)
+            if given is REQUIRED:
+                raise ConfigError(field, "missing")
+            out[key] = None if given is None and spec.default is None \
+                else spec.check(given, field)
+        return out
+
+
+class Kinds(Spec):
+    """An object whose ``kind`` picks its keys; ``preset`` reads strings."""
+
+    def __init__(self, kinds: dict, preset=None, default=REQUIRED):
+        super().__init__(default)
+        self.kinds = {kind: Block({"kind": Str(), **keys})
+                      for kind, keys in kinds.items()}
+        self.preset = preset
+
+    def check(self, value, path):
+        if self.preset is not None:
+            value = self.preset(value, path)
+        if not isinstance(value, dict):
+            what = "a preset string or an object" if self.preset else "an object"
+            raise ConfigError(path, f"expected {what}, got {value!r}")
+        kind = value.get("kind")
+        if kind is None:
+            raise ConfigError(f"{path}.kind", "missing")
+        if not isinstance(kind, str) or kind not in self.kinds:
+            raise ConfigError(f"{path}.kind", f"unknown {path} kind {kind!r}")
+        return self.kinds[kind].check(value, path)
+
+
+_SUBSTITUTIONS = {"fibonacci": FIBONACCI_RULES, "thue-morse": THUE_MORSE_RULES,
+                  "period-doubling": PERIOD_DOUBLING_RULES}
+
+
+def _scalar(text: str, field: str):
+    """A preset parameter: an integer if it reads as one, else a float."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    raise ConfigError(field, f"expected a number, got {text!r}")
+
+
+def _point_preset(value, path: str):
+    """The object form of ``bernoulli:0.5:7`` or ``{"preset": ...}``."""
+    if isinstance(value, dict) and "preset" in value:
+        value = Block({"preset": Str()}).check(value, path)["preset"]
+    if not isinstance(value, str):
+        return value
+    head, _, rest = value.partition(":")
+    if head in _SUBSTITUTIONS:
+        return {"kind": "substitution", "rules": _SUBSTITUTIONS[head],
+                "name": head}
+    if head == "step":
+        return {"kind": head}
+    if head in ("periodic", "block"):
+        key = "pattern" if head == "periodic" else "fill"
+        return {"kind": head, key: rest} if rest else {"kind": head}
+    if head in ("sturmian", "bernoulli"):
+        names = ("alpha", "rho") if head == "sturmian" else ("p", "seed")
+        parts = rest.split(":") if rest else []
+        if len(parts) > 2:
+            raise ConfigError(path, f"{head} preset takes at most two values")
+        return {"kind": head, **{name: _scalar(text, f"{path}.{name}")
+                                 for name, text in zip(names, parts)}}
+    raise ConfigError(path, f"unknown point preset {value!r}")
+
+
+def _observable_preset(value, path: str):
+    """The object form of ``indicator:<letter>[@<offset>]``."""
+    if not isinstance(value, str):
+        return value
+    head, _, rest = value.partition(":")
+    if head != "indicator":
+        raise ConfigError(path, f"unknown observable preset {value!r}")
+    letter, _, offset = rest.partition("@")
+    return {"kind": "indicator", "letter": letter,
+            "offset": _scalar(offset or "0", f"{path}.offset")}
+
+
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
+
+SEED = Int(least=0, most=2 ** 64 - 1)
+
+POINT = Kinds({
+    "periodic": {"pattern": Str()},
+    "substitution": {"rules": Map(Str()),
+                     "seed": List(Str(), ["0", "0"], 2, 2),
+                     "name": Str("")},
+    "sturmian": {"alpha": Num(), "rho": Num(0.0)},
+    "bernoulli": {"p": Num(), "seed": SEED},
+    "step": {},
+    "block": {"fill": Str("0")},
+}, _point_preset)
+
+OBSERVABLE = Kinds({
+    "indicator": {"letter": Str(), "offset": Int(0)},
+    "letter_values": {"map": Map(Complex()), "offset": Int(0)},
+    "table": {"window": List(Int(), least=1), "table": Map(Complex()),
+              "name": Str("")},
+}, _observable_preset)
+
+# each kind is the FolnerSchedule constructor of that name
+SCHEDULE = Kinds({
+    "intervals": {"base": Int(100, least=1), "n_max": Int(10, least=1)},
+    "dyadic": {"n_max": Int(16, least=1)},
+    "alternating": {"n_max": Int(16, least=1)},
+    "custom": {"windows": List(List(Int(), least=2, most=2), least=1)},
+})
+
+ESTIMATOR = Block({
+    "tail": Int(5, least=1),
+    "convergence_tol": Num(1e-3, positive=True),
+    "oscillation_threshold": Num(0.1, positive=True),
+}, default={})
+
+GRID_SIZES = List(Int(least=2), least=2)
+THETAS = List(Num(), None)
+
+DETECT = Block({
+    "grid_sizes": GRID_SIZES.with_default([16384, 65536]),
+    "threshold": Num(None, positive=True),
+    "refine_steps": Int(48, least=1),
+    "top": Int(None, least=0),
+}, default={})
+
+_POINT = {"point": POINT, "seed": SEED.with_default(None)}
+_AVERAGED = {**_POINT, "schedule": SCHEDULE, "estimator": ESTIMATOR}
+_SCAN = {
+    **_AVERAGED,
+    "metric_radius": Int(16, least=1, most=MAX_RADIUS),
+    "weyl_index": Int(None, least=1),
+    "weyl_shift_span": Int(None, least=0),
+    "bohr_horizon": Int(512, least=0),
+    "range": List(Int(), [-256, 256], 2, 2),
+}
+
+COMMANDS = {
+    "generate": Block({**_POINT, "range": List(Int(), [0, 99], 2, 2),
+                       "observable": OBSERVABLE.with_default(None)}),
+    "scan": Block({**_SCAN, "epsilon": Num(0.1, positive=True),
+                   "kinds": List(Str(choices=KINDS), list(KINDS))}),
+    "classify": Block({
+        **_SCAN,
+        "eps_grid": List(Num(positive=True), [0.01, 0.05, 0.1, 0.2], least=1),
+        "gap_threshold": Num(0.2, positive=True)}),
+    "spectrum": Block({
+        **_AVERAGED, "observable": OBSERVABLE,
+        "grid_sizes": GRID_SIZES.with_default([4096, 16384, 65536]),
+        "threshold": Num(None, positive=True),
+        "refine_steps": Int(48, least=1),
+        "max_frequencies": Int(32, least=0)}),
+    "parseval": Block({**_AVERAGED, "observable": OBSERVABLE,
+                       "thetas": THETAS, "detect": DETECT}),
+    "eigen": Block({**_AVERAGED, "observable": OBSERVABLE, "theta": Num(),
+                    "point_shifts": List(Int(), [0, 1, 2, 3, 5]),
+                    "shift_probes": List(Int(), [1, 2, 3, 5, 8])}),
+    "diffract": Block({
+        **_AVERAGED, "weights": Map(Complex()), "k_max": Int(32, least=0),
+        "taper": Str("triangular", choices=("none", "triangular")),
+        "grid_size": Int(None, least=1), "atom_thetas": THETAS,
+        "thetas": THETAS, "detect": DETECT}),
 }
 
 
-def _require(spec: dict, key: str, field: str):
-    if key not in spec:
-        raise ConfigError(f"{field}.{key}", "missing")
-    return spec[key]
+def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
+    """The expanded config of ``command``: every key it accepts, filled in.
 
-
-def _typed(spec: dict, key: str, field: str, kind: type = dict):
-    value = _require(spec, key, field)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{field}.{key}",
-                          f"expected a {kind.__name__}, got {value!r}")
-    return value
-
-
-def _number(value, field: str) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:      # an int beyond the float range
-            pass
-    raise ConfigError(field, f"expected a finite number, got {value!r}")
-
-
-def _integer(value, field: str, least: int | None = None,
-             most: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(field, f"must be at least {least}, got {value}")
-    if most is not None and value > most:
-        raise ConfigError(field, f"must be at most {most}, got {value}")
-    return value
-
-
-def parse_complex(value, field: str) -> complex:
-    """A number, or [re, im]."""
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_number(value[0], field), _number(value[1], field))
-    return complex(_number(value, field), 0.0)
+    ``seed_override`` replaces the top-level ``seed`` and a Bernoulli
+    point's seed, and is checked like them.
+    """
+    if seed_override is not None:
+        cfg = dict(cfg, seed=seed_override)
+    out = {"command": command, **COMMANDS[command].check(cfg, "")}
+    if seed_override is not None and out["point"]["kind"] == "bernoulli":
+        out["point"]["seed"] = out["seed"]
+    if out.get("weyl_index") is not None:
+        schedule = out["schedule"]
+        n = len(schedule.get("windows", ())) or schedule["n_max"]
+        if out["weyl_index"] > n:
+            raise ConfigError("weyl_index", f"must lie in 1..{n}")
+    if out.get("grid_size") is not None and out["grid_size"] < 2 * out["k_max"]:
+        raise ConfigError("grid_size", "must be at least 2 * k_max")
+    lo, hi = out.get("range", (0, 0))
+    if hi < lo:
+        raise ConfigError("range", f"range is empty: {lo} > {hi}")
+    return out
 
 
 # ---------------------------------------------------------------------------
-# points
+# objects from validated values
 # ---------------------------------------------------------------------------
 
+_POINTS = {"periodic": PeriodicPoint, "substitution": SubstitutionPoint,
+           "sturmian": SturmianPoint, "bernoulli": BernoulliPoint,
+           "step": StepPoint, "block": BlockPoint}
+# the field a generator's own ValueError is reported against
+_BLAME = {"sturmian": "point.alpha", "bernoulli": "point.p",
+          "block": "point.fill"}
 
-def _parse(text: str, convert, field: str):
+
+def _construct(ctor, spec: dict, field: str):
     try:
-        return convert(text)
+        return ctor(**{k: v for k, v in spec.items() if k != "kind"})
     except ValueError as exc:
         raise ConfigError(field, str(exc)) from None
 
 
-def _preset_spec(preset: str, field: str) -> dict:
-    """The object form of a point preset string such as ``bernoulli:0.5:7``."""
-    head, _, rest = preset.partition(":")
-    parts = rest.split(":") if rest else []
-    if head in _SUBSTITUTIONS:
-        return {"kind": "substitution", "rules": _SUBSTITUTIONS[head],
-                "name": head}
-    if head == "periodic":
-        return {"kind": "periodic", "pattern": rest} if rest else {"kind": head}
-    if head in ("step", "block"):
-        return {"kind": head, "fill": rest or "0"}
-    if head == "sturmian":
-        if not parts or not parts[0]:
-            raise ConfigError(f"{field}.alpha", "sturmian preset needs an alpha")
-        return {"kind": head, "alpha": _parse(parts[0], float, f"{field}.alpha"),
-                "rho": _parse(parts[1], float, f"{field}.rho")
-                if len(parts) > 1 else 0.0}
-    if head == "bernoulli":
-        if len(parts) != 2:
-            raise ConfigError(f"{field}.seed",
-                              "bernoulli preset is bernoulli:<p>:<seed>")
-        return {"kind": head, "p": _parse(parts[0], float, f"{field}.p"),
-                "seed": _parse(parts[1], int, f"{field}.seed")}
-    raise ConfigError(field, f"unknown point preset {preset!r}")
+def build_point(spec: dict) -> PointGen:
+    kind = spec["kind"]
+    return _construct(_POINTS[kind], spec, _BLAME.get(kind, "point"))
 
 
-def build_point(spec, field: str = "point") -> PointGen:
-    """A point generator from a preset string or an explicit dict."""
-    if isinstance(spec, dict) and "preset" in spec:
-        spec = str(spec["preset"])
-    if isinstance(spec, str):
-        spec = _preset_spec(spec, field)
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "expected a preset string or an object")
-    kind = _require(spec, "kind", field)
-    # the field a generator's own ValueError is reported against
-    blame = {"sturmian": ".alpha", "bernoulli": ".p", "block": ".fill"}
-    try:
-        if kind == "periodic":
-            return PeriodicPoint(str(_require(spec, "pattern", field)))
-        if kind == "substitution":
-            rules = _typed(spec, "rules", field)
-            seed = spec.get("seed", ["0", "0"])
-            return SubstitutionPoint({str(k): str(v) for k, v in rules.items()},
-                                     (str(seed[0]), str(seed[1])),
-                                     str(spec.get("name", "")))
-        if kind == "sturmian":
-            return SturmianPoint(
-                _number(_require(spec, "alpha", field), f"{field}.alpha"),
-                _number(spec.get("rho", 0.0), f"{field}.rho"))
-        if kind == "bernoulli":
-            return BernoulliPoint(
-                _number(_require(spec, "p", field), f"{field}.p"),
-                _integer(_require(spec, "seed", field), f"{field}.seed"))
-        if kind == "step":
-            return StepPoint()
-        if kind == "block":
-            return BlockPoint(str(spec.get("fill", "0")))
-    except ConfigError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(field + blame.get(kind, ""), str(exc)) from None
-    raise ConfigError(f"{field}.kind", f"unknown point kind {kind!r}")
+def build_schedule(spec: dict) -> FolnerSchedule:
+    return _construct(getattr(FolnerSchedule, spec["kind"]), spec, "schedule")
 
 
-# ---------------------------------------------------------------------------
-# observables, weights
-# ---------------------------------------------------------------------------
-
-
-def build_observable(spec, point: PointGen, field: str = "observable") -> Observable:
-    if isinstance(spec, str):
-        head, _, rest = spec.partition(":")
-        if head == "indicator":
-            letter, _, off = rest.partition("@")
-            spec = {"kind": "indicator", "letter": letter,
-                    "offset": _parse(off or "0", int, f"{field}.offset")}
-        else:
-            raise ConfigError(field, f"unknown observable preset {spec!r}")
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "expected a preset string or an object")
-    kind = _require(spec, "kind", field)
-    if kind == "indicator":
-        letter = str(_require(spec, "letter", field))
-        if letter not in point.alphabet:
-            raise ConfigError(f"{field}.letter",
-                              f"{letter!r} is not a letter of the point")
-        offset = _integer(spec.get("offset", 0), f"{field}.offset")
-        return Observable.indicator(letter, point.alphabet, offset)
-    if kind == "letter_values":
-        values = {str(k): parse_complex(v, f"{field}.map.{k}")
-                  for k, v in _typed(spec, "map", field).items()}
-        missing = set(point.alphabet) - set(values)
-        if missing:
-            raise ConfigError(f"{field}.map",
-                              f"missing letters {sorted(missing)}")
-        offset = _integer(spec.get("offset", 0), f"{field}.offset")
-        return Observable.letter_values(values, offset)
-    if kind == "table":
-        window = tuple(_integer(v, f"{field}.window")
-                       for v in _typed(spec, "window", field, list))
-        table = {str(k): parse_complex(v, f"{field}.table.{k}")
-                 for k, v in _typed(spec, "table", field).items()}
-        try:
-            return Observable(window, table, str(spec.get("name", "")))
-        except ValueError as exc:
-            raise ConfigError(f"{field}.table", str(exc)) from None
-    raise ConfigError(f"{field}.kind", f"unknown observable kind {kind!r}")
-
-
-def build_weights(spec, point: PointGen, field: str = "weights") -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "expected an object letter -> weight")
-    weights = {str(k): parse_complex(v, f"{field}.{k}") for k, v in spec.items()}
+def build_weights(spec: dict, point: PointGen, field: str = "weights") -> dict:
+    """Letter -> complex, one value for every letter of the point."""
+    weights = {k: complex(*v) for k, v in spec.items()}
     missing = set(point.alphabet) - set(weights)
     if missing:
         raise ConfigError(field, f"missing letters {sorted(missing)}")
     return weights
 
 
-# ---------------------------------------------------------------------------
-# schedules, estimator knobs
-# ---------------------------------------------------------------------------
-
-
-def build_schedule(spec, field: str = "schedule") -> FolnerSchedule:
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "expected an object")
-    kind = _require(spec, "kind", field)
+def build_observable(spec: dict, point: PointGen) -> Observable:
+    kind = spec["kind"]
+    if kind == "indicator":
+        if spec["letter"] not in point.alphabet:
+            raise ConfigError("observable.letter",
+                              f"{spec['letter']!r} is not a letter of the point")
+        return Observable.indicator(spec["letter"], point.alphabet,
+                                    spec["offset"])
+    if kind == "letter_values":
+        return Observable.letter_values(
+            build_weights(spec["map"], point, "observable.map"), spec["offset"])
+    table = {k: complex(*v) for k, v in spec["table"].items()}
     try:
-        if kind == "intervals":
-            return FolnerSchedule.intervals(
-                _integer(spec.get("base", 100), f"{field}.base"),
-                _integer(spec.get("n_max", 10), f"{field}.n_max"))
-        if kind == "dyadic":
-            return FolnerSchedule.dyadic(
-                _integer(spec.get("n_max", 16), f"{field}.n_max"))
-        if kind == "alternating":
-            return FolnerSchedule.alternating(
-                _integer(spec.get("n_max", 16), f"{field}.n_max"))
-        if kind == "custom":
-            return FolnerSchedule.custom(_require(spec, "windows", field))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(field, str(exc)) from None
-    raise ConfigError(f"{field}.kind", f"unknown schedule kind {kind!r}")
-
-
-def build_estimator(spec, field: str = "estimator") -> EstimatorConfig:
-    if spec is None:
-        return EstimatorConfig()
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "expected an object")
-    return EstimatorConfig(
-        tail=_integer(spec.get("tail", 5), f"{field}.tail", least=1),
-        convergence_tol=_number(spec.get("convergence_tol", 1e-3),
-                                f"{field}.convergence_tol"),
-        oscillation_threshold=_number(spec.get("oscillation_threshold", 0.1),
-                                      f"{field}.oscillation_threshold"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# canonical form
-# ---------------------------------------------------------------------------
+        obs = Observable(tuple(spec["window"]), table, spec["name"])
+        obs.lookup_array(point.alphabet)    # every pattern has a value
+    except (ValueError, KeyError) as exc:
+        raise ConfigError("observable.table", exc.args[0]) from None
+    return obs
 
 
 def canonical_json(obj) -> str:

@@ -178,6 +178,16 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
                                                      "sequence.csv"]
 
 
+def test_out_naming_a_file_exits_two(tmp_path):
+    cfg = write_config(tmp_path / "c.json", {"point": "step", "range": [0, 5]})
+    out = tmp_path / "afile"
+    out.write_text("not a directory")
+    res = run_cli(["generate", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.output.startswith("config error: out: ")
+    assert out.read_text() == "not a directory"
+
+
 def test_module_entry_point_lists_commands():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -341,6 +351,28 @@ SMALL_AB = {"point": "periodic:AB",
      "weyl_shift_span"),
     # the int32 cylinder sums hold radii up to 28
     ("classify", {**SMALL_AB, "metric_radius": 29}, "metric_radius"),
+    # atom thetas are finite numbers, like thetas
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0},
+                  "atom_thetas": ["x"]}, "atom_thetas"),
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0},
+                  "atom_thetas": "ab"}, "atom_thetas"),
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0},
+                  "atom_thetas": [float("nan")]}, "atom_thetas"),
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0},
+                  "atom_thetas": [float("inf")]}, "atom_thetas"),
+    # tolerances are positive, the top-level seed an integer
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
+                  "estimator": {"convergence_tol": -1}},
+     "estimator.convergence_tol"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
+                  "estimator": {"oscillation_threshold": -1}},
+     "estimator.oscillation_threshold"),
+    ("classify", {**SMALL_AB, "gap_threshold": -1}, "gap_threshold"),
+    ("generate", {"point": "step", "seed": float("nan")}, "seed"),
+    # unknown keys, at the top level and nested
+    ("scan", {**SMALL_AB, "epsilonn": 0.3}, "epsilonn"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
+                  "estimator": {"tol": 0.1}}, "estimator.tol"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
