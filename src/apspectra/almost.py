@@ -19,7 +19,7 @@ from .errors import EmptyShiftRange
 from .folner import (Converged, EstimatorConfig, FolnerSchedule, MeanEstimate,
                      as_dense, estimate, partial_means, sliding_sums,
                      uniform_mean, upper_mean, window_sums)
-from .points import PointGen, Track, mismatch_track, shift, smeared_counts
+from .points import CylinderSums, PointGen, Track, mismatch_track, shift
 
 __all__ = [
     "ScanBudget",
@@ -132,20 +132,21 @@ class OrbitProfile:
     budget: ScanBudget
 
 
-def _profile_one(s, c, lo_needed, budget, kinds):
+def _profile_one(s, c, lo_needed, budget, kinds, prefix):
     """Mean / weyl / bohr summaries of the cylinder sums s on [lo_needed, ...).
 
-    s holds the int32 sums of ``smeared_counts`` and c their total
-    weight.  numpy accumulates int32 prefix sums in int64, so every
-    window sum is exact and each summary is one correctly rounded
-    division.
+    s holds the int32 sums of ``CylinderSums.counts`` and c their total
+    weight.  The prefix sums are taken in int64, in the two rows of
+    ``prefix`` (each as long as s), so every window sum is exact and
+    each summary is one correctly rounded division.
     """
     sched = budget.schedule
     mean_tail_max, converged, weyl, bohr = np.nan, False, np.nan, np.nan
     if "mean" in kinds:
         lo, hi = sched.span()
         seg = s[lo - lo_needed:hi - lo_needed]
-        avgs = window_sums(seg, lo, sched.windows) / (c * sched.lengths())
+        avgs = (window_sums(seg, lo, sched.windows, out=prefix[0])
+                / (c * sched.lengths()))
         est = estimate(avgs, int(np.max(seg)) / c, budget.estimator)
         mean_tail_max = est.tail_max()
         converged = isinstance(est.verdict, Converged)
@@ -155,7 +156,7 @@ def _profile_one(s, c, lo_needed, budget, kinds):
         span = budget.resolved_weyl_span()
         start, length = sched.window(n)
         seg = s[start - span - lo_needed:start + span + length - lo_needed]
-        weyl = int(np.max(sliding_sums(seg, length))) / (c * length)
+        weyl = int(np.max(sliding_sums(seg, length, out=prefix))) / (c * length)
 
     if "bohr" in kinds:
         h = budget.bohr_horizon
@@ -193,20 +194,28 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     radius = budget.metric_radius
     base = lo_needed - radius + int(t_values.min(initial=0))
     codes = x.codes(base, hi_needed + radius + int(t_values.max(initial=0)))
+    codes = codes.astype(np.min_scalar_type(len(x.alphabet) - 1))
     a = lo_needed - radius - base
     n = hi_needed - lo_needed + 2 * radius
 
-    def work(t):
-        mask = codes[a:a + n] != codes[a + t:a + t + n]
-        return _profile_one(*smeared_counts(mask, radius), lo_needed,
-                            budget, kinds)
+    def work(block):
+        # one workspace per worker, reused for each of its translates
+        cyl = CylinderSums(n)
+        prefix = np.empty((2, n), dtype=np.int64)
+        rows = []
+        for t in block:
+            np.not_equal(codes[a:a + n], codes[a + t:a + t + n], out=cyl.mask)
+            rows.append(_profile_one(*cyl.counts(radius), lo_needed, budget,
+                                     kinds, prefix))
+        return rows
 
     workers = min(threads, len(t_values), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, t_values))
+            blocks = pool.map(work, np.array_split(t_values, workers))
+            rows = [row for block in blocks for row in block]
     else:
-        rows = [work(t) for t in t_values]
+        rows = work(t_values)
 
     mean_tm = np.array([r[0] for r in rows])
     conv = np.array([r[1] for r in rows], dtype=bool)

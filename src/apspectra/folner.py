@@ -325,23 +325,22 @@ def as_dense(samples, lo: int, hi: int) -> np.ndarray:
 WINDOW_BLOCK = 1 << 16
 
 
-def window_sums(values: np.ndarray, start: int, windows) -> np.ndarray:
+def window_sums(values: np.ndarray, start: int, windows,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Sums of ``values`` over each window ``(s, l)``, i.e. over [s, s + l).
 
     ``values[0]`` sits at coordinate ``start`` and the array must cover
-    every window.  Arrays longer than ``WINDOW_BLOCK`` are prefix-summed
-    one block at a time, so no full-length prefix sum is held.
+    every window.  The prefix sums are taken one block of
+    ``WINDOW_BLOCK`` entries at a time, in ``out`` if it is given (an
+    array of their dtype at least ``min(len(values), WINDOW_BLOCK)``
+    long), so no full-length prefix sum is held.
     """
     a = np.array([s for s, _ in windows]) - start
     b = a + np.array([l for _, l in windows])
-    if len(values) <= WINDOW_BLOCK:
-        # no zero is prepended to csum: that would copy it once per call
-        csum = np.cumsum(values)
-        return csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
     # prefix sums at b - 1 then a - 1 (an entry for a == 0 is never read)
     pos = np.concatenate((b, a)) - 1
     at = np.zeros(len(pos), dtype=np.cumsum(values[:0]).dtype)
-    buf = np.empty(WINDOW_BLOCK, dtype=at.dtype)
+    buf = np.empty(min(len(values), WINDOW_BLOCK), at.dtype) if out is None else out
     for j in range(0, int(pos.max()) + 1, WINDOW_BLOCK):
         blk = buf[:min(WINDOW_BLOCK, len(values) - j)]
         blk[:] = values[j:j + len(blk)]
@@ -381,11 +380,22 @@ def lag_window_sums(values: np.ndarray, start: int, windows,
     return cum[last] - cum[first]
 
 
-def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:
-    """Sums of every run of ``length`` consecutive entries of ``values``."""
-    csum = np.cumsum(values)
-    sums = csum[length - 1:].copy()
-    sums[1:] -= csum[:-length]
+def sliding_sums(values: np.ndarray, length: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Sums of every run of ``length`` consecutive entries of ``values``.
+
+    ``out``, if given, is two rows of the prefix sums' dtype at least as
+    long as ``values``: row 0 takes the prefix sums and row 1 the sums
+    returned.
+    """
+    if out is None:
+        out = np.empty((2, len(values)), np.cumsum(values[:0]).dtype)
+    csum = out[0, :len(values)]
+    csum[:] = values          # in place: a cumsum that casts copies its input
+    np.cumsum(csum, out=csum)
+    sums = out[1, :len(values) - length + 1]
+    sums[0] = csum[length - 1]
+    np.subtract(csum[length:], csum[:-length], out=sums[1:])
     return sums
 
 

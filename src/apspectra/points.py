@@ -33,6 +33,7 @@ __all__ = [
     "CylinderMetric",
     "MAX_RADIUS",
     "cylinder_weights",
+    "CylinderSums",
     "smeared_counts",
     "smeared_mismatch",
     "mismatch_track",
@@ -473,50 +474,76 @@ class CylinderMetric:
         return metric_d(x, y, self.radius)
 
 
-def _geometric_sums(g: np.ndarray, taps: int, rising: bool) -> np.ndarray:
+def _shift_add(high: np.ndarray, shift: int, low: np.ndarray,
+               dst: np.ndarray) -> np.ndarray:
+    """(high << shift) + low, written into the head of ``dst``."""
+    out = dst[:len(low)]
+    np.left_shift(high, shift, out=out)
+    return np.add(out, low, out=out)
+
+
+def _geometric_sums(g: np.ndarray, taps: int, rising: bool,
+                    out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Sums of ``taps`` consecutive entries of the int32 array ``g`` with
     power-of-two weights.
 
     Entry i is sum_{k<taps} 2^k g[i + k] when ``rising``, else
     sum_{k<taps} 2^(taps-1-k) g[i + k].  The tap count is built from its
     leading bit by doubling (h_2L from two copies of h_L) and one
-    add-one step (h_L+1 from h_L and g) per further set bit.
+    add-one step (h_L+1 from h_L and g) per further set bit.  The passes
+    alternate between the int32 buffers ``spare`` and ``out``, as long
+    as ``g``, so that the last one writes ``out``; the result is a view
+    of ``out`` (or ``g`` itself for one tap).
     """
-    h, length = g, 1
-    for bit in bin(taps)[3:]:
-        if rising:
-            h2 = h[length:] << length
-            h2 += h[:-length]
-        else:
-            h2 = h[:-length] << length
-            h2 += h[length:]
-        h, length = h2, 2 * length
+    bits = bin(taps)[3:]
+    passes = len(bits) + bits.count("1")
+    bufs = (out, spare) if passes % 2 else (spare, out)
+    h, length, k = g, 1, 0
+    for bit in bits:
+        high, low = (h[length:], h[:-length]) if rising else (h[:-length], h[length:])
+        h, length, k = _shift_add(high, length, low, bufs[k % 2]), 2 * length, k + 1
         if bit == "1":
-            if rising:
-                h2 = h[1:] << 1
-                h2 += g[:len(h) - 1]
-            else:
-                h2 = h[:-1] << 1
-                h2 += g[length:]
-            h, length = h2, length + 1
+            high, low = (h[1:], g[:len(h) - 1]) if rising else (h[:-1], g[length:])
+            h, length, k = _shift_add(high, 1, low, bufs[k % 2]), length + 1, k + 1
     return h
 
 
-def smeared_counts(mask: np.ndarray, radius: int) -> tuple[np.ndarray, int]:
-    """Integer cylinder sums of a letter-mismatch mask along a run of coordinates.
+class CylinderSums:
+    """Reusable buffers for the cylinder sums of masks of one length n.
 
-    Entry i of S is sum_{|k|<=radius} 2^(radius-|k|) mask[i + radius + k]
-    in int32, and C = 3 * 2^radius - 2 is the total weight, so S / C is
-    the cylinder distance at i.  The run loses ``radius`` coordinates at
-    each end.
+    Write a 0/1 letter-mismatch mask into ``mask`` (for instance with
+    ``np.not_equal(..., out=work.mask)``), then ``counts(radius)``.  The
+    doubling passes run in the three int32 ``rows``, so repeated calls
+    allocate nothing; each call overwrites the sums the last one
+    returned.
     """
-    _check_radius(radius)
-    g = np.asarray(mask).astype(np.int32)
-    n = len(g) - 2 * radius
-    left = _geometric_sums(g[:n + radius - 1], radius, rising=True)
-    right = _geometric_sums(g[radius:], radius + 1, rising=False)
-    right += left
-    return right, 3 * 2 ** radius - 2
+
+    def __init__(self, n: int):
+        self.mask = np.empty(n, dtype=np.int32)
+        self.rows = np.empty((3, n), dtype=np.int32)
+
+    def counts(self, radius: int) -> tuple[np.ndarray, int]:
+        """Integer cylinder sums of ``mask`` along its run of coordinates.
+
+        Entry i of S is sum_{|k|<=radius} 2^(radius-|k|) mask[i + radius + k]
+        in int32, and C = 3 * 2^radius - 2 is the total weight, so S / C
+        is the cylinder distance at i.  The run loses ``radius``
+        coordinates at each end.  S is a view of ``rows``.
+        """
+        _check_radius(radius)
+        g, (a, b, c) = self.mask, self.rows
+        n = len(g) - 2 * radius
+        # the left sums stay in row a while the right ones use rows b and c
+        left = _geometric_sums(g[:n + radius - 1], radius, True, a, b)
+        right = _geometric_sums(g[radius:], radius + 1, False, b, c)
+        return np.add(right, left, out=right), 3 * 2 ** radius - 2
+
+
+def smeared_counts(mask: np.ndarray, radius: int) -> tuple[np.ndarray, int]:
+    """``CylinderSums.counts`` of one mask, in buffers of its own."""
+    work = CylinderSums(len(mask))
+    np.copyto(work.mask, mask)
+    return work.counts(radius)
 
 
 def smeared_mismatch(mask: np.ndarray, radius: int) -> np.ndarray:
