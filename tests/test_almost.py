@@ -1,7 +1,14 @@
 """Averaged orbit metrics, almost-period scans, classification."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apspectra import almost
 from apspectra.almost import (EVIDENCE_AGAINST, EVIDENCE_FOR, ScanBudget,
@@ -374,6 +381,78 @@ def test_profile_matches_float_route(x, schedule):
         assert np.array_equal(getattr(alone, column), getattr(prof, column))
         if kind == "mean":
             assert np.array_equal(alone.mean_converged, prof.mean_converged)
+
+
+SCAN_BUDGETS = st.builds(
+    lambda radius, base, n_max, horizon: ScanBudget(
+        intervals(base, n_max), metric_radius=radius, bohr_horizon=horizon,
+        estimator=EstimatorConfig(convergence_tol=0.05)),
+    st.integers(1, 12), st.integers(8, 40), st.integers(2, 5),
+    st.integers(0, 40))
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.sampled_from([BernoulliPoint(0.5, 5), PeriodicPoint("AAB"),
+                          SturmianPoint(GOLDEN),
+                          SubstitutionPoint(THUE_MORSE_RULES)]),
+       budgets=st.lists(SCAN_BUDGETS, min_size=2, max_size=2),
+       kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True),
+       threads=st.sampled_from([1, 2]), first=st.integers(-20, 0),
+       count=st.integers(1, 12))
+def test_profile_buffers_match_float_route(x, budgets, kinds, threads, first,
+                                           count):
+    # two calls in a row whose sample runs differ in length: a buffer that
+    # kept stale sums or the wrong size would show in the second
+    assume(budgets[0].metric_radius != budgets[1].metric_radius)
+    ts = range(first, first + count)
+    for b in budgets:
+        prof = orbit_profile(x, ts, b, threads=threads, kinds=tuple(kinds))
+        columns = dict(zip(almost.KINDS, (prof.mean_tail_max, prof.weyl_value,
+                                          prof.bohr_value)))
+        for i, t in enumerate(ts):
+            mean, converged, weyl, bohr, empty = float_profile_row(x, t, b)
+            want = dict(zip(almost.KINDS, (mean, weyl, bohr)))
+            for kind, column in columns.items():
+                if kind not in kinds:
+                    assert np.isnan(column[i])
+                    continue
+                assert column[i] == pytest.approx(want[kind], rel=1e-12, abs=0)
+                assert (column[i] == 0.0) == empty[kind]
+            if "mean" in kinds:
+                assert prof.mean_converged[i] == converged
+
+
+FAULT_PROBE = """
+import resource
+from apspectra.almost import ScanBudget, orbit_profile
+from apspectra.folner import FolnerSchedule
+from apspectra.points import BernoulliPoint
+
+# weyl window [0, 10000) with shifts |s| <= 40000: about 90,000 samples
+b = ScanBudget(FolnerSchedule.intervals(base=1000, n_max=10))
+x = BernoulliPoint(0.5, 42)
+orbit_profile(x, range(3), b)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+orbit_profile(x, range(-100, 100), b)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_profile_translates_do_not_fault_fresh_pages():
+    pytest.importorskip("resource")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    # as perfbench runs commands: with one BLAS thread glibc keeps its
+    # default mmap threshold, so an array allocated per translate would
+    # come back as fresh pages every time (about 320 faults a translate)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    res = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 50 * 200
 
 
 # ---------------------------------------------------------------------------
