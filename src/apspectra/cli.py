@@ -282,8 +282,8 @@ def _cmd_diffract(cfg: dict, threads: int) -> dict:
     atom_thetas = cfg["atom_thetas"]
     if atom_thetas is None:
         atom_thetas = _detect_thetas(cfg, point, comb.as_observable())
-    atoms = {float(t): diffraction.bombieri_taylor_atom(comb, float(t),
-                                                        schedule, estimator)
+    atoms = {float(t): diffraction.bombieri_taylor_atom(
+                 comb, float(t), schedule, estimator, eta.samples)
              for t in atom_thetas}
     masses = [(t, est.tail_max()) for t, est in atoms.items()]
     fraction = diffraction.pure_point_fraction(masses, eta.eta0) \

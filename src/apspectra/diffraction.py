@@ -81,6 +81,7 @@ class AutocorrEstimate:
     stages: tuple[tuple[int, int], ...]          # windows used
     table: np.ndarray                            # shape (stages, k_max+1)
     verdicts: tuple                              # MeanEstimate per lag k>=0
+    samples: Track                               # w(t) read, from lo - k_max
 
     def eta(self, k: int) -> complex:
         a = self.table[-1, abs(k)]
@@ -121,25 +122,30 @@ def autocorrelation(comb: WeightedComb, k_max: int,
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     lo, hi = schedule.span()
-    w = np.asarray(comb.values(lo - k_max, hi), dtype=complex)
+    samples = Track(lo - k_max, comb.values(lo - k_max, hi))
+    w = np.asarray(samples.values, dtype=complex)
     table = (lag_window_sums(w, lo - k_max, schedule.windows, k_max)
              / schedule.lengths()[:, None])
     sup = float(np.max(np.abs(w), initial=0.0)) ** 2
     verdicts = tuple(estimate(table[:, k], sup, config) for k in range(k_max + 1))
-    return AutocorrEstimate(k_max, schedule.windows, table, verdicts)
+    return AutocorrEstimate(k_max, schedule.windows, table, verdicts, samples)
 
 
 def bombieri_taylor_atom(comb: WeightedComb, theta: float,
                          schedule: FolnerSchedule,
-                         config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
+                         config: EstimatorConfig = EstimatorConfig(),
+                         samples: Track | None = None) -> MeanEstimate:
     """Squared normalized exponential sum of the weights at one frequency.
 
     Stage n: |(1/|B_n|) sum_{t in B_n} w(t) e(-theta t)|^2, the point
-    mass estimate at theta.
+    mass estimate at theta.  ``samples``, the comb's weights already
+    read on a range covering the schedule span (such as
+    ``AutocorrEstimate.samples``), saves reading them again.
     """
     lo, hi = schedule.span()
-    means = _windowed_character_means(Track(lo, comb.values(lo, hi)), theta,
-                                      schedule)
+    if samples is None:
+        samples = Track(lo, comb.values(lo, hi))
+    means = _windowed_character_means(samples, theta, schedule)
     return estimate((np.abs(means) ** 2).astype(complex),
                     comb.sup_weight() ** 2, config)
 

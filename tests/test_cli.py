@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from apspectra.cli import _fmt, _grid_lines, main
+from apspectra.diffraction import WeightedComb
 from apspectra.points import BernoulliPoint, Observable
 from apspectra.spectral import FourierBohrGrid, fourier_bohr_grid
 
@@ -271,6 +272,24 @@ def test_diffract_command(tmp_path):
     dens = (out / "density.csv").read_text().splitlines()
     assert dens[1].startswith("# budget=")
     assert dens[2] == "theta,density"
+
+
+def test_diffract_reads_the_comb_once(tmp_path, monkeypatch):
+    reads = []
+    values = WeightedComb.values
+
+    def counted(self, start, stop):
+        reads.append((start, stop))
+        return values(self, start, stop)
+
+    monkeypatch.setattr(WeightedComb, "values", counted)
+    cfg = write_config(tmp_path / "d.json", {
+        "point": "bernoulli:0.5:3", "weights": {"0": 0.0, "1": 1.0},
+        "schedule": {"kind": "intervals", "base": 100, "n_max": 4},
+        "k_max": 8, "atom_thetas": [0.0, 0.25, 0.5]})
+    res = run_cli(["diffract", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0
+    assert reads == [(-8, 400)]
 
 
 SMALL_AB = {"point": "periodic:AB",

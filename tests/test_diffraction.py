@@ -170,6 +170,19 @@ def test_atom_equals_squared_fourier_average():
             assert abs(a.real - abs(b) ** 2) < 1e-12
 
 
+def test_atom_from_autocorrelation_samples_is_bit_identical():
+    # a weight that is complex only left of the span: the long read is
+    # complex, the atom's own read real, and the atoms still agree
+    comb = WeightedComb(shift(StepPoint(), 4), {"0": 0.5j, "1": -0.7})
+    sched = intervals(base=50, n_max=4)
+    eta = autocorrelation(comb, 8, sched)
+    assert eta.samples.start == -8 and np.iscomplexobj(eta.samples.values)
+    for theta in (0.0, 0.25, 0.5, 0.3):
+        own = bombieri_taylor_atom(comb, theta, sched)
+        reused = bombieri_taylor_atom(comb, theta, sched, samples=eta.samples)
+        assert own.describe() == reused.describe()
+
+
 def test_atom_shift_covariance():
     comb = ab_comb()
     sched = intervals(base=100, n_max=5)
