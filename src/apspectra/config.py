@@ -26,11 +26,16 @@ from .points import (FIBONACCI_RULES, MAX_RADIUS, PERIOD_DOUBLING_RULES,
                      PeriodicPoint, PointGen, StepPoint, SturmianPoint,
                      SubstitutionPoint)
 
-__all__ = ["COMMANDS", "validate", "build_point", "build_observable",
-           "build_schedule", "build_weights", "canonical_json",
-           "config_hash", "load_config"]
+__all__ = ["COMMANDS", "SAMPLE_BUDGET", "validate", "build_point",
+           "build_observable", "build_schedule", "build_weights",
+           "canonical_json", "config_hash", "load_config"]
 
 REQUIRED = object()     # the default of a key that must be given
+
+# The most samples one key may ask for: a schedule span, a range, a grid
+# size, a lag count, a shift span or a horizon.  The largest of the
+# determinism configs, a diffract span of 10^6, is a quarter of it.
+SAMPLE_BUDGET = 2 ** 22
 
 
 def _join(path: str, key) -> str:
@@ -262,11 +267,13 @@ OBSERVABLE = Kinds({
               "name": Str("")},
 }, _observable_preset)
 
-# each kind is the FolnerSchedule constructor of that name
+# each kind is the FolnerSchedule constructor of that name; validate
+# bounds the spans of intervals and custom schedules
 SCHEDULE = Kinds({
-    "intervals": {"base": Int(100, least=1), "n_max": Int(10, least=1)},
-    "dyadic": {"n_max": Int(16, least=1)},
-    "alternating": {"n_max": Int(16, least=1)},
+    "intervals": {"base": Int(100, least=1, most=SAMPLE_BUDGET),
+                  "n_max": Int(10, least=1, most=SAMPLE_BUDGET)},
+    "dyadic": {"n_max": Int(16, least=1, most=SAMPLE_BUDGET.bit_length() - 1)},
+    "alternating": {"n_max": Int(16, least=1, most=SAMPLE_BUDGET // 2)},
     "custom": {"windows": List(List(Int(), least=2, most=2), least=1)},
 })
 
@@ -276,7 +283,7 @@ ESTIMATOR = Block({
     "oscillation_threshold": Num(0.1, positive=True),
 }, default={})
 
-GRID_SIZES = List(Int(least=2), least=2)
+GRID_SIZES = List(Int(least=2, most=SAMPLE_BUDGET), least=2)
 THETAS = List(Num(), None)
 
 DETECT = Block({
@@ -292,8 +299,8 @@ _SCAN = {
     **_AVERAGED,
     "metric_radius": Int(16, least=1, most=MAX_RADIUS),
     "weyl_index": Int(None, least=1),
-    "weyl_shift_span": Int(None, least=0),
-    "bohr_horizon": Int(512, least=0),
+    "weyl_shift_span": Int(None, least=0, most=SAMPLE_BUDGET),
+    "bohr_horizon": Int(512, least=0, most=SAMPLE_BUDGET),
     "range": List(Int(), [-256, 256], 2, 2),
 }
 
@@ -318,10 +325,11 @@ COMMANDS = {
                     "point_shifts": List(Int(), [0, 1, 2, 3, 5]),
                     "shift_probes": List(Int(), [1, 2, 3, 5, 8])}),
     "diffract": Block({
-        **_AVERAGED, "weights": Map(Complex()), "k_max": Int(32, least=0),
+        **_AVERAGED, "weights": Map(Complex()),
+        "k_max": Int(32, least=0, most=SAMPLE_BUDGET),
         "taper": Str("triangular", choices=("none", "triangular")),
-        "grid_size": Int(None, least=1), "atom_thetas": THETAS,
-        "thetas": THETAS, "detect": DETECT}),
+        "grid_size": Int(None, least=1, most=SAMPLE_BUDGET),
+        "atom_thetas": THETAS, "thetas": THETAS, "detect": DETECT}),
 }
 
 
@@ -346,7 +354,21 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
     lo, hi = out.get("range", (0, 0))
     if hi < lo:
         raise ConfigError("range", f"range is empty: {lo} > {hi}")
+    _check_budget("range", hi - lo + 1)
+    schedule = out.get("schedule", {})
+    if schedule.get("kind") == "intervals":
+        _check_budget("schedule.n_max", schedule["base"] * schedule["n_max"])
+    if schedule.get("kind") == "custom":
+        starts = [s for s, _ in schedule["windows"]]
+        ends = [s + l for s, l in schedule["windows"]]
+        _check_budget("schedule.windows", max(ends) - min(starts))
     return out
+
+
+def _check_budget(path: str, samples: int) -> None:
+    if samples > SAMPLE_BUDGET:
+        raise ConfigError(path, f"asks for {samples} samples, more than the "
+                                f"budget of {SAMPLE_BUDGET}")
 
 
 # ---------------------------------------------------------------------------

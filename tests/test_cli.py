@@ -388,6 +388,33 @@ SMALL_AB = {"point": "periodic:AB",
      "estimator.oscillation_threshold"),
     ("classify", {**SMALL_AB, "gap_threshold": -1}, "gap_threshold"),
     ("generate", {"point": "step", "seed": float("nan")}, "seed"),
+    # sizes stay inside config.SAMPLE_BUDGET: each row would otherwise ask
+    # numpy for more than it can allocate, or for gigabytes
+    ("scan", {**SMALL_AB, "schedule": {"kind": "dyadic", "n_max": 70}},
+     "schedule.n_max"),
+    ("scan", {**SMALL_AB, "schedule": {"kind": "intervals", "base": 100_000,
+                                       "n_max": 50_000}}, "schedule.n_max"),
+    ("scan", {**SMALL_AB, "schedule": {"kind": "intervals",
+                                       "base": 10 ** 12}}, "schedule.base"),
+    ("scan", {**SMALL_AB, "schedule": {"kind": "alternating",
+                                       "n_max": 10 ** 9}}, "schedule.n_max"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
+                  "schedule": {"kind": "custom",
+                               "windows": [[0, 5], [-10 ** 10, 3]]}},
+     "schedule.windows"),
+    ("classify", {**SMALL_AB, "range": [-10 ** 9, 10 ** 9]}, "range"),
+    ("generate", {"point": "step", "range": [0, 2 ** 22]}, "range"),
+    ("spectrum", {**SMALL_AB, "observable": "indicator:A",
+                  "grid_sizes": [64, 2 ** 40]}, "grid_sizes[1]"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A",
+                  "detect": {"grid_sizes": [2 ** 23, 64]}},
+     "detect.grid_sizes[0]"),
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0}, "k_max": 10 ** 8,
+                  "atom_thetas": [0.0]}, "k_max"),
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0}, "grid_size": 2 ** 30,
+                  "atom_thetas": [0.0]}, "grid_size"),
+    ("classify", {**SMALL_AB, "weyl_shift_span": 10 ** 10}, "weyl_shift_span"),
+    ("classify", {**SMALL_AB, "bohr_horizon": 10 ** 10}, "bohr_horizon"),
     # unknown keys, at the top level and nested
     ("scan", {**SMALL_AB, "epsilonn": 0.3}, "epsilonn"),
     ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
