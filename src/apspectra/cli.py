@@ -193,14 +193,18 @@ def _cmd_scan(cfg: dict, threads: int) -> dict:
     scans = {kind: almost._scan_from_profile(profile, cfg["epsilon"], kind,
                                              (lo, hi))
              for kind in kinds}
-    header = ["t", "mean_tail_max", "mean_converged", "weyl_value",
-              "bohr_value"] + [f"period_{k}" for k in kinds]
+    # the columns of the requested kinds only: the others are all NaN
+    columns = [(name, column.tolist()) for name, kind, column in (
+        ("mean_tail_max", "mean", profile.mean_tail_max),
+        ("mean_converged", "mean", profile.mean_converged),
+        ("weyl_value", "weyl", profile.weyl_value),
+        ("bohr_value", "bohr", profile.bohr_value)) if kind in kinds]
+    header = ["t"] + [name for name, _ in columns] + \
+        [f"period_{k}" for k in kinds]
     rows = []
-    for i, t in enumerate(profile.t_values):
-        row = [str(int(t)), profile.mean_tail_max[i],
-               bool(profile.mean_converged[i]), profile.weyl_value[i],
-               profile.bohr_value[i]]
-        row += [int(t) in scans[k].periods for k in kinds]
+    for i, t in enumerate(profile.t_values.tolist()):
+        row = [str(t)] + [values[i] for _, values in columns]
+        row += [t in scans[k].periods for k in kinds]
         rows.append(row)
     return {
         "scan.json": _json_doc(

@@ -100,6 +100,28 @@ def test_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("kinds,value_columns", [
+    (["mean"], ["mean_tail_max", "mean_converged"]),
+    (["bohr", "weyl"], ["weyl_value", "bohr_value"]),
+    (["mean", "weyl", "bohr"],
+     ["mean_tail_max", "mean_converged", "weyl_value", "bohr_value"]),
+])
+def test_scan_csv_has_columns_of_requested_kinds_only(tmp_path, kinds,
+                                                      value_columns):
+    cfg = write_config(tmp_path / "c.json", {
+        "point": "bernoulli:0.5:7", "kinds": kinds,
+        "schedule": {"kind": "intervals", "base": 50, "n_max": 4},
+        "range": [-5, 5], "bohr_horizon": 16})
+    out = tmp_path / "o"
+    assert run_cli(["scan", "--config", cfg, "--out", str(out)]).exit_code == 0
+    lines = (out / "scan.csv").read_text().splitlines()
+    assert lines[2].split(",") == (["t"] + value_columns
+                                   + [f"period_{k}" for k in kinds])
+    assert all(len(line.split(",")) == len(lines[2].split(","))
+               and "nan" not in line.split(",") for line in lines[3:])
+    assert len(lines) == 3 + 11
+
+
 def test_threads_do_not_change_output(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "point": "bernoulli:0.5:7",
