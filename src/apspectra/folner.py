@@ -340,9 +340,10 @@ def window_sums(values: np.ndarray, start: int, windows,
     # prefix sums at b - 1 then a - 1 (an entry for a == 0 is never read)
     pos = np.concatenate((b, a)) - 1
     at = np.zeros(len(pos), dtype=np.cumsum(values[:0]).dtype)
-    buf = np.empty(min(len(values), WINDOW_BLOCK), at.dtype) if out is None else out
+    if out is None:
+        out = np.empty(min(len(values), WINDOW_BLOCK), at.dtype)
     for j in range(0, int(pos.max()) + 1, WINDOW_BLOCK):
-        blk = buf[:min(WINDOW_BLOCK, len(values) - j)]
+        blk = out[:min(WINDOW_BLOCK, len(values) - j)]
         blk[:] = values[j:j + len(blk)]
         if j:
             # cumsum adds left to right, so seeding the first entry with

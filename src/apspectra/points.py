@@ -497,14 +497,20 @@ def _geometric_sums(g: np.ndarray, taps: int, rising: bool,
     """
     bits = bin(taps)[3:]
     passes = len(bits) + bits.count("1")
-    bufs = (out, spare) if passes % 2 else (spare, out)
-    h, length, k = g, 1, 0
+    dst, nxt = (out, spare) if passes % 2 else (spare, out)
+    h, length = g, 1
     for bit in bits:
-        high, low = (h[length:], h[:-length]) if rising else (h[:-length], h[length:])
-        h, length, k = _shift_add(high, length, low, bufs[k % 2]), 2 * length, k + 1
+        if rising:
+            h = _shift_add(h[length:], length, h[:-length], dst)
+        else:
+            h = _shift_add(h[:-length], length, h[length:], dst)
+        dst, nxt, length = nxt, dst, 2 * length
         if bit == "1":
-            high, low = (h[1:], g[:len(h) - 1]) if rising else (h[:-1], g[length:])
-            h, length, k = _shift_add(high, 1, low, bufs[k % 2]), length + 1, k + 1
+            if rising:
+                h = _shift_add(h[1:], 1, g[:len(h) - 1], dst)
+            else:
+                h = _shift_add(h[:-1], 1, g[length:], dst)
+            dst, nxt, length = nxt, dst, length + 1
     return h
 
 
