@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyShiftRange
 from .folner import (Converged, EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     as_dense, estimate, partial_means, sliding_sums,
+                     as_dense, estimate, max_sliding_sum, partial_means,
                      uniform_mean, upper_mean, window_sums)
 from .points import CylinderSums, PointGen, Track, mismatch_track, shift
 
@@ -136,9 +136,9 @@ def _profile_one(s, c, lo_needed, budget, kinds, prefix):
     """Mean / weyl / bohr summaries of the cylinder sums s on [lo_needed, ...).
 
     s holds the int32 sums of ``CylinderSums.counts`` and c their total
-    weight.  The prefix sums are taken in int64, in the two rows of
-    ``prefix`` (each as long as s), so every window sum is exact and
-    each summary is one correctly rounded division.
+    weight.  Window sums and the weyl maximum are taken exactly in int64,
+    in the two rows of ``prefix`` (each as long as s), so each summary
+    is one correctly rounded division.
     """
     sched = budget.schedule
     mean_tail_max, converged, weyl, bohr = np.nan, False, np.nan, np.nan
@@ -156,7 +156,7 @@ def _profile_one(s, c, lo_needed, budget, kinds, prefix):
         span = budget.resolved_weyl_span()
         start, length = sched.window(n)
         seg = s[start - span - lo_needed:start + span + length - lo_needed]
-        weyl = int(np.max(sliding_sums(seg, length, out=prefix))) / (c * length)
+        weyl = max_sliding_sum(seg, length, prefix) / (c * length)
 
     if "bohr" in kinds:
         h = budget.bohr_horizon

@@ -30,6 +30,7 @@ __all__ = [
     "window_sums",
     "lag_window_sums",
     "sliding_sums",
+    "max_sliding_sum",
     "estimate",
     "partial_means",
     "upper_mean",
@@ -381,23 +382,46 @@ def lag_window_sums(values: np.ndarray, start: int, windows,
     return cum[last] - cum[first]
 
 
-def sliding_sums(values: np.ndarray, length: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Sums of every run of ``length`` consecutive entries of ``values``.
-
-    ``out``, if given, is two rows of the prefix sums' dtype at least as
-    long as ``values``: row 0 takes the prefix sums and row 1 the sums
-    returned.
-    """
-    if out is None:
-        out = np.empty((2, len(values)), np.cumsum(values[:0]).dtype)
-    csum = out[0, :len(values)]
-    csum[:] = values          # in place: a cumsum that casts copies its input
-    np.cumsum(csum, out=csum)
-    sums = out[1, :len(values) - length + 1]
-    sums[0] = csum[length - 1]
-    np.subtract(csum[length:], csum[:-length], out=sums[1:])
+def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:
+    """Sums of every run of ``length`` consecutive entries of ``values``."""
+    csum = np.cumsum(values)
+    sums = csum[length - 1:].copy()
+    sums[1:] -= csum[:-length]
     return sums
+
+
+def max_sliding_sum(values: np.ndarray, length: int, out: np.ndarray) -> int:
+    """The largest sum of ``length`` consecutive entries of the
+    nonnegative int32 array ``values``: ``max(sliding_sums(values,
+    length))``, exactly.
+
+    Run i sums to run 0 plus the steps values[length + j] - values[j]
+    for j < i.  ``out`` is two int64 rows at least as long as
+    ``values``.  The steps go into row 0 in blocks of eight: row r of an
+    (8, blocks) view holds step r of every block, so seven vector adds
+    give the running sums inside all blocks at once, and only the block
+    totals go through a serial prefix sum.
+    """
+    m = len(values) - length
+    full = m // 8
+    # the steps fit int32; they pass through row 1 on their way to row 0
+    flat = out[1].view(np.int32)[:8 * full]
+    np.subtract(values[length:length + 8 * full], values[:8 * full], out=flat)
+    steps = out[0, :8 * full].reshape(8, full)
+    np.copyto(steps, flat.reshape(full, 8).T)
+    for r in range(1, 8):
+        np.add(steps[r - 1], steps[r], out=steps[r])
+    best, before = out[1, :full], out[1, full:2 * full]
+    np.max(steps, axis=0, out=best)
+    np.cumsum(steps[7], out=before)
+    before -= steps[7]                # the totals of the blocks on the left
+    best += before
+    total = int(before[-1] + steps[7, -1]) if full else 0
+    # the last m % 8 steps run on from the end of the blocks
+    tail = np.cumsum(values[length + 8 * full:] - values[8 * full:m],
+                     dtype=np.int64)
+    top = max(0, int(best.max(initial=0)), total + int(tail.max(initial=0)))
+    return int(values[:length].sum(dtype=np.int64)) + top
 
 
 # ---------------------------------------------------------------------------

@@ -475,16 +475,19 @@ class CylinderMetric:
 
 
 def _shift_add(high: np.ndarray, shift: int, low: np.ndarray,
-               dst: np.ndarray) -> np.ndarray:
-    """(high << shift) + low, written into the head of ``dst``."""
-    out = dst[:len(low)]
-    np.left_shift(high, shift, out=out)
-    return np.add(out, low, out=out)
+               dst: np.ndarray, taps: int) -> np.ndarray:
+    """(high << shift) + low, a sum of ``taps`` mask entries, written into
+    the head of the int32 buffer ``dst`` viewed as the narrowest type
+    that holds 2^taps - 1: narrow passes move fewer bytes."""
+    dtype = np.uint8 if taps <= 8 else np.uint16 if taps <= 16 else np.int32
+    out = dst.view(dtype)[:len(low)]
+    np.multiply(high, 1 << shift, out=out, dtype=dtype)
+    return np.add(out, low, out=out, dtype=dtype)
 
 
 def _geometric_sums(g: np.ndarray, taps: int, rising: bool,
                     out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Sums of ``taps`` consecutive entries of the int32 array ``g`` with
+    """Sums of ``taps`` consecutive entries of the 0/1 array ``g`` with
     power-of-two weights.
 
     Entry i is sum_{k<taps} 2^k g[i + k] when ``rising``, else
@@ -501,15 +504,15 @@ def _geometric_sums(g: np.ndarray, taps: int, rising: bool,
     h, length = g, 1
     for bit in bits:
         if rising:
-            h = _shift_add(h[length:], length, h[:-length], dst)
+            h = _shift_add(h[length:], length, h[:-length], dst, 2 * length)
         else:
-            h = _shift_add(h[:-length], length, h[length:], dst)
+            h = _shift_add(h[:-length], length, h[length:], dst, 2 * length)
         dst, nxt, length = nxt, dst, 2 * length
         if bit == "1":
             if rising:
-                h = _shift_add(h[1:], 1, g[:len(h) - 1], dst)
+                h = _shift_add(h[1:], 1, g[:len(h) - 1], dst, length + 1)
             else:
-                h = _shift_add(h[:-1], 1, g[length:], dst)
+                h = _shift_add(h[:-1], 1, g[length:], dst, length + 1)
             dst, nxt, length = nxt, dst, length + 1
     return h
 
@@ -517,15 +520,15 @@ def _geometric_sums(g: np.ndarray, taps: int, rising: bool,
 class CylinderSums:
     """Reusable buffers for the cylinder sums of masks of one length n.
 
-    Write a 0/1 letter-mismatch mask into ``mask`` (for instance with
-    ``np.not_equal(..., out=work.mask)``), then ``counts(radius)``.  The
-    doubling passes run in the three int32 ``rows``, so repeated calls
-    allocate nothing; each call overwrites the sums the last one
+    Write a letter-mismatch mask into the boolean ``mask`` (for instance
+    with ``np.not_equal(..., out=work.mask)``), then ``counts(radius)``.
+    The doubling passes run in the three int32 ``rows``, so repeated
+    calls allocate nothing; each call overwrites the sums the last one
     returned.
     """
 
     def __init__(self, n: int):
-        self.mask = np.empty(n, dtype=np.int32)
+        self.mask = np.empty(n, dtype=bool)
         self.rows = np.empty((3, n), dtype=np.int32)
 
     def counts(self, radius: int) -> tuple[np.ndarray, int]:
@@ -537,18 +540,19 @@ class CylinderSums:
         coordinates at each end.  S is a view of ``rows``.
         """
         _check_radius(radius)
-        g, (a, b, c) = self.mask, self.rows
+        g, (a, b, c) = self.mask.view(np.uint8), self.rows
         n = len(g) - 2 * radius
         # the left sums stay in row a while the right ones use rows b and c
         left = _geometric_sums(g[:n + radius - 1], radius, True, a, b)
         right = _geometric_sums(g[radius:], radius + 1, False, b, c)
-        return np.add(right, left, out=right), 3 * 2 ** radius - 2
+        return (np.add(right, left, out=c[:n], dtype=np.int32),
+                3 * 2 ** radius - 2)
 
 
 def smeared_counts(mask: np.ndarray, radius: int) -> tuple[np.ndarray, int]:
     """``CylinderSums.counts`` of one mask, in buffers of its own."""
     work = CylinderSums(len(mask))
-    np.copyto(work.mask, mask)
+    work.mask[:] = mask
     return work.counts(radius)
 
 

@@ -11,7 +11,8 @@ from apspectra.errors import EmptyShiftRange, MissingSamples, NeverBelow
 from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
                               Undecided, partial_means, seminorm_eval,
-                              sliding_sums, stabilization_check, uniform_mean,
+                              max_sliding_sum, sliding_sums,
+                              stabilization_check, uniform_mean,
                               upper_mean, window_sums, WINDOW_BLOCK)
 from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
                               THUE_MORSE_RULES, Track, observable_track)
@@ -389,3 +390,15 @@ def test_sliding_sums_equal_brute_sums(values, dtype, data):
     sums = sliding_sums(np.array(values, dtype=dtype), length)
     assert sums.tolist() == [sum(values[i:i + length])
                              for i in range(len(values) - length + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=90),
+       data=st.data())
+def test_max_sliding_sum_equals_max_of_sliding_sums(values, data):
+    # lengths leave 0 to 89 steps: no block, whole blocks and a ragged tail
+    length = data.draw(st.integers(1, len(values)))
+    arr = np.array(values, dtype=np.int32)
+    out = np.full((2, len(values)), -1, dtype=np.int64)
+    want = int(np.max(sliding_sums(arr.astype(np.int64), length)))
+    assert max_sliding_sum(arr, length, out) == want
