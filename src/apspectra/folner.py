@@ -331,18 +331,25 @@ def window_sums(values: np.ndarray, start: int, windows,
     """Sums of ``values`` over each window ``(s, l)``, i.e. over [s, s + l).
 
     ``values[0]`` sits at coordinate ``start`` and the array must cover
-    every window.  The prefix sums are taken one block of
-    ``WINDOW_BLOCK`` entries at a time, in ``out`` if it is given (an
-    array of their dtype at least ``min(len(values), WINDOW_BLOCK)``
-    long), so no full-length prefix sum is held.
+    every window.  Arrays longer than ``WINDOW_BLOCK`` are prefix-summed
+    one block at a time, so no full-length prefix sum is held.  The
+    prefix sums go to ``out`` if it is given: an array of their dtype at
+    least ``min(len(values), WINDOW_BLOCK)`` long.
     """
     a = np.array([s for s, _ in windows]) - start
     b = a + np.array([l for _, l in windows])
+    dtype = np.cumsum(values[:0]).dtype
+    if out is None:
+        out = np.empty(min(len(values), WINDOW_BLOCK), dtype)
+    if len(values) <= WINDOW_BLOCK:
+        # in place: a cumsum that casts (int32 into int64) copies its input
+        csum = out[:len(values)]
+        csum[:] = values
+        np.cumsum(csum, out=csum)
+        return csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
     # prefix sums at b - 1 then a - 1 (an entry for a == 0 is never read)
     pos = np.concatenate((b, a)) - 1
-    at = np.zeros(len(pos), dtype=np.cumsum(values[:0]).dtype)
-    if out is None:
-        out = np.empty(min(len(values), WINDOW_BLOCK), at.dtype)
+    at = np.zeros(len(pos), dtype=dtype)
     for j in range(0, int(pos.max()) + 1, WINDOW_BLOCK):
         blk = out[:min(WINDOW_BLOCK, len(values) - j)]
         blk[:] = values[j:j + len(blk)]

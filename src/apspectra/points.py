@@ -481,6 +481,7 @@ def _shift_add(high: np.ndarray, shift: int, low: np.ndarray,
     that holds 2^taps - 1: narrow passes move fewer bytes."""
     dtype = np.uint8 if taps <= 8 else np.uint16 if taps <= 16 else np.int32
     out = dst.view(dtype)[:len(low)]
+    # a multiply: numpy's uint8 shift is not vectorised
     np.multiply(high, 1 << shift, out=out, dtype=dtype)
     return np.add(out, low, out=out, dtype=dtype)
 
