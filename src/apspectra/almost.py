@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import EmptyShiftRange
 from .folner import (Converged, EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     as_dense, estimate, max_sliding_sum, partial_means,
-                     uniform_mean, upper_mean, window_sums)
+                     WindowSegments, as_dense, estimate, max_sliding_sum,
+                     partial_means, uniform_mean, upper_mean)
 from .points import CylinderSums, PointGen, Track, mismatch_track, shift
 
 __all__ = [
@@ -132,21 +132,21 @@ class OrbitProfile:
     budget: ScanBudget
 
 
-def _profile_one(s, c, lo_needed, budget, kinds, prefix):
+def _profile_one(s, c, lo_needed, budget, kinds, segments, prefix):
     """Mean / weyl / bohr summaries of the cylinder sums s on [lo_needed, ...).
 
     s holds the int32 sums of ``CylinderSums.counts`` and c their total
-    weight.  Window sums and the weyl maximum are taken exactly in int64,
-    in the two rows of ``prefix`` (each as long as s), so each summary
-    is one correctly rounded division.
+    weight.  The schedule's window sums (cut into ``segments``) and the
+    weyl maximum (in the two int64 rows of ``prefix``, each as long as
+    s) are exact integers, so each summary is one correctly rounded
+    division.
     """
     sched = budget.schedule
     mean_tail_max, converged, weyl, bohr = np.nan, False, np.nan, np.nan
     if "mean" in kinds:
         lo, hi = sched.span()
         seg = s[lo - lo_needed:hi - lo_needed]
-        avgs = (window_sums(seg, lo, sched.windows, out=prefix[0])
-                / (c * sched.lengths()))
+        avgs = segments.integer_sums(seg, lo) / (c * sched.lengths())
         est = estimate(avgs, int(np.max(seg)) / c, budget.estimator)
         mean_tail_max = est.tail_max()
         converged = isinstance(est.verdict, Converged)
@@ -197,6 +197,7 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     codes = codes.astype(np.min_scalar_type(len(x.alphabet) - 1))
     a = lo_needed - radius - base
     n = hi_needed - lo_needed + 2 * radius
+    segments = WindowSegments(sched.windows)
 
     def work(block):
         # one workspace per worker, reused for each of its translates
@@ -206,7 +207,7 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
         for t in block:
             np.not_equal(codes[a:a + n], codes[a + t:a + t + n], out=cyl.mask)
             rows.append(_profile_one(*cyl.counts(radius), lo_needed, budget,
-                                     kinds, prefix))
+                                     kinds, segments, prefix))
         return rows
 
     workers = min(threads, len(t_values), os.cpu_count() or 1)

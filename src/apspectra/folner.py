@@ -28,6 +28,7 @@ __all__ = [
     "AdmissibleSeminorm",
     "StabilizationReport",
     "window_sums",
+    "WindowSegments",
     "lag_window_sums",
     "sliding_sums",
     "max_sliding_sum",
@@ -326,32 +327,25 @@ def as_dense(samples, lo: int, hi: int) -> np.ndarray:
 WINDOW_BLOCK = 1 << 16
 
 
-def window_sums(values: np.ndarray, start: int, windows,
-                out: np.ndarray | None = None) -> np.ndarray:
+def window_sums(values: np.ndarray, start: int, windows) -> np.ndarray:
     """Sums of ``values`` over each window ``(s, l)``, i.e. over [s, s + l).
 
     ``values[0]`` sits at coordinate ``start`` and the array must cover
     every window.  Arrays longer than ``WINDOW_BLOCK`` are prefix-summed
-    one block at a time, so no full-length prefix sum is held.  The
-    prefix sums go to ``out`` if it is given: an array of their dtype at
-    least ``min(len(values), WINDOW_BLOCK)`` long.
+    one block at a time, so no full-length prefix sum is held.
     """
     a = np.array([s for s, _ in windows]) - start
     b = a + np.array([l for _, l in windows])
-    dtype = np.cumsum(values[:0]).dtype
-    if out is None:
-        out = np.empty(min(len(values), WINDOW_BLOCK), dtype)
     if len(values) <= WINDOW_BLOCK:
-        # in place: a cumsum that casts (int32 into int64) copies its input
-        csum = out[:len(values)]
-        csum[:] = values
-        np.cumsum(csum, out=csum)
+        # no zero is prepended to csum: that would copy it once per call
+        csum = np.cumsum(values)
         return csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
     # prefix sums at b - 1 then a - 1 (an entry for a == 0 is never read)
     pos = np.concatenate((b, a)) - 1
-    at = np.zeros(len(pos), dtype=dtype)
+    at = np.zeros(len(pos), dtype=np.cumsum(values[:0]).dtype)
+    buf = np.empty(WINDOW_BLOCK, dtype=at.dtype)
     for j in range(0, int(pos.max()) + 1, WINDOW_BLOCK):
-        blk = out[:min(WINDOW_BLOCK, len(values) - j)]
+        blk = buf[:min(WINDOW_BLOCK, len(values) - j)]
         blk[:] = values[j:j + len(blk)]
         if j:
             # cumsum adds left to right, so seeding the first entry with
@@ -365,6 +359,31 @@ def window_sums(values: np.ndarray, start: int, windows,
     return at[:n] - np.where(a > 0, at[n:], 0)
 
 
+class WindowSegments:
+    """Schedule windows cut at their ends into segments.
+
+    ``ends`` are the sorted distinct window ends; window n covers the
+    segments from ``ends[first[n]]`` to ``ends[last[n]]``, so a window
+    sum is a difference of cumulative segment sums.
+    """
+
+    def __init__(self, windows):
+        self.ends = np.unique([e for s, l in windows for e in (s, s + l)])
+        self.first = np.searchsorted(self.ends, [s for s, _ in windows])
+        self.last = np.searchsorted(self.ends, [s + l for s, l in windows])
+
+    def integer_sums(self, values: np.ndarray, start: int) -> np.ndarray:
+        """Exact int64 window sums of the integer array ``values``, whose
+        first entry sits at coordinate ``start``: one ``reduceat`` over the
+        span in place of a prefix sum of every sample."""
+        lo, hi = self.ends[0], self.ends[-1]
+        cum = np.zeros(len(self.ends), dtype=np.int64)
+        np.cumsum(np.add.reduceat(values[lo - start:hi - start],
+                                  self.ends[:-1] - lo, dtype=np.int64),
+                  out=cum[1:])
+        return cum[self.last] - cum[self.first]
+
+
 def lag_window_sums(values: np.ndarray, start: int, windows,
                     max_lag: int) -> np.ndarray:
     """Lag sums sum_{t in [s, s + l)} v(t) conj(v(t - k)) per window and lag.
@@ -376,7 +395,8 @@ def lag_window_sums(values: np.ndarray, start: int, windows,
     each; a window's row is a difference of cumulative segment sums, so
     no product array of the span's length is formed.
     """
-    ends = np.unique([e for s, l in windows for e in (s, s + l)])
+    segments = WindowSegments(windows)
+    ends = segments.ends
     seg = np.zeros((len(ends), max_lag + 1), dtype=complex)
     for i in range(1, len(ends)):
         a, b = ends[i - 1] - start, ends[i] - start
@@ -384,9 +404,7 @@ def lag_window_sums(values: np.ndarray, start: int, windows,
         for k in range(max_lag + 1):
             seg[i, k] = np.vdot(values[a - k:b - k], cur)
     cum = np.cumsum(seg, axis=0)
-    first = np.searchsorted(ends, [s for s, _ in windows])
-    last = np.searchsorted(ends, [s + l for s, l in windows])
-    return cum[last] - cum[first]
+    return cum[segments.last] - cum[segments.first]
 
 
 def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:

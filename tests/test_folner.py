@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from apspectra.errors import EmptyShiftRange, MissingSamples, NeverBelow
 from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
-                              Undecided, partial_means, seminorm_eval,
-                              max_sliding_sum, sliding_sums,
+                              Undecided, WindowSegments, max_sliding_sum,
+                              partial_means, seminorm_eval, sliding_sums,
                               stabilization_check, uniform_mean,
                               upper_mean, window_sums, WINDOW_BLOCK)
 from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
@@ -355,8 +355,12 @@ def test_window_sums_equal_brute_sums(values, start, dtype, data):
         min_size=1, max_size=8))
     windows = [(start + a, l) for a, l in windows]
     sums = window_sums(np.array(values, dtype=dtype), start, windows)
-    assert sums.tolist() == [sum(values[s - start:s - start + l])
-                             for s, l in windows]
+    brute = [sum(values[s - start:s - start + l]) for s, l in windows]
+    assert sums.tolist() == brute
+    if dtype is np.int64:
+        segments = WindowSegments(windows)
+        assert segments.integer_sums(np.array(values, dtype=np.int32),
+                                     start).tolist() == brute
 
 
 @pytest.mark.parametrize("dtype", [float, complex, np.int32])
