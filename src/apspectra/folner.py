@@ -368,7 +368,8 @@ class WindowSegments:
     """
 
     def __init__(self, windows):
-        self.ends = np.unique([e for s, l in windows for e in (s, s + l)])
+        # sorted in Python: np.unique imports numpy.ma, about 1 MiB
+        self.ends = np.array(sorted({e for s, l in windows for e in (s, s + l)}))
         self.first = np.searchsorted(self.ends, [s for s, _ in windows])
         self.last = np.searchsorted(self.ends, [s + l for s, l in windows])
 
