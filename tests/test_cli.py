@@ -410,6 +410,10 @@ SMALL_AB = {"point": "periodic:AB",
      "estimator.oscillation_threshold"),
     ("classify", {**SMALL_AB, "gap_threshold": -1}, "gap_threshold"),
     ("generate", {"point": "step", "seed": float("nan")}, "seed"),
+    # unknown keys, at the top level and nested
+    ("scan", {**SMALL_AB, "epsilonn": 0.3}, "epsilonn"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
+                  "estimator": {"tol": 0.1}}, "estimator.tol"),
     # sizes stay inside config.SAMPLE_BUDGET: each row would otherwise ask
     # numpy for more than it can allocate, or for gigabytes
     ("scan", {**SMALL_AB, "schedule": {"kind": "dyadic", "n_max": 70}},
@@ -437,10 +441,6 @@ SMALL_AB = {"point": "periodic:AB",
                   "atom_thetas": [0.0]}, "grid_size"),
     ("classify", {**SMALL_AB, "weyl_shift_span": 10 ** 10}, "weyl_shift_span"),
     ("classify", {**SMALL_AB, "bohr_horizon": 10 ** 10}, "bohr_horizon"),
-    # unknown keys, at the top level and nested
-    ("scan", {**SMALL_AB, "epsilonn": 0.3}, "epsilonn"),
-    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
-                  "estimator": {"tol": 0.1}}, "estimator.tol"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
