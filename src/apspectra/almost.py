@@ -146,7 +146,7 @@ def _profile_one(s, c, lo_needed, budget, kinds, segments, prefix):
     if "mean" in kinds:
         lo, hi = sched.span()
         seg = s[lo - lo_needed:hi - lo_needed]
-        avgs = segments.integer_sums(seg, lo) / (c * sched.lengths())
+        avgs = segments.sums(seg, lo) / (c * sched.lengths())
         est = estimate(avgs, int(np.max(seg)) / c, budget.estimator)
         mean_tail_max = est.tail_max()
         converged = isinstance(est.verdict, Converged)

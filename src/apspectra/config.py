@@ -248,6 +248,9 @@ def _observable_preset(value, path: str):
 # ---------------------------------------------------------------------------
 
 SEED = Int(least=0, most=2 ** 64 - 1)
+# a point is generated out to the farthest coordinate it is asked for, so
+# coordinates (and offsets, shifts and window starts) stay in the budget
+COORD = Int(least=-SAMPLE_BUDGET, most=SAMPLE_BUDGET)
 
 POINT = Kinds({
     "periodic": {"pattern": Str()},
@@ -261,9 +264,9 @@ POINT = Kinds({
 }, _point_preset)
 
 OBSERVABLE = Kinds({
-    "indicator": {"letter": Str(), "offset": Int(0)},
-    "letter_values": {"map": Map(Complex()), "offset": Int(0)},
-    "table": {"window": List(Int(), least=1), "table": Map(Complex()),
+    "indicator": {"letter": Str(), "offset": COORD.with_default(0)},
+    "letter_values": {"map": Map(Complex()), "offset": COORD.with_default(0)},
+    "table": {"window": List(COORD, least=1), "table": Map(Complex()),
               "name": Str("")},
 }, _observable_preset)
 
@@ -274,7 +277,7 @@ SCHEDULE = Kinds({
                   "n_max": Int(10, least=1, most=SAMPLE_BUDGET)},
     "dyadic": {"n_max": Int(16, least=1, most=SAMPLE_BUDGET.bit_length() - 1)},
     "alternating": {"n_max": Int(16, least=1, most=SAMPLE_BUDGET // 2)},
-    "custom": {"windows": List(List(Int(), least=2, most=2), least=1)},
+    "custom": {"windows": List(List(COORD, least=2, most=2), least=1)},
 })
 
 ESTIMATOR = Block({
@@ -301,11 +304,11 @@ _SCAN = {
     "weyl_index": Int(None, least=1),
     "weyl_shift_span": Int(None, least=0, most=SAMPLE_BUDGET),
     "bohr_horizon": Int(512, least=0, most=SAMPLE_BUDGET),
-    "range": List(Int(), [-256, 256], 2, 2),
+    "range": List(COORD, [-256, 256], 2, 2),
 }
 
 COMMANDS = {
-    "generate": Block({**_POINT, "range": List(Int(), [0, 99], 2, 2),
+    "generate": Block({**_POINT, "range": List(COORD, [0, 99], 2, 2),
                        "observable": OBSERVABLE.with_default(None)}),
     "scan": Block({**_SCAN, "epsilon": Num(0.1, positive=True),
                    "kinds": List(Str(choices=KINDS), list(KINDS))}),
@@ -322,8 +325,8 @@ COMMANDS = {
     "parseval": Block({**_AVERAGED, "observable": OBSERVABLE,
                        "thetas": THETAS, "detect": DETECT}),
     "eigen": Block({**_AVERAGED, "observable": OBSERVABLE, "theta": Num(),
-                    "point_shifts": List(Int(), [0, 1, 2, 3, 5]),
-                    "shift_probes": List(Int(), [1, 2, 3, 5, 8])}),
+                    "point_shifts": List(COORD, [0, 1, 2, 3, 5]),
+                    "shift_probes": List(COORD, [1, 2, 3, 5, 8])}),
     "diffract": Block({
         **_AVERAGED, "weights": Map(Complex()),
         "k_max": Int(32, least=0, most=SAMPLE_BUDGET),

@@ -27,7 +27,6 @@ __all__ = [
     "MeanEstimate",
     "AdmissibleSeminorm",
     "StabilizationReport",
-    "window_sums",
     "WindowSegments",
     "lag_window_sums",
     "sliding_sums",
@@ -323,42 +322,6 @@ def as_dense(samples, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-# prefix sums run in blocks of this many entries (see window_sums)
-WINDOW_BLOCK = 1 << 16
-
-
-def window_sums(values: np.ndarray, start: int, windows) -> np.ndarray:
-    """Sums of ``values`` over each window ``(s, l)``, i.e. over [s, s + l).
-
-    ``values[0]`` sits at coordinate ``start`` and the array must cover
-    every window.  Arrays longer than ``WINDOW_BLOCK`` are prefix-summed
-    one block at a time, so no full-length prefix sum is held.
-    """
-    a = np.array([s for s, _ in windows]) - start
-    b = a + np.array([l for _, l in windows])
-    if len(values) <= WINDOW_BLOCK:
-        # no zero is prepended to csum: that would copy it once per call
-        csum = np.cumsum(values)
-        return csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
-    # prefix sums at b - 1 then a - 1 (an entry for a == 0 is never read)
-    pos = np.concatenate((b, a)) - 1
-    at = np.zeros(len(pos), dtype=np.cumsum(values[:0]).dtype)
-    buf = np.empty(WINDOW_BLOCK, dtype=at.dtype)
-    for j in range(0, int(pos.max()) + 1, WINDOW_BLOCK):
-        blk = buf[:min(WINDOW_BLOCK, len(values) - j)]
-        blk[:] = values[j:j + len(blk)]
-        if j:
-            # cumsum adds left to right, so seeding the first entry with
-            # the carry reproduces the full-length prefix sums bit for bit
-            blk[0] += carry
-        np.cumsum(blk, out=blk)
-        hit = (pos >= j) & (pos < j + len(blk))
-        at[hit] = blk[pos[hit] - j]
-        carry = blk[-1]               # prefix sum at j + len(blk) - 1
-    n = len(a)
-    return at[:n] - np.where(a > 0, at[n:], 0)
-
-
 class WindowSegments:
     """Schedule windows cut at their ends into segments.
 
@@ -373,15 +336,20 @@ class WindowSegments:
         self.first = np.searchsorted(self.ends, [s for s, _ in windows])
         self.last = np.searchsorted(self.ends, [s + l for s, l in windows])
 
-    def integer_sums(self, values: np.ndarray, start: int) -> np.ndarray:
-        """Exact int64 window sums of the integer array ``values``, whose
-        first entry sits at coordinate ``start``: one ``reduceat`` over the
-        span in place of a prefix sum of every sample."""
+    def sums(self, values: np.ndarray, start: int) -> np.ndarray:
+        """Sums of ``values`` over each window, ``values[0]`` sitting at
+        coordinate ``start``: one ``reduceat`` over the segments.  Integer
+        input sums exactly in int64, float and complex in its own dtype."""
         lo, hi = self.ends[0], self.ends[-1]
-        cum = np.zeros(len(self.ends), dtype=np.int64)
-        np.cumsum(np.add.reduceat(values[lo - start:hi - start],
-                                  self.ends[:-1] - lo, dtype=np.int64),
-                  out=cum[1:])
+        dtype = values.dtype if values.dtype.kind in "fc" else np.int64
+        return self.totals(np.add.reduceat(values[lo - start:hi - start],
+                                           self.ends[:-1] - lo, dtype=dtype))
+
+    def totals(self, seg: np.ndarray) -> np.ndarray:
+        """Window totals from segment sums, row i of ``seg`` summing the
+        segment [ends[i], ends[i + 1])."""
+        cum = np.zeros((len(self.ends),) + seg.shape[1:], dtype=seg.dtype)
+        np.cumsum(seg, axis=0, out=cum[1:])
         return cum[self.last] - cum[self.first]
 
 
@@ -398,14 +366,13 @@ def lag_window_sums(values: np.ndarray, start: int, windows,
     """
     segments = WindowSegments(windows)
     ends = segments.ends
-    seg = np.zeros((len(ends), max_lag + 1), dtype=complex)
-    for i in range(1, len(ends)):
-        a, b = ends[i - 1] - start, ends[i] - start
+    seg = np.empty((len(ends) - 1, max_lag + 1), dtype=complex)
+    for i in range(len(ends) - 1):
+        a, b = ends[i] - start, ends[i + 1] - start
         cur = values[a:b]
         for k in range(max_lag + 1):
             seg[i, k] = np.vdot(values[a - k:b - k], cur)
-    cum = np.cumsum(seg, axis=0)
-    return cum[segments.last] - cum[segments.first]
+    return segments.totals(seg)
 
 
 def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:
@@ -465,8 +432,8 @@ def partial_means(samples, schedule: FolnerSchedule, n_max: int | None = None,
     lo, hi = head.span()
     dense = as_dense(samples, lo, hi)
     sup = float(np.max(np.abs(dense), initial=0.0))
-    # complex division: a real track gives the same bits as its complex copy
-    sums = window_sums(dense.astype(complex), lo, head.windows)
+    # summed as complex: a real track gives the same bits as its complex copy
+    sums = WindowSegments(head.windows).sums(dense.astype(complex), lo)
     return estimate(sums / head.lengths(), sup, config)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .folner import (Character, Converged, EstimatorConfig, FolnerSchedule,
-                     MeanEstimate, Oscillating, as_dense, estimate,
-                     partial_means, sliding_sums, window_sums)
+                     MeanEstimate, Oscillating, WindowSegments, as_dense,
+                     estimate, partial_means, sliding_sums)
 from .points import Observable, PointGen, Track, observable_track
 
 __all__ = [
@@ -41,8 +41,8 @@ __all__ = [
 def _character_means(values: np.ndarray, phase: np.ndarray,
                      schedule: FolnerSchedule) -> np.ndarray:
     """Window means of values * phase, both given on the schedule span."""
-    lo, _ = schedule.span()
-    return window_sums(values * phase, lo, schedule.windows) / schedule.lengths()
+    segments = WindowSegments(schedule.windows)
+    return segments.sums(values * phase, schedule.span()[0]) / schedule.lengths()
 
 
 def _windowed_character_means(track: Track, theta: float,

@@ -441,6 +441,25 @@ SMALL_AB = {"point": "periodic:AB",
                   "atom_thetas": [0.0]}, "grid_size"),
     ("classify", {**SMALL_AB, "weyl_shift_span": 10 ** 10}, "weyl_shift_span"),
     ("classify", {**SMALL_AB, "bohr_horizon": 10 ** 10}, "bohr_horizon"),
+    # coordinates stay inside the budget too: a point is generated out to
+    # the farthest coordinate asked for, however few samples that is
+    ("generate", {"point": "fibonacci", "range": [10 ** 9, 10 ** 9]},
+     "range[0]"),
+    ("scan", {**SMALL_AB, "range": [-2 ** 22 - 1, -2 ** 22]}, "range[0]"),
+    ("eigen", {**SMALL_AB, "observable": "indicator:A", "theta": 0.5,
+               "point_shifts": [10 ** 12]}, "point_shifts[0]"),
+    ("eigen", {**SMALL_AB, "observable": "indicator:A", "theta": 0.5,
+               "shift_probes": [1, -10 ** 10]}, "shift_probes[1]"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A", "thetas": [0.0],
+                  "schedule": {"kind": "custom", "windows": [[10 ** 10, 5]]}},
+     "schedule.windows[0][0]"),
+    ("parseval", {**SMALL_AB, "thetas": [0.0],
+                  "observable": {"kind": "indicator", "letter": "A",
+                                 "offset": 10 ** 9}}, "observable.offset"),
+    ("parseval", {**SMALL_AB, "thetas": [0.0],
+                  "observable": {"kind": "table", "window": [0, -10 ** 9],
+                                 "table": {"AA": 1, "AB": 0, "BA": 0,
+                                           "BB": 0}}}, "observable.window[1]"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)

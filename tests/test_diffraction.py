@@ -141,6 +141,31 @@ def test_autocorrelation_matches_per_lag_oracle(schedule, k_max, seed, weights):
         assert np.all(np.abs(eta.table - want) <= 1e-12 * comb.sup_weight() ** 2)
 
 
+WEIGHT = st.builds(complex, st.floats(-2, 2, allow_subnormal=False),
+                   st.floats(-2, 2, allow_subnormal=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=chained_windows(), k_max=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 31 - 1), weights=st.tuples(WEIGHT, WEIGHT))
+def test_autocorrelation_is_hermitian(schedule, k_max, seed, weights):
+    # conj(eta_n(k)) sums w(u) conj(w(u + k)) over B_n - k, which differs
+    # from B_n in at most 2k sites; the rest of the gap is rounding
+    comb = WeightedComb(BernoulliPoint(0.5, seed), dict(zip("01", weights)))
+    eta = autocorrelation(comb, k_max, schedule)
+    lo, hi = schedule.span()
+    w = np.asarray(comb.values(lo, hi + k_max), dtype=complex)
+    sup2 = float(np.max(np.abs(w))) ** 2
+    for n, (s, l) in enumerate(schedule.windows):
+        cur = w[s - lo:s - lo + l]
+        for k in range(k_max + 1):
+            direct = np.sum(cur * np.conj(w[s - lo + k:s - lo + k + l])) / l
+            gap = abs(direct - np.conj(eta.table[n, k]))
+            assert gap <= 2 * k * sup2 / l + 1e-12 * sup2, (n, k)
+    row = eta.eta_row()
+    assert np.array_equal(row, np.conj(row[::-1]))
+
+
 # ---------------------------------------------------------------------------
 # atoms
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               Undecided, WindowSegments, max_sliding_sum,
                               partial_means, seminorm_eval, sliding_sums,
                               stabilization_check, uniform_mean,
-                              upper_mean, window_sums, WINDOW_BLOCK)
+                              upper_mean)
 from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
                               THUE_MORSE_RULES, Track, observable_track)
 
@@ -354,36 +354,41 @@ def test_window_sums_equal_brute_sums(values, start, dtype, data):
             lambda a: st.tuples(st.just(a), st.integers(1, n - a))),
         min_size=1, max_size=8))
     windows = [(start + a, l) for a, l in windows]
-    sums = window_sums(np.array(values, dtype=dtype), start, windows)
+    segments = WindowSegments(windows)
+    sums = segments.sums(np.array(values, dtype=dtype), start)
     brute = [sum(values[s - start:s - start + l]) for s, l in windows]
     assert sums.tolist() == brute
     if dtype is np.int64:
-        segments = WindowSegments(windows)
-        assert segments.integer_sums(np.array(values, dtype=np.int32),
-                                     start).tolist() == brute
+        exact = segments.sums(np.array(values, dtype=np.int32), start)
+        assert exact.dtype == np.int64 and exact.tolist() == brute
 
 
 @pytest.mark.parametrize("dtype", [float, complex, np.int32])
-def test_blocked_window_sums_equal_one_cumsum(dtype):
+def test_long_window_sums_exact_or_near_fsum(dtype):
     rng = np.random.default_rng(3)
-    n = 3 * WINDOW_BLOCK + 1234 + 1                 # an odd tail past block 3
+    block = 1 << 16                                 # windows cross its multiples
+    n = 3 * block + 1234 + 1
     values = rng.standard_normal(n) * 1e3
     if dtype is complex:
         values = values + 1j * rng.standard_normal(n)
     values = values.astype(dtype)
     start = -17
-    edges = [WINDOW_BLOCK * j for j in range(1, 4)]
+    edges = [block * j for j in range(1, 4)]
     windows = [(0, n), (0, 1), (0, edges[0]), (0, edges[0] + 1),
                (edges[0], edges[1] - edges[0]), (edges[0] - 1, 2),
                (edges[1] + 5, n - edges[1] - 5), (edges[2], n - edges[2]),
                (7, edges[2] - 7), (n - 1, 1)]
-    csum = np.cumsum(values)
-    a = np.array([s for s, _ in windows])
-    b = a + np.array([l for _, l in windows])
-    want = csum[b - 1] - np.where(a > 0, csum[a - 1], 0)
-    got = window_sums(values, start, [(s + start, l) for s, l in windows])
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    got = WindowSegments([(s + start, l) for s, l in windows]).sums(values, start)
+    if dtype is np.int32:
+        brute = [int(values[s:s + l].sum(dtype=np.int64)) for s, l in windows]
+        assert got.dtype == np.int64 and got.tolist() == brute
+        return
+    assert got.dtype == values.dtype
+    for (s, l), total in zip(windows, got):
+        part = values[s:s + l]
+        bound = n * 2.0 ** -52 * float(np.sum(np.abs(part)))
+        want = complex(math.fsum(part.real.tolist()), math.fsum(part.imag.tolist()))
+        assert abs(total - want) <= bound
 
 
 @settings(max_examples=60, deadline=None)
