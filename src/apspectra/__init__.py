@@ -1,23 +1,3 @@
 """Almost-periodicity and diffraction laboratory for integer symbolic sequences."""
 
-from .folner import (AdmissibleSeminorm, Character, Converged, EstimatorConfig,
-                     FolnerSchedule, MeanEstimate, Oscillating,
-                     StabilizationReport, Undecided, partial_means,
-                     seminorm_eval, stabilization_check, uniform_mean,
-                     upper_mean)
-from .points import (BernoulliPoint, BlockPoint, CylinderMetric, Observable,
-                     PeriodicPoint, PointGen, StepPoint, SturmianPoint,
-                     SubstitutionPoint, Track, eval_window, metric_d,
-                     observable_track, shift, sup_metric_lb)
-from .almost import (AlmostPeriodScan, ClassificationReport, ScanBudget,
-                     almost_period_scan, averaged_D, averaged_Dn,
-                     classify_point, superlevel_density)
-from .spectral import (DetectedFrequency, FourierBohrGrid, SpectralReport,
-                       detect_frequencies, eigenfunction_sample, fourier_bohr,
-                       fourier_bohr_grid, parseval_defect, spectral_report,
-                       weyl_uniform_fb)
-from .diffraction import (AutocorrEstimate, WeightedComb, autocorrelation,
-                          bombieri_taylor_atom, diffraction_density,
-                          nphi_bridge, pure_point_fraction)
-
 __version__ = "0.1.0"

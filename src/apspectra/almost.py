@@ -56,6 +56,22 @@ class ScanBudget:
         _, length = self.schedule.window(self.resolved_weyl_index())
         return 4 * length
 
+    def ranges(self, kinds=KINDS) -> tuple[tuple[int, int], dict]:
+        """The run [lo, hi) of coordinates an orbit profile of ``kinds``
+        reads, and the [lo, hi) each of those kinds reads in it."""
+        ranges = {}
+        if "mean" in kinds:
+            ranges["mean"] = self.schedule.span()
+        if "weyl" in kinds:
+            start, length = self.schedule.window(self.resolved_weyl_index())
+            span = self.resolved_weyl_span()
+            ranges["weyl"] = (start - span, start + span + length)
+        if "bohr" in kinds:
+            ranges["bohr"] = (-self.bohr_horizon, self.bohr_horizon + 1)
+        run = (min([0] + [lo for lo, _ in ranges.values()]),
+               max([1] + [hi for _, hi in ranges.values()]))
+        return run, ranges
+
     def fingerprint(self) -> dict:
         return {
             "schedule": self.schedule.describe(),
@@ -132,62 +148,19 @@ class OrbitProfile:
     budget: ScanBudget
 
 
-def _profile_one(s, c, lo_needed, budget, kinds, segments, prefix):
-    """Mean / weyl / bohr summaries of the cylinder sums s on [lo_needed, ...).
-
-    s holds the int32 sums of ``CylinderSums.counts`` and c their total
-    weight.  The schedule's window sums (cut into ``segments``) and the
-    weyl maximum (in the two int64 rows of ``prefix``, each as long as
-    s) are exact integers, so each summary is one correctly rounded
-    division.
-    """
-    sched = budget.schedule
-    mean_tail_max, converged, weyl, bohr = np.nan, False, np.nan, np.nan
-    if "mean" in kinds:
-        lo, hi = sched.span()
-        seg = s[lo - lo_needed:hi - lo_needed]
-        avgs = segments.sums(seg, lo) / (c * sched.lengths())
-        est = estimate(avgs, int(np.max(seg)) / c, budget.estimator)
-        mean_tail_max = est.tail_max()
-        converged = isinstance(est.verdict, Converged)
-
-    if "weyl" in kinds:
-        n = budget.resolved_weyl_index()
-        span = budget.resolved_weyl_span()
-        start, length = sched.window(n)
-        seg = s[start - span - lo_needed:start + span + length - lo_needed]
-        weyl = max_sliding_sum(seg, length, prefix) / (c * length)
-
-    if "bohr" in kinds:
-        h = budget.bohr_horizon
-        bohr = int(np.max(s[-h - lo_needed:h + 1 - lo_needed])) / c
-    return mean_tail_max, converged, weyl, bohr
-
-
 def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
                   threads: int = 1, kinds=KINDS) -> OrbitProfile:
     """Mean / weyl / bohr distance summaries for each translate t.
 
-    Kinds not requested are skipped and reported as NaN columns.
+    Kinds not requested are skipped and reported as NaN columns.  Each
+    summary divides an exact integer (a window sum, the largest sliding
+    sum or the largest cylinder sum) once, so it is correctly rounded.
     """
     t_values = np.asarray(sorted(int(t) for t in t_values), dtype=np.int64)
-    kinds = tuple(kinds)
     sched = budget.schedule
-    lo_s, hi_s = sched.span()
-    lo_parts, hi_parts = [0], [1]
-    if "mean" in kinds:
-        lo_parts.append(lo_s)
-        hi_parts.append(hi_s)
-    if "weyl" in kinds:
-        n = budget.resolved_weyl_index()
-        span = budget.resolved_weyl_span()
-        w_start, w_len = sched.window(n)
-        lo_parts.append(w_start - span)
-        hi_parts.append(w_start + span + w_len)
-    if "bohr" in kinds:
-        lo_parts.append(-budget.bohr_horizon)
-        hi_parts.append(budget.bohr_horizon + 1)
-    lo_needed, hi_needed = min(lo_parts), max(hi_parts)
+    (lo_needed, hi_needed), ranges = budget.ranges(tuple(kinds))
+    part = {k: slice(lo - lo_needed, hi - lo_needed)
+            for k, (lo, hi) in ranges.items()}
 
     # one codes sample serves every translate: x on the needed range
     # (widened by the metric radius) against x moved by t
@@ -198,6 +171,10 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     a = lo_needed - radius - base
     n = hi_needed - lo_needed + 2 * radius
     segments = WindowSegments(sched.windows)
+    c = CylinderSums.weight(radius)
+    mean_divisor = c * sched.lengths()
+    if "weyl" in part:
+        _, w_len = sched.window(budget.resolved_weyl_index())
 
     def work(block):
         # one workspace per worker, reused for each of its translates
@@ -206,8 +183,19 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
         rows = []
         for t in block:
             np.not_equal(codes[a:a + n], codes[a + t:a + t + n], out=cyl.mask)
-            rows.append(_profile_one(*cyl.counts(radius), lo_needed, budget,
-                                     kinds, segments, prefix))
+            s, _ = cyl.counts(radius)
+            row = [np.nan, False, np.nan, np.nan]
+            if "mean" in part:
+                avgs = segments.sums(s, lo_needed) / mean_divisor
+                est = estimate(avgs, int(np.max(s[part["mean"]])) / c,
+                               budget.estimator)
+                row[:2] = est.tail_max(), isinstance(est.verdict, Converged)
+            if "weyl" in part:
+                row[2] = max_sliding_sum(s[part["weyl"]], w_len,
+                                         prefix) / (c * w_len)
+            if "bohr" in part:
+                row[3] = int(np.max(s[part["bohr"]])) / c
+            rows.append(row)
         return rows
 
     workers = min(threads, len(t_values), os.cpu_count() or 1)

@@ -9,6 +9,7 @@ concurrent runs.  Exit codes: 0 success, 2 config/validation problem
 
 from __future__ import annotations
 
+import argparse
 import fcntl
 import json
 import os
@@ -16,13 +17,12 @@ import sys
 import traceback
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import almost, diffraction, spectral
-from .config import (build_observable, build_point, build_schedule,
-                     build_weights, canonical_json, config_hash, load_config,
-                     validate)
+from .config import (build_budget, build_observable, build_point,
+                     build_schedule, build_weights, canonical_json,
+                     config_hash, load_config, validate)
 from .errors import ApspectraError, ConfigError
 from .folner import EstimatorConfig
 from .points import eval_window, observable_track, shift
@@ -152,19 +152,13 @@ def _csv_doc(header: list[str], rows, expanded: dict, budget: dict | None) -> st
     return "\n".join(lines) + "\n"
 
 
-def _scan_budget(cfg: dict) -> almost.ScanBudget:
-    knobs = ("metric_radius", "weyl_index", "weyl_shift_span", "bohr_horizon")
-    return almost.ScanBudget(build_schedule(cfg["schedule"]),
-                             estimator=EstimatorConfig(**cfg["estimator"]),
-                             **{k: cfg[k] for k in knobs})
-
-
 # ---------------------------------------------------------------------------
 # command handlers: take the validated config, return {filename: text}
 # ---------------------------------------------------------------------------
 
 
 def _cmd_generate(cfg: dict, threads: int) -> dict:
+    """The letters of a point over a range, and an observable's track."""
     point = build_point(cfg["point"])
     obs = None if cfg["observable"] is None else \
         build_observable(cfg["observable"], point)
@@ -184,8 +178,9 @@ def _cmd_generate(cfg: dict, threads: int) -> dict:
 
 
 def _cmd_scan(cfg: dict, threads: int) -> dict:
+    """Almost periods of each requested kind over the translate range."""
     point = build_point(cfg["point"])
-    budget = _scan_budget(cfg)
+    budget = build_budget(cfg)
     kinds = cfg["kinds"]
     lo, hi = cfg["range"]
     profile = almost.orbit_profile(point, range(lo, hi + 1), budget,
@@ -214,13 +209,15 @@ def _cmd_scan(cfg: dict, threads: int) -> dict:
 
 
 def _cmd_classify(cfg: dict, threads: int) -> dict:
+    """Mean, Weyl and Bohr almost-periodicity evidence for a point."""
     report = almost.classify_point(
-        build_point(cfg["point"]), cfg["eps_grid"], _scan_budget(cfg),
+        build_point(cfg["point"]), cfg["eps_grid"], build_budget(cfg),
         tuple(cfg["range"]), cfg["gap_threshold"], threads=threads)
     return {"classify.json": _json_doc({"report": report.describe()}, cfg)}
 
 
 def _cmd_spectrum(cfg: dict, threads: int) -> dict:
+    """Fourier-Bohr grids and the frequencies detected on them."""
     point = build_point(cfg["point"])
     report = spectral.spectral_report(
         build_observable(cfg["observable"], point), point,
@@ -248,6 +245,7 @@ def _detect_thetas(cfg: dict, point, obs) -> list[float]:
 
 
 def _cmd_parseval(cfg: dict, threads: int) -> dict:
+    """The Parseval defect of an observable along the schedule."""
     point = build_point(cfg["point"])
     obs = build_observable(cfg["observable"], point)
     schedule = build_schedule(cfg["schedule"])
@@ -266,6 +264,7 @@ def _cmd_parseval(cfg: dict, threads: int) -> dict:
 
 
 def _cmd_eigen(cfg: dict, threads: int) -> dict:
+    """A Besicovitch eigenfunction sample at one frequency."""
     point = build_point(cfg["point"])
     sample = spectral.eigenfunction_sample(
         build_observable(cfg["observable"], point), cfg["theta"],
@@ -276,6 +275,7 @@ def _cmd_eigen(cfg: dict, threads: int) -> dict:
 
 
 def _cmd_diffract(cfg: dict, threads: int) -> dict:
+    """Autocorrelation, diffraction density and atoms of a comb."""
     point = build_point(cfg["point"])
     schedule = build_schedule(cfg["schedule"])
     estimator = EstimatorConfig(**cfg["estimator"])
@@ -331,47 +331,39 @@ def _run(command: str, config_path: str, out: str, threads: int | None,
         with OutputDir(out) as sink:
             for name, content in sorted(files.items()):
                 sink.write_text(name, content)
-        click.echo(f"{command}: wrote {', '.join(sorted(files))} to {out}")
+        print(f"{command}: wrote {', '.join(sorted(files))} to {out}")
         return 0
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ApspectraError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()
         return 1
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(), help="JSON experiment config")(fn)
-    fn = click.option("--out", default="out", show_default=True,
-                      help="output directory")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="worker threads (falls back to APSPECTRA_THREADS)")(fn)
-    fn = click.option("--seed-override", type=int, default=None,
-                      help="replace the configured generator seed")(fn)
-    return fn
-
-
-@click.group()
-def main():
+def main(args=None, prog_name=None):
     """Almost-periodicity and diffraction laboratory for integer sequences."""
-
-
-def _make_command(name: str):
-    @_common_options
-    def cmd(config_path, out, threads, seed_override):
-        sys.exit(_run(name, config_path, out, threads, seed_override))
-
-    cmd.__name__ = name
-    return main.command(name=name)(cmd)
-
-
-for _name in _HANDLERS:
-    _make_command(_name)
+    # args None reads sys.argv; ends in SystemExit, code 2 on a usage error
+    parser = argparse.ArgumentParser(prog=prog_name or "apspectra",
+                                     description=main.__doc__)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    for name, handler in _HANDLERS.items():
+        cmd = commands.add_parser(name, help=handler.__doc__,
+                                  description=handler.__doc__)
+        cmd.add_argument("--config", required=True, metavar="PATH",
+                         help="JSON experiment config")
+        cmd.add_argument("--out", default="out", metavar="DIR",
+                         help="output directory (default: out)")
+        cmd.add_argument("--threads", type=int, metavar="N",
+                         help="worker threads (falls back to APSPECTRA_THREADS)")
+        cmd.add_argument("--seed-override", type=int, metavar="SEED",
+                         help="replace the configured generator seed")
+    ns = parser.parse_args(args)
+    sys.exit(_run(ns.command, ns.config, ns.out, ns.threads, ns.seed_override))
 
 
 if __name__ == "__main__":

@@ -18,23 +18,24 @@ import hashlib
 import json
 import math
 
-from .almost import KINDS
+from .almost import KINDS, ScanBudget
 from .errors import ConfigError
-from .folner import FolnerSchedule
+from .folner import EstimatorConfig, FolnerSchedule
 from .points import (FIBONACCI_RULES, MAX_RADIUS, PERIOD_DOUBLING_RULES,
                      THUE_MORSE_RULES, BernoulliPoint, BlockPoint, Observable,
                      PeriodicPoint, PointGen, StepPoint, SturmianPoint,
                      SubstitutionPoint)
 
 __all__ = ["COMMANDS", "SAMPLE_BUDGET", "validate", "build_point",
-           "build_observable", "build_schedule", "build_weights",
-           "canonical_json", "config_hash", "load_config"]
+           "build_budget", "build_observable", "build_schedule",
+           "build_weights", "canonical_json", "config_hash", "load_config"]
 
 REQUIRED = object()     # the default of a key that must be given
 
 # The most samples one key may ask for: a schedule span, a range, a grid
-# size, a lag count, a shift span or a horizon.  The largest of the
-# determinism configs, a diffract span of 10^6, is a quarter of it.
+# size, a lag count, a shift span or a horizon, and the most one orbit
+# run of a scan may read.  The largest of the determinism configs, a
+# diffract span of 10^6, is a quarter of it.
 SAMPLE_BUDGET = 2 ** 22
 
 
@@ -365,7 +366,21 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
         starts = [s for s, _ in schedule["windows"]]
         ends = [s + l for s, l in schedule["windows"]]
         _check_budget("schedule.windows", max(ends) - min(starts))
+    kinds = out.get("kinds", ())
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ConfigError(f"kinds[{i}]", f"repeats {kind!r}")
+    if command in ("scan", "classify"):
+        (lo, hi), ranges = build_budget(out).ranges(out.get("kinds", KINDS))
+        if hi - lo > SAMPLE_BUDGET:     # blame the key of the widest range
+            widest = max(ranges, key=lambda k: ranges[k][1] - ranges[k][0])
+            _check_budget(_RUN_KEYS[widest], hi - lo)
     return out
+
+
+# the key that sets the coordinates each kind of scan reads
+_RUN_KEYS = {"mean": "schedule", "weyl": "weyl_shift_span",
+             "bohr": "bohr_horizon"}
 
 
 def _check_budget(path: str, samples: int) -> None:
@@ -400,6 +415,14 @@ def build_point(spec: dict) -> PointGen:
 
 def build_schedule(spec: dict) -> FolnerSchedule:
     return _construct(getattr(FolnerSchedule, spec["kind"]), spec, "schedule")
+
+
+def build_budget(cfg: dict) -> ScanBudget:
+    """The truncations of a validated scan or classify config."""
+    knobs = ("metric_radius", "weyl_index", "weyl_shift_span", "bohr_horizon")
+    return ScanBudget(build_schedule(cfg["schedule"]),
+                      estimator=EstimatorConfig(**cfg["estimator"]),
+                      **{k: cfg[k] for k in knobs})
 
 
 def build_weights(spec: dict, point: PointGen, field: str = "weights") -> dict:

@@ -15,12 +15,10 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from apspectra.almost import (EVIDENCE_AGAINST, EVIDENCE_FOR, ScanBudget,
                               almost_period_scan, averaged_D, classify_point,
                               orbit_profile)
-from apspectra.cli import main as cli_main
 from apspectra.diffraction import (WeightedComb, autocorrelation,
                                    bombieri_taylor_atom, diffraction_density,
                                    nphi_bridge, pure_point_fraction)
@@ -35,6 +33,7 @@ from apspectra.points import (THUE_MORSE_RULES, BernoulliPoint, BlockPoint,
 from apspectra.spectral import (detect_frequencies, eigenfunction_sample,
                                 fourier_bohr, fourier_bohr_grid,
                                 parseval_defect, spectral_report)
+from cli_runner import run_cli
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -549,7 +548,6 @@ DETERMINISM_CONFIGS = [
 
 def test_criterion_8_determinism(tmp_path):
     started = time.perf_counter()
-    runner = CliRunner()
     checks = []
     for i, (command, cfg) in enumerate(DETERMINISM_CONFIGS):
         cfg_path = tmp_path / f"cfg{i}.json"
@@ -557,7 +555,7 @@ def test_criterion_8_determinism(tmp_path):
         outs = []
         for run in ("a", "b"):
             out = tmp_path / f"out{i}{run}"
-            res = runner.invoke(cli_main, [
+            res = run_cli([
                 command, "--config", str(cfg_path), "--out", str(out)])
             assert res.exit_code == 0, f"{command} cfg{i}: {res.output}"
             outs.append(out)

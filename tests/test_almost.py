@@ -347,8 +347,13 @@ def float_profile_row(x, t, b):
              "weyl": not mask[start - span - lo:
                               start + span + length - lo + 2 * r].any(),
              "bohr": not mask[-h - lo:h + 1 - lo + 2 * r].any()}
-    return (est.tail_max(), isinstance(est.verdict, Converged), weyl, bohr,
-            empty)
+    # a tail spread that ties the convergence tolerance (as 21/440 ties
+    # 0.05 * 21/22) is decided by rounding, which only the exact route does
+    # right, so the float route gives no verdict there (None)
+    tol = b.estimator.convergence_tol * (est.sup_samples or 1.0)
+    tied = abs(est.tail_spread - tol) <= 1e-12 * tol
+    converged = None if tied else isinstance(est.verdict, Converged)
+    return est.tail_max(), converged, weyl, bohr, empty
 
 
 @pytest.mark.parametrize("x,schedule", [
@@ -367,7 +372,7 @@ def test_profile_matches_float_route(x, schedule):
     for i, t in enumerate(ts):
         mean, converged, weyl, bohr, empty = float_profile_row(x, t, b)
         assert prof.bohr_value[i] == bohr
-        assert prof.mean_converged[i] == converged
+        assert converged is None or prof.mean_converged[i] == converged
         assert prof.mean_tail_max[i] == pytest.approx(mean, rel=1e-12, abs=0)
         assert prof.weyl_value[i] == pytest.approx(weyl, rel=1e-12, abs=0)
         for kind, value in zip(almost.KINDS, (prof.mean_tail_max[i],
@@ -419,7 +424,7 @@ def test_profile_buffers_match_float_route(x, budgets, kinds, threads, first,
                 assert column[i] == pytest.approx(want[kind], rel=1e-12, abs=0)
                 assert (column[i] == 0.0) == empty[kind]
             if "mean" in kinds:
-                assert prof.mean_converged[i] == converged
+                assert converged is None or prof.mean_converged[i] == converged
 
 
 FAULT_PROBE = """

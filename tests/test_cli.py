@@ -10,17 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+from apspectra import config
 from apspectra.cli import _fmt, _grid_lines, main
 from apspectra.diffraction import WeightedComb
+from apspectra.errors import ConfigError
 from apspectra.points import BernoulliPoint, Observable
 from apspectra.spectral import FourierBohrGrid, fourier_bohr_grid
-
-
-def run_cli(args, env=None):
-    runner = CliRunner()
-    return runner.invoke(main, args, env=env, catch_exceptions=False)
+from cli_runner import run_cli
 
 
 def write_config(path, cfg):
@@ -222,6 +219,31 @@ def test_module_entry_point_lists_commands():
     for name in ("generate", "scan", "classify", "spectrum", "parseval",
                  "eigen", "diffract"):
         assert re.search(rf"^\s+{name}\b", res.stdout, re.M), name
+
+
+@pytest.mark.parametrize("args", [
+    [],                                             # no command
+    ["sweep", "--config", "c.json"],                # unknown command
+    ["generate"],                                   # no --config
+    ["generate", "--config", "c.json", "--threads", "two"],
+    ["generate", "--config", "c.json", "--seed-override", "1.5"],
+])
+def test_usage_errors_exit_two_without_traceback(args):
+    res = run_cli(args)
+    assert res.exit_code == 2
+    assert "usage: " in res.output
+    assert "Traceback" not in res.output
+
+
+def test_main_raises_system_exit_with_the_command_code(tmp_path, capsys):
+    good = write_config(tmp_path / "g.json", {"point": "step", "range": [0, 5]})
+    bad = write_config(tmp_path / "b.json", {"point": "step", "range": [5, 0]})
+    for cfg, code in ((good, 0), (bad, 2)):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args=["generate", "--config", cfg, "--out",
+                       str(tmp_path / "o")], prog_name="apspectra")
+        assert exit_info.value.code == code
+    assert "config error: range: " in capsys.readouterr().err
 
 
 def test_spectrum_fibonacci_contains_golden_thetas(tmp_path):
@@ -460,12 +482,30 @@ SMALL_AB = {"point": "periodic:AB",
                   "observable": {"kind": "table", "window": [0, -10 ** 9],
                                  "table": {"AA": 1, "AB": 0, "BA": 0,
                                            "BB": 0}}}, "observable.window[1]"),
+    # a kind scanned twice would write its period column twice
+    ("scan", {**SMALL_AB, "kinds": ["mean", "mean"]}, "kinds[1]"),
+    # an orbit run stays in the budget: the default weyl span is four
+    # times the weyl window, so this run is nine times 2^22 samples, and
+    # this bohr run 2^23 + 1
+    ("classify", {**SMALL_AB, "schedule": {"kind": "intervals",
+                                           "base": 2 ** 19, "n_max": 8}},
+     "weyl_shift_span"),
+    ("classify", {**SMALL_AB, "bohr_horizon": 2 ** 22}, "bohr_horizon"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
     res = run_cli([command, "--config", path, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert field in res.output
+
+
+def test_orbit_run_budget_counts_only_the_requested_kinds():
+    # validation only: these runs are too long to generate in a test
+    wide = {**SMALL_AB, "schedule": {"kind": "intervals", "base": 2 ** 19,
+                                     "n_max": 8}}
+    config.validate("scan", {**wide, "kinds": ["mean"]})
+    with pytest.raises(ConfigError, match="^weyl_shift_span: "):
+        config.validate("scan", {**wide, "kinds": ["mean", "weyl"]})
 
 
 def test_missing_eigen_theta_exit_two(tmp_path):

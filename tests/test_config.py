@@ -7,12 +7,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apspectra import config
-from apspectra.cli import main
+from cli_runner import run_cli as invoke
 from test_acceptance import DETERMINISM_CONFIGS
 
 
@@ -20,9 +19,8 @@ def run_cli(command, cfg, directory):
     Path(directory).mkdir(parents=True, exist_ok=True)
     path = Path(directory) / "c.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    return CliRunner().invoke(main, [command, "--config", str(path), "--out",
-                                     str(Path(directory) / "o")],
-                              catch_exceptions=False)
+    return invoke([command, "--config", str(path), "--out",
+                   str(Path(directory) / "o")])
 
 
 def field_name(path) -> str:

@@ -1,8 +1,14 @@
 """Every name a module exports in ``__all__`` exists, so a stale entry
-fails here instead of breaking ``from apspectra.<module> import *``."""
+fails here instead of breaking ``from apspectra.<module> import *``; the
+package root imports no submodule, and the command line needs nothing but
+the standard library and numpy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import apspectra
 
@@ -17,3 +23,20 @@ def test_every_exported_name_resolves():
         stale += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                   if not hasattr(module, export)]
     assert not stale
+
+
+def test_imports_stay_lazy_and_need_only_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import apspectra\n"
+             "print(sorted(m for m in sys.modules if m.startswith('apspectra.')))\n"
+             "import apspectra.cli\n"
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+             "print(sorted(new - set(sys.stdlib_module_names)))\n")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n")[:2] == ["[]", "['apspectra', 'numpy']"]
