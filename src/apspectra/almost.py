@@ -9,6 +9,7 @@ classifier only ever reports finite-scale evidence, never theorems.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyShiftRange
-from .folner import (Converged, EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     WindowSegments, as_dense, estimate, max_sliding_sum,
-                     partial_means, uniform_mean, upper_mean)
+from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate,
+                     WindowSegments, as_dense, max_sliding_sum, partial_means,
+                     uniform_mean, upper_mean)
 from .points import CylinderSums, PointGen, Track, mismatch_track, shift
 
 __all__ = [
@@ -171,8 +172,15 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     a = lo_needed - radius - base
     n = hi_needed - lo_needed + 2 * radius
     segments = WindowSegments(sched.windows)
-    c = CylinderSums.weight(radius)
-    mean_divisor = c * sched.lengths()
+    if "mean" in part:
+        # the verdict puts the tail partials over their common length m
+        # and compares integers, so a spread that ties the tolerance (at
+        # its exact binary value) is decided exactly, not by rounding
+        k = min(budget.estimator.tail, len(sched))
+        tail_lengths = sched.lengths()[-k:]
+        m = math.lcm(*tail_lengths.tolist())
+        scales = [m // n for n in tail_lengths.tolist()]
+        tol_num, tol_den = budget.estimator.convergence_tol.as_integer_ratio()
     if "weyl" in part:
         _, w_len = sched.window(budget.resolved_weyl_index())
 
@@ -183,13 +191,15 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
         rows = []
         for t in block:
             np.not_equal(codes[a:a + n], codes[a + t:a + t + n], out=cyl.mask)
-            s, _ = cyl.counts(radius)
+            s, c = cyl.counts(radius)
             row = [np.nan, False, np.nan, np.nan]
             if "mean" in part:
-                avgs = segments.sums(s, lo_needed) / mean_divisor
-                est = estimate(avgs, int(np.max(s[part["mean"]])) / c,
-                               budget.estimator)
-                row[:2] = est.tail_max(), isinstance(est.verdict, Converged)
+                sums = segments.sums(s, lo_needed)[-k:]
+                q = [p * f for p, f in zip(sums.tolist(), scales)]
+                top = int(np.max(s[part["mean"]]))
+                row[0] = float(np.max(sums / (c * tail_lengths)))
+                row[1] = (top == 0 or (max(q) - min(q)) * tol_den
+                          < tol_num * top * m)
             if "weyl" in part:
                 row[2] = max_sliding_sum(s[part["weyl"]], w_len,
                                          prefix) / (c * w_len)

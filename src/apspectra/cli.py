@@ -348,12 +348,14 @@ def main(args=None, prog_name=None):
     """Almost-periodicity and diffraction laboratory for integer sequences."""
     # args None reads sys.argv; ends in SystemExit, code 2 on a usage error
     parser = argparse.ArgumentParser(prog=prog_name or "apspectra",
-                                     description=main.__doc__)
+                                     description=main.__doc__,
+                                     allow_abbrev=False)
     commands = parser.add_subparsers(dest="command", required=True,
                                      metavar="COMMAND")
     for name, handler in _HANDLERS.items():
         cmd = commands.add_parser(name, help=handler.__doc__,
-                                  description=handler.__doc__)
+                                  description=handler.__doc__,
+                                  allow_abbrev=False)
         cmd.add_argument("--config", required=True, metavar="PATH",
                          help="JSON experiment config")
         cmd.add_argument("--out", default="out", metavar="DIR",

@@ -532,11 +532,6 @@ class CylinderSums:
         self.mask = np.empty(n, dtype=bool)
         self.rows = np.empty((3, n), dtype=np.int32)
 
-    @staticmethod
-    def weight(radius: int) -> int:
-        """C = 3 * 2^radius - 2, the total weight of a cylinder sum."""
-        return 3 * 2 ** radius - 2
-
     def counts(self, radius: int) -> tuple[np.ndarray, int]:
         """Integer cylinder sums of ``mask`` along its run of coordinates.
 
@@ -552,7 +547,7 @@ class CylinderSums:
         left = _geometric_sums(g[:n + radius - 1], radius, True, a, b)
         right = _geometric_sums(g[radius:], radius + 1, False, b, c)
         return (np.add(right, left, out=c[:n], dtype=np.int32),
-                self.weight(radius))
+                3 * 2 ** radius - 2)
 
 
 def smeared_counts(mask: np.ndarray, radius: int) -> tuple[np.ndarray, int]:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -347,13 +348,47 @@ def float_profile_row(x, t, b):
              "weyl": not mask[start - span - lo:
                               start + span + length - lo + 2 * r].any(),
              "bohr": not mask[-h - lo:h + 1 - lo + 2 * r].any()}
-    # a tail spread that ties the convergence tolerance (as 21/440 ties
-    # 0.05 * 21/22) is decided by rounding, which only the exact route does
-    # right, so the float route gives no verdict there (None)
-    tol = b.estimator.convergence_tol * (est.sup_samples or 1.0)
-    tied = abs(est.tail_spread - tol) <= 1e-12 * tol
-    converged = None if tied else isinstance(est.verdict, Converged)
+    # the verdict in rationals, so a tail spread that ties the tolerance
+    # (as 21/440 ties 0.05 * 21/22) is decided exactly, the tolerance at
+    # its binary value
+    spread, sup = exact_mean_spread(x, t, b)
+    converged = (sup == 0
+                 or spread < Fraction(b.estimator.convergence_tol) * sup)
     return est.tail_max(), converged, weyl, bohr, empty
+
+
+def exact_mean_spread(x, t, b):
+    """The spread of the tail mean partials and the sup of the distances
+    they average, as rationals from integer cylinder sums."""
+    r = b.metric_radius
+    lo, hi = b.schedule.span()
+    mask = x.codes(lo - r, hi + r) != x.codes(lo - r + t, hi + r + t)
+    weights = [2 ** (r - abs(k)) for k in range(-r, r + 1)]
+    sums = np.convolve(mask.astype(np.int64), weights, "valid")
+    c = 3 * 2 ** r - 2
+    partials = [Fraction(int(sums[a - lo:a - lo + n].sum()), c * n)
+                for a, n in b.schedule.windows]
+    tail = partials[-min(b.estimator.tail, len(partials)):]
+    return max(tail) - min(tail), Fraction(int(sums.max()), c)
+
+
+@pytest.mark.parametrize("tol,base,n_max,radius,ts,want", [
+    # spread == tol * sup fails the strict test spread < tol * sup
+    (0.0625, 10, 2, 1, (-7, -1), False),
+    # the binary 0.05 lies just above 1/20, so spread == sup / 20 passes
+    (0.05, 20, 4, 2, (-7, -6), True),
+], ids=["sixteenth", "twentieth"])
+def test_profile_verdict_decides_ties_exactly(tol, base, n_max, radius, ts,
+                                              want):
+    x = SubstitutionPoint(THUE_MORSE_RULES)
+    b = ScanBudget(intervals(base, n_max), metric_radius=radius,
+                   bohr_horizon=0,
+                   estimator=EstimatorConfig(convergence_tol=tol))
+    for t in ts:
+        spread, sup = exact_mean_spread(x, t, b)
+        assert sup > 0 and spread == Fraction(repr(tol)) * sup
+    prof = orbit_profile(x, ts, b, kinds=("mean",))
+    assert prof.mean_converged.tolist() == [want] * len(ts)
 
 
 @pytest.mark.parametrize("x,schedule", [
@@ -372,7 +407,7 @@ def test_profile_matches_float_route(x, schedule):
     for i, t in enumerate(ts):
         mean, converged, weyl, bohr, empty = float_profile_row(x, t, b)
         assert prof.bohr_value[i] == bohr
-        assert converged is None or prof.mean_converged[i] == converged
+        assert prof.mean_converged[i] == converged
         assert prof.mean_tail_max[i] == pytest.approx(mean, rel=1e-12, abs=0)
         assert prof.weyl_value[i] == pytest.approx(weyl, rel=1e-12, abs=0)
         for kind, value in zip(almost.KINDS, (prof.mean_tail_max[i],
@@ -424,7 +459,7 @@ def test_profile_buffers_match_float_route(x, budgets, kinds, threads, first,
                 assert column[i] == pytest.approx(want[kind], rel=1e-12, abs=0)
                 assert (column[i] == 0.0) == empty[kind]
             if "mean" in kinds:
-                assert converged is None or prof.mean_converged[i] == converged
+                assert prof.mean_converged[i] == converged
 
 
 FAULT_PROBE = """

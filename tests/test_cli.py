@@ -227,6 +227,8 @@ def test_module_entry_point_lists_commands():
     ["generate"],                                   # no --config
     ["generate", "--config", "c.json", "--threads", "two"],
     ["generate", "--config", "c.json", "--seed-override", "1.5"],
+    ["generate", "--conf", "c.json"],               # abbreviated option
+    ["generate", "--config", "c.json", "--seed", "5"],
 ])
 def test_usage_errors_exit_two_without_traceback(args):
     res = run_cli(args)
