@@ -312,7 +312,7 @@ COMMANDS = {
     "generate": Block({**_POINT, "range": List(COORD, [0, 99], 2, 2),
                        "observable": OBSERVABLE.with_default(None)}),
     "scan": Block({**_SCAN, "epsilon": Num(0.1, positive=True),
-                   "kinds": List(Str(choices=KINDS), list(KINDS))}),
+                   "kinds": List(Str(choices=KINDS), list(KINDS), least=1)}),
     "classify": Block({
         **_SCAN,
         "eps_grid": List(Num(positive=True), [0.01, 0.05, 0.1, 0.2], least=1),
@@ -349,8 +349,7 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
     if seed_override is not None and out["point"]["kind"] == "bernoulli":
         out["point"]["seed"] = out["seed"]
     if out.get("weyl_index") is not None:
-        schedule = out["schedule"]
-        n = len(schedule.get("windows", ())) or schedule["n_max"]
+        n = _stages(out["schedule"])
         if out["weyl_index"] > n:
             raise ConfigError("weyl_index", f"must lie in 1..{n}")
     if out.get("grid_size") is not None and out["grid_size"] < 2 * out["k_max"]:
@@ -366,6 +365,8 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
         starts = [s for s, _ in schedule["windows"]]
         ends = [s + l for s, l in schedule["windows"]]
         _check_budget("schedule.windows", max(ends) - min(starts))
+    if command == "diffract":       # the lag table: one row per window
+        _check_budget("k_max", _stages(schedule) * (out["k_max"] + 1))
     kinds = out.get("kinds", ())
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
@@ -376,6 +377,11 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
             widest = max(ranges, key=lambda k: ranges[k][1] - ranges[k][0])
             _check_budget(_RUN_KEYS[widest], hi - lo)
     return out
+
+
+def _stages(schedule: dict) -> int:
+    """The number of windows of a validated schedule."""
+    return len(schedule.get("windows", ())) or schedule["n_max"]
 
 
 # the key that sets the coordinates each kind of scan reads

@@ -161,11 +161,6 @@ def _circ_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def _amp_at(track: np.ndarray, theta: float) -> complex:
-    t = np.arange(len(track), dtype=float)
-    return complex(np.mean(track * np.exp(-2j * np.pi * theta * t)))
-
-
 def _peak_offset(amps: np.ndarray, j: int) -> float:
     """Jacobsen's three-bin estimate of the peak's offset from bin j, in bins."""
     left, mid, right = amps[j - 1], amps[j], amps[(j + 1) % len(amps)]
@@ -174,31 +169,69 @@ def _peak_offset(amps: np.ndarray, j: int) -> float:
     return min(max(offset, -1.0), 1.0)
 
 
-def _slopes(track: np.ndarray, powers: np.ndarray,
-            theta: float) -> tuple[float, float]:
+def _e_neg(theta: float, x) -> np.ndarray:
+    """e(-theta x) at half-integers x, |x| < 2^28, with theta x reduced
+    modulo 1 first: theta's leading 24 bits times x is exact in float64,
+    so the phase is good to a few ulp of one turn, however large x."""
+    lead = float(np.float32(theta))
+    return np.exp(-2j * np.pi * (np.fmod(lead * x, 1.0) + (theta - lead) * x))
+
+
+class _Moments:
+    """The centred moments sum_t s^k track[t] e(-theta s), k = 0, 1, 2, where
+    s = t - (n - 1)/2, from two short exponential tables per theta.
+
+    With t = q a + b and q near sqrt(n), e(-theta s) is the outer product
+    of e(-theta b) over the q columns and e(-theta (q a - (n - 1)/2)) over
+    the r = ceil(n / q) rows of the zero-padded track, so each theta
+    costs q + r exponentials and one product with the (3 r, q) matrix of
+    track, s * track and s^2 * track.
+    """
+
+    def __init__(self, track: np.ndarray):
+        n = len(track)
+        q = 1 << (n.bit_length() // 2)
+        r = -(-n // q)
+        s = np.arange(r * q) - 0.5 * (n - 1)
+        weights = np.zeros((3, r * q), dtype=complex)
+        weights[0, :n] = track
+        np.multiply(weights[0], s, out=weights[1])
+        np.multiply(weights[0], s * s, out=weights[2])
+        self.n = n
+        self.weights = weights.reshape(3 * r, q)
+        self.cols = np.arange(q, dtype=float)
+        self.rows = s[::q]
+
+    def __call__(self, theta: float) -> np.ndarray:
+        return ((self.weights @ _e_neg(theta, self.cols)).reshape(3, -1)
+                @ _e_neg(theta, self.rows))
+
+    def amplitude(self, theta: float) -> complex:
+        """(1/n) sum_t track[t] e(-theta t), the 0th moment uncentred."""
+        return complex(self(theta)[0] * _e_neg(theta, 0.5 * (self.n - 1)) / self.n)
+
+
+def _slopes(moments: _Moments, theta: float) -> tuple[float, float]:
     """|A|^2' and |A|^2'' at theta up to one positive factor, where
-    A = sum track * e(-theta s) and ``powers`` holds 1, s, s^2 of the
-    centred times s."""
-    g = np.exp((-2j * np.pi * theta) * powers[1])
-    g *= track
-    a, b, c = powers @ g.view(np.float64).reshape(-1, 2) @ (1.0, 1j)
+    A = sum track * e(-theta s) over the centred times s."""
+    a, b, c = moments(theta)
     return ((a.conjugate() * b).imag,
             2.0 * np.pi * (abs(b) ** 2 - (a.conjugate() * c).real))
 
 
-def _newton_refine(track: np.ndarray, powers: np.ndarray, theta: float,
+def _newton_refine(moments: _Moments, theta: float,
                    lo: float, hi: float, steps: int) -> float:
     """Safeguarded Newton ascent of |A|^2 on [lo, hi], at most ``steps`` iterates.
 
     The bracket shrinks to the side the slope points to.  A step that
     leaves it is clamped to an edge of [lo, hi], else bisects, as does a
     step where |A|^2 is not concave; an edge the slope points out of
-    collapses the bracket there.
+    collapses the bracket there.  A bracket of one point returns it.
     """
     tol = 0.5e-6 * (hi - lo)
     a, b = lo, hi
     for _ in range(steps):
-        d1, d2 = _slopes(track, powers, theta)
+        d1, d2 = _slopes(moments, theta)
         if d1 > 0:
             a = theta
         else:
@@ -209,7 +242,7 @@ def _newton_refine(track: np.ndarray, powers: np.ndarray, theta: float,
         elif new > b:
             new = b if b == hi else 0.5 * (a + b)
         step, theta = new - theta, new
-        if abs(step) < tol:
+        if abs(step) <= tol:
             break
     return theta
 
@@ -226,6 +259,21 @@ def _persists(grid: FourierBohrGrid, theta0: float, thr: float) -> bool:
     return best >= thr
 
 
+def _exact(grids: list[FourierBohrGrid], j: int, tol: float) -> bool:
+    """Does every shorter stage hold bin j / n of the largest grid as a grid
+    point with the same coefficient, within ``tol``?  So it does when a
+    period of the track divides every stage: j / n is then the line's
+    frequency, while the maximum of |A|^2 over the window sits off it by
+    the other lines' leakage, O(1 / n^2)."""
+    base = grids[-1]
+    n = base.n
+    shorter = [g for g in grids if g.n < n]
+    return bool(shorter) and all(
+        j * g.n % n == 0
+        and abs(g.amplitudes[j * g.n // n] - base.amplitudes[j]) <= tol
+        for g in shorter)
+
+
 def detect_frequencies(grids: list[FourierBohrGrid],
                        threshold: float | None = None,
                        refine_steps: int = 48,
@@ -236,12 +284,21 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     at or above the threshold (default 0.02 times the sup of the
     track).  It must be visible within one grid cell on every smaller
     stage, which suppresses leakage spikes that do not persist across
-    window lengths.  Only the strongest ``max_candidates`` are refined.
-    Each survivor starts from the three-bin interpolation of its peak
-    (Jacobsen) and is polished by a safeguarded Newton ascent of
-    |A(theta)|^2 inside a bracket of one grid cell on each side;
-    ``refine_steps`` caps the Newton iterates.  The returned list is
-    sorted by amplitude, largest first.
+    window lengths.  Each survivor starts from the three-bin
+    interpolation of its peak (Jacobsen) and is polished by a
+    safeguarded Newton ascent of |A(theta)|^2 inside a bracket of one
+    grid cell on each side; ``refine_steps`` caps the Newton iterates,
+    each of which costs two short exponential tables (``_Moments``).
+    A line that every shorter stage sees at the same grid point with
+    the same coefficient (``_exact``: a period divides every stage)
+    keeps its grid frequency, its bracket shrunk to that point.
+
+    A real track has |A(theta)| = |A(1 - theta)| and A(1 - theta) the
+    conjugate of A(theta), so only peaks in [0, 1/2] are refined and each
+    one off 0 and 1/2 brings its mirror along, taking two of the
+    ``max_candidates`` slots for the strongest peaks refined.  The
+    returned list is sorted by amplitude, largest first; of two equal
+    amplitudes, as a mirrored pair has, the larger theta comes first.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grid stages")
@@ -254,27 +311,38 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     thr = max(thr, 1e-12 * sup)
     amps = np.abs(base.amplitudes)
     n = base.n
+    real = not base.track.imag.any()
     is_peak = (amps >= thr) & (amps >= np.roll(amps, 1)) & (amps >= np.roll(amps, -1))
-    candidates = np.nonzero(is_peak)[0]
-    candidates = sorted(candidates, key=lambda j: -amps[j])[:max_candidates]
+    if real:
+        is_peak[n // 2 + 1:] = False
+    candidates, slots = [], 0
+    for j in sorted(np.nonzero(is_peak)[0], key=lambda j: -amps[j]):
+        slots += 2 if real and 0 < 2 * j < n else 1
+        if slots > max_candidates:
+            break
+        candidates.append(j)
 
-    s = np.arange(n) - 0.5 * (n - 1)
-    powers = np.stack([np.ones(n), s, s * s])
+    moments = _Moments(base.track)
     found: list[DetectedFrequency] = []
     for j in candidates:
         theta0 = j / n
         if not all(_persists(g, theta0, thr) for g in grids[:-1]):
             continue
-        start = theta0 + _peak_offset(base.amplitudes, j) / n
-        theta = float(_newton_refine(base.track, powers, start,
-                                     theta0 - 1.0 / n, theta0 + 1.0 / n,
-                                     refine_steps)) % 1.0
+        if _exact(grids, j, 1e-12 * sup):
+            start, half = theta0, 0.0
+        else:
+            start, half = theta0 + _peak_offset(base.amplitudes, j) / n, 1.0 / n
+        theta = float(_newton_refine(moments, start, theta0 - half,
+                                     theta0 + half, refine_steps)) % 1.0
         if theta == 1.0:       # a tiny negative theta rounds up to 1.0
             theta = 0.0
-        amp = _amp_at(base.track, theta)
+        amp = moments.amplitude(theta)
         found.append(DetectedFrequency(theta0, theta, amp, float(amps[j])))
+        if real and 0 < 2 * j < n:
+            found.append(DetectedFrequency((n - j) / n, (1.0 - theta) % 1.0,
+                                           amp.conjugate(), float(amps[j])))
 
-    found.sort(key=lambda fr: -abs(fr.amplitude))
+    found.sort(key=lambda fr: (-abs(fr.amplitude), -fr.theta))
     kept: list[DetectedFrequency] = []
     for fr in found:
         if all(_circ_dist(fr.theta, other.theta) >= 1.0 / n for other in kept):

@@ -493,6 +493,13 @@ SMALL_AB = {"point": "periodic:AB",
                                            "base": 2 ** 19, "n_max": 8}},
      "weyl_shift_span"),
     ("classify", {**SMALL_AB, "bohr_horizon": 2 ** 22}, "bohr_horizon"),
+    # a scan of no kinds would write a scan.csv of its t column alone
+    ("scan", {**SMALL_AB, "kinds": []}, "kinds"),
+    # the diffract lag table has a row per window and k_max + 1 columns;
+    # validation rejects it before any sample is read
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0}, "k_max": 10 ** 6,
+                  "schedule": {"kind": "intervals", "base": 1, "n_max": 10},
+                  "atom_thetas": [0.0]}, "k_max"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)

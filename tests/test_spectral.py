@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apspectra import spectral
@@ -311,11 +311,150 @@ def test_newton_stops_at_bracket_edge(side):
     track = np.exp(2j * np.pi * theta * np.arange(n))
     near, far = theta + side * 0.25 / n, theta + side * 0.75 / n
     lo, hi = min(near, far), max(near, far)
-    s = np.arange(n) - 0.5 * (n - 1)
-    powers = np.stack([np.ones(n), s, s * s])
-    got = spectral._newton_refine(track, powers, 0.5 * (lo + hi), lo, hi, 48)
+    got = spectral._newton_refine(spectral._Moments(track), 0.5 * (lo + hi),
+                                  lo, hi, 48)
     assert got == near
     assert abs(golden_max(track, lo, hi) - near) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the moment kernel against a long double evaluation
+# ---------------------------------------------------------------------------
+
+
+def moments_ld(track, theta):
+    """sum_t s^k track[t] e(-theta s), k = 0, 1, 2, in np.clongdouble."""
+    n = len(track)
+    s = np.arange(n, dtype=np.longdouble) - np.longdouble(n - 1) / 2
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    terms = track.astype(np.clongdouble) * np.exp(
+        (-two_pi * np.longdouble(theta) * s) * np.clongdouble(1j))
+    return [complex(np.sum(terms * s ** k)) for k in range(3)], s
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs an extended-precision long double")
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 5000), theta=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2 ** 32 - 1), complex_track=st.booleans())
+@example(n=2, theta=0.5, seed=0, complex_track=False)
+@example(n=4097, theta=0.9999999, seed=1, complex_track=True)
+@example(n=5000, theta=0.3819660112501051, seed=2, complex_track=False)
+def test_moment_kernel_matches_long_double(n, theta, seed, complex_track):
+    rng = np.random.default_rng(seed)
+    track = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_track
+                                  else 0.0)
+    kernel = spectral._Moments(track)
+    q, r = len(kernel.cols), len(kernel.rows)
+    assert q * r >= n and q * (r - 1) < n        # pads less than one row
+    got = kernel(theta)
+    want, s = moments_ld(track, theta)
+    # Error of one term relative to |s^k track[t]|: each of its two table
+    # entries has its turn theta x reduced modulo 1 to within 3 ulp of a
+    # turn, so 2 pi times it and exp are off by at most 8 pi ulp; the
+    # weight s^k track[t] and the two complex products add 7 ulp.  The
+    # sums run over q columns, then r rows.  The long double reference
+    # rounds its phase 2 pi theta s, |s| <= n / 2, and its n-term sum in
+    # ulp of 2^-64, together below n / 256 ulp of float64.
+    ulps = q + r + 16 * np.pi + 7 + n / 256
+    eps = np.finfo(float).eps / 2
+    for k in range(3):
+        scale = float(np.sum(np.abs(track) * np.abs(s.astype(float)) ** k))
+        assert abs(got[k] - want[k]) <= ulps * eps * scale
+    amplitude = complex(np.mean(track * np.exp(-2j * np.pi * theta
+                                               * np.arange(n))))
+    assert abs(kernel.amplitude(theta) - amplitude) <= (
+        (ulps + np.pi * n) * eps * np.mean(np.abs(track)))
+
+
+# ---------------------------------------------------------------------------
+# real tracks: mirrored pairs and the tie rule
+# ---------------------------------------------------------------------------
+
+
+def real_tracks():
+    tm = SubstitutionPoint(THUE_MORSE_RULES, ("0", "0"))
+    yield observable_track(Observable.letter_values({"0": 1.0, "1": -1.0}),
+                           tm, 0, 8191), (2048, 4096, 8192)
+    x = SturmianPoint(GOLDEN, 0.1)
+    yield observable_track(Observable.indicator("0", x.alphabet), x,
+                           0, 4095), (1024, 4096)
+    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=3000)
+    yield Track(0, signs), (1500, 3000)
+
+
+@pytest.mark.parametrize("track,sizes", list(real_tracks()),
+                         ids=["thue-morse", "sturmian", "random-signs"])
+def test_real_track_frequencies_come_in_mirrored_pairs(track, sizes):
+    n = sizes[-1]
+    freqs = detect_frequencies(fourier_bohr_grids(track, sizes),
+                               threshold=0.01)
+    assert len(freqs) > 4
+    by_bin = {round(fr.theta_grid * n): fr for fr in freqs}
+    assert len(by_bin) == len(freqs)
+    for j, fr in by_bin.items():
+        if 2 * j % n == 0:           # bins 0 and n/2 have no mirror
+            continue
+        refined, mirror = (fr, by_bin[n - j]) if 2 * j < n else (by_bin[n - j], fr)
+        assert mirror.theta == (1.0 - refined.theta) % 1.0
+        assert mirror.amplitude == refined.amplitude.conjugate()
+        assert abs(mirror.amplitude) == abs(refined.amplitude)
+    # exact ties rank the larger theta first
+    for a, b in zip(freqs, freqs[1:]):
+        assert abs(a.amplitude) > abs(b.amplitude) or a.theta > b.theta
+
+
+def test_odd_frequency_cut_keeps_larger_theta_of_tied_pair():
+    # the Thue-Morse spectrum at cfg 8's proportions: its 9th and 10th
+    # frequencies are a mirrored pair, so a cut at 9 splits it
+    tm = SubstitutionPoint(THUE_MORSE_RULES, ("0", "0"))
+    f = Observable.letter_values({"0": 1.0, "1": -1.0})
+    rep = spectral_report(f, tm, intervals(base=800, n_max=10),
+                          [2 ** 11, 2 ** 12, 2 ** 13], max_frequencies=9)
+    thetas = [fr.theta for fr in rep.frequencies]
+    assert len(thetas) == 9
+    assert thetas[-1] == 0.6458515243290301
+    assert all(circ(t, 0.3541484756709699) > 1e-3 for t in thetas)
+    assert sorted(round(t, 4) for t in thetas) == [
+        0.3334, 0.3336, 0.3346, 0.4166, 0.5834, 0.6459, 0.6654, 0.6664,
+        0.6666]
+
+
+# ---------------------------------------------------------------------------
+# closed forms: periodic patterns on grids of whole periods
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       complex_pattern=st.booleans(), m=st.integers(2, 60),
+       stages=st.integers(2, 3))
+def test_periodic_pattern_detected_at_its_closed_forms(p, seed,
+                                                       complex_pattern, m,
+                                                       stages):
+    rng = np.random.default_rng(seed)
+    pattern = rng.uniform(-1, 1, p) + (1j * rng.uniform(-1, 1, p)
+                                       if complex_pattern else 0.0)
+    sizes = [m * p * 2 ** i for i in range(stages)]
+    track = Track(0, np.tile(pattern, sizes[-1] // p))
+    grids = fourier_bohr_grids(track, sizes)
+    coeffs = np.fft.fft(pattern) / p         # a_{j/p}
+    sup = float(np.max(np.abs(pattern)))
+    for g in grids:
+        assert np.max(np.abs(g.amplitudes[::g.n // p] - coeffs)) <= 1e-12 * sup
+    freqs = detect_frequencies(grids)
+    # a coefficient within this margin of the default threshold 0.02 sup
+    # may land on either side of it: the decision there is rounding
+    margin = 1e-9 * sup
+    thr = 0.02 * sup
+    for fr in freqs:
+        j = round(fr.theta * p) % p
+        assert circ(fr.theta, j / p) <= 1e-9
+        assert abs(fr.amplitude - coeffs[j]) <= 1e-12 * sup
+        assert abs(coeffs[j]) >= thr - margin
+    found = {round(fr.theta * p) % p for fr in freqs}
+    assert len(found) == len(freqs)
+    assert {j for j in range(p) if abs(coeffs[j]) >= thr + margin} <= found
 
 
 # ---------------------------------------------------------------------------
