@@ -133,23 +133,64 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# spectrum.csv's body is joined in blocks of at most this many lines, so
+# no list of one string per line is held
+_BLOCK = 8192
+
+
+def _block(thetas: np.ndarray, re: list, im: list, mod: list) -> str:
+    return "".join([f"{t!r},{r},{i},{m}\n"
+                    for t, r, i, m in zip(thetas.tolist(), re, im, mod)])
+
+
 def _grid_lines(grid: spectral.FourierBohrGrid) -> list[str]:
-    """theta,re,im,|c| lines with the digits ``_fmt`` writes; the scalar
-    ``abs`` rounds |c| as numpy scalars do, ``np.abs`` of the array may not."""
-    return [f"{t!r},{a.real!r},{a.imag!r},{abs(a)!r}"
-            for t, a in zip(grid.thetas.tolist(), grid.amplitudes.tolist())]
+    """spectrum.csv's theta,re,im,|c| lines with the digits ``_fmt`` writes,
+    in blocks of at most ``_BLOCK`` lines that each end in a newline.
+
+    The scalar ``abs`` rounds |c| as numpy scalars do; ``np.abs`` of the
+    array may not.  When bin n - j is the conjugate of bin j bit for bit,
+    as a real track's grid is, rows 0 .. n // 2 are formatted and row
+    n - j reuses row j's cells with the sign of ``im`` toggled, which is
+    exact since repr(-x) is "-" + repr(x) for every float but nan.
+    """
+    n = grid.n
+    thetas = grid.thetas
+    amps = np.ascontiguousarray(grid.amplitudes, dtype=complex)
+    half = n // 2 + 1
+    hermitian = (
+        np.array_equal(amps[half:].view(np.uint64),
+                       amps[n - half:0:-1].conj().view(np.uint64))
+        and not np.isnan(amps.imag).any())
+    top = half if hermitian else n
+    blocks, mirrors = [], []
+    for lo in range(0, top, _BLOCK):
+        rows = amps[lo:min(lo + _BLOCK, top)]
+        re = list(map(repr, rows.real.tolist()))
+        im = list(map(repr, rows.imag.tolist()))
+        mod = list(map(repr, map(abs, rows.tolist())))
+        blocks.append(_block(thetas[lo:lo + len(rows)], re, im, mod))
+        # rows n - j for the rows j = lo + i of this block in 1 .. n - half
+        a, b = max(lo, 1) - lo, min(lo + len(rows), n - half + 1) - lo
+        if hermitian and a < b:
+            mirrors.append(_block(
+                thetas[n - lo - b + 1:n - lo - a + 1], re[a:b][::-1],
+                [s[1:] if s[0] == "-" else "-" + s for s in im[a:b][::-1]],
+                mod[a:b][::-1]))
+    return blocks + mirrors[::-1]
 
 
 def _csv_doc(header: list[str], rows, expanded: dict, budget: dict | None) -> str:
-    """A row is a list of cells or an already joined line."""
-    lines = [f"# config_hash={config_hash(expanded)}"]
+    """A row is a list of cells, or a block of formatted lines that each
+    end in a newline."""
+    head = [f"# config_hash={config_hash(expanded)}"]
     if budget is not None:
-        lines.append(f"# budget={canonical_json(budget)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(row if isinstance(row, str) else ",".join(
-            _fmt(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
+        head.append(f"# budget={canonical_json(budget)}")
+    head.append(",".join(header))
+    text = ["\n".join(head) + "\n"]
+    text.extend(row if isinstance(row, str) else ",".join(
+        _fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
+        for row in rows)
+    return "".join(text)
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,12 @@ def fourier_bohr_grid(f: Observable, x: PointGen, n: int,
                       direct_check_limit: int = 4096) -> FourierBohrGrid:
     """Grid transform over the window [0, N); two routes cross-checked.
 
-    The fast route is an FFT; the direct route evaluates the defining
-    sum.  Whenever both are computed (always for the direct method, and
-    for the fast method up to ``direct_check_limit``) the residual of
-    the comparison is recorded and must stay at rounding level.
+    The fast route is an FFT, a real one for a real track, whose grid is
+    then conjugate-symmetric bit for bit; the direct route evaluates the
+    defining sum.  Whenever both are computed (always for the direct
+    method, and for the fast method up to ``direct_check_limit``) the
+    residual of the comparison is recorded and must stay at rounding
+    level.
     """
     if method not in ("fast", "direct"):
         raise ValueError("method must be 'fast' or 'direct'")
@@ -122,7 +124,14 @@ def _grid(values: np.ndarray, method: str = "fast",
     n = len(values)
     if n < 2:
         raise ValueError("grid length must be at least 2")
-    fast = np.fft.fft(values) / n
+    if values.imag.any():
+        fast = np.fft.fft(values) / n
+    else:
+        # a real track: bin n - j is the conjugate of bin j, bit for bit
+        half = np.fft.rfft(values.real) / n
+        fast = np.empty(n, dtype=complex)
+        fast[:len(half)] = half
+        fast[len(half):] = half[(n + 1) // 2 - 1:0:-1].conj()
     residual = None
     if method == "direct" or n <= direct_check_limit:
         direct = _grid_direct(values)

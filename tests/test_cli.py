@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apspectra import config
-from apspectra.cli import _fmt, _grid_lines, main
+from apspectra import config, spectral
+from apspectra.cli import _BLOCK, _fmt, _grid_lines, main
 from apspectra.diffraction import WeightedComb
 from apspectra.errors import ConfigError
 from apspectra.points import BernoulliPoint, Observable
@@ -529,15 +529,35 @@ def test_missing_eigen_theta_exit_two(tmp_path):
 
 
 def test_spectrum_csv_rows_match_cell_formatting():
-    # spectrum.csv formats Python floats from .tolist(); each cell must read
-    # as the per-cell route over numpy scalars wrote it, signed zeros too
+    # spectrum.csv formats Python floats from .tolist(), and a grid whose
+    # bins n - j and j are conjugate bit for bit formats rows 0 .. n // 2
+    # only; each cell must read as the per-cell route over the grid's own
+    # numpy scalars wrote it, signed zeros too
     amps = np.array([0.0, -0.0, complex(-0.0, -0.0), -1.5 + 2j,
                      3e-17 - 0.25j, complex(-2.0, 0.0), 0.1 + 0.2j])
     tiny = FourierBohrGrid(len(amps), amps, "fast", None, amps)
     x = BernoulliPoint(0.5, 3)
-    noisy = fourier_bohr_grid(
+    noisy = fourier_bohr_grid(       # a complex track: the full FFT
         Observable.letter_values({"0": 0.3 - 0.7j, "1": -1.0}), x, 8192)
-    for grid in (tiny, noisy):
-        cells = [",".join(_fmt(v) for v in (t, a.real, a.imag, abs(a)))
-                 for t, a in zip(grid.thetas, grid.amplitudes)]
-        assert _grid_lines(grid) == cells
+    rng = np.random.default_rng(5)
+    mirrored = [spectral._grid(rng.choice([-1.0, 0.0, 2.5], n))
+                for n in (2, 7, 2 * _BLOCK + 3)]
+    # real tracks, hand-built, that must format every row: not Hermitian,
+    # Hermitian but for the sign of one zero (bin 4 should hold -0.0), and
+    # conjugate bit for bit with a nan, where repr(-nan) is "nan"
+    track = np.array([1.0, 0.0, 2.0, 0.0, 0.0])
+    skew = FourierBohrGrid(5, np.array([1, 0.5j, 2, -2, 0.5j]), "fast",
+                           None, track)
+    zero = FourierBohrGrid(5, np.array([1, 0.5, 2 - 1j, 2 + 1j, 0.5]),
+                           "fast", None, track)
+    nans = np.array([1, complex(1, np.nan), 0])
+    nans[2] = np.conj(nans[1])
+    nan = FourierBohrGrid(3, nans, "fast", None, track[:3])
+    for grid in (tiny, noisy, *mirrored, skew, zero, nan):
+        cells = "".join(
+            ",".join(_fmt(v) for v in (t, a.real, a.imag, abs(a))) + "\n"
+            for t, a in zip(grid.thetas, grid.amplitudes))
+        blocks = _grid_lines(grid)
+        assert all(0 < b.count("\n") <= _BLOCK and b.endswith("\n")
+                   for b in blocks)
+        assert "".join(blocks) == cells

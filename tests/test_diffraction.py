@@ -313,6 +313,54 @@ def test_fraction_exceeding_one_raises():
 
 
 # ---------------------------------------------------------------------------
+# closed forms: periodic patterns on windows of whole periods
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def whole_period_windows(draw, p):
+    """Custom windows of whole periods, starting anywhere and longer each time."""
+    s, m = draw(st.integers(-40, 40)), draw(st.integers(1, 6))
+    windows = [(s, m * p)]
+    for _ in range(draw(st.integers(0, 5))):
+        s += draw(st.integers(0, m * p))
+        m += draw(st.integers(1, 6))
+        windows.append((s, m * p))
+    return FolnerSchedule.custom(windows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       complex_weights=st.booleans(), data=st.data())
+def test_periodic_pattern_atoms_at_their_closed_forms(p, seed, complex_weights,
+                                                      data):
+    # a window of whole periods averages w(t) e(-j t / p) to a_{j/p}, the
+    # pattern's DFT over p, so every stage of the atom at j/p is
+    # |a_{j/p}|^2, and by Parseval the atoms at j/p, j = 0 .. p - 1 (the
+    # support and rounding-level atoms besides) carry all of eta(0)
+    schedule = data.draw(whole_period_windows(p))
+    rng = np.random.default_rng(seed)
+    letters = "ABCDEFGHIJKL"[:p]
+    pattern = "".join(rng.choice(list(letters), p))
+    weights = {a: complex(rng.uniform(-1, 1),
+                          rng.uniform(-1, 1) if complex_weights else 0.0)
+               for a in letters}
+    comb = WeightedComb(PeriodicPoint(pattern), weights)
+    coeffs = np.fft.fft([weights[a] for a in pattern]) / p
+    sup2 = comb.sup_weight() ** 2
+    # rounding: each phase e(-j t / p) is good to about 2 pi |t| eps, and
+    # |t| stays below 3000 here
+    tol = 1e-11 * sup2
+    masses = []
+    for j in range(p):
+        atom = bombieri_taylor_atom(comb, j / p, schedule)
+        assert np.all(np.abs(atom.values - abs(coeffs[j]) ** 2) <= tol)
+        masses.append((j / p, atom.tail_max()))
+    eta0 = autocorrelation(comb, 0, schedule).eta0
+    assert abs(pure_point_fraction(masses, eta0) - 1.0) * eta0 <= p * tol
+
+
+# ---------------------------------------------------------------------------
 # kernel bridge
 # ---------------------------------------------------------------------------
 

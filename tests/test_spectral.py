@@ -153,6 +153,31 @@ def test_grid_rejects_tiny_n():
         fourier_bohr_grid(f, x, 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 1200), seed=st.integers(0, 2 ** 32 - 1),
+       levels=st.lists(st.floats(-4, 4), min_size=1, max_size=4))
+@example(n=2, seed=0, levels=[1.0, -0.5])
+@example(n=7, seed=1, levels=[0.0, 1.0])
+@example(n=4096, seed=2, levels=[-1.0, 1.0, 0.25])
+def test_real_track_grid_is_exactly_hermitian(n, seed, levels):
+    # a real track takes the real FFT: bins n // 2 + 1 .. n - 1 are the
+    # conjugates of bins (n + 1) // 2 - 1 .. 1 bit for bit, signed zeros
+    # too, and the whole grid still agrees with the direct sum
+    values = np.random.default_rng(seed).choice(levels, n)
+    grid = spectral._grid(values)
+    amps = grid.amplitudes
+    half = n // 2 + 1
+    assert np.array_equal(amps[half:].view(np.uint64),
+                          np.conj(amps[n - half:0:-1]).view(np.uint64))
+    assert amps[0].imag == 0.0 and (n % 2 or amps[n // 2].imag == 0.0)
+    assert grid.cross_residual is not None and grid.cross_residual <= 1e-10
+    # a complex track keeps the full FFT
+    tilted = values + 1j * values[::-1]
+    if tilted.imag.any():
+        assert np.array_equal(spectral._grid(tilted).amplitudes.view(np.uint64),
+                              (np.fft.fft(tilted) / n).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
@@ -402,6 +427,36 @@ def test_real_track_frequencies_come_in_mirrored_pairs(track, sizes):
     # exact ties rank the larger theta first
     for a, b in zip(freqs, freqs[1:]):
         assert abs(a.amplitude) > abs(b.amplitude) or a.theta > b.theta
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_real_track_zero_frequency_is_exactly_zero(seed):
+    # bins -1 and 1 of a real track's grid are conjugates bit for bit, so
+    # bin 0's three-bin offset and |A|^2' at 0 are exactly 0
+    rng = np.random.default_rng(seed)
+    track = Track(0, rng.choice([0.0, 1.0, 2.5], size=2048, p=[0.5, 0.3, 0.2]))
+    freqs = detect_frequencies(fourier_bohr_grids(track, (512, 1024, 2048)))
+    zero = [fr for fr in freqs if fr.theta_grid == 0.0]
+    assert len(zero) == 1
+    assert repr(zero[0].theta) == "0.0"
+    assert zero[0].amplitude.imag == 0.0
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.4943832677402198])
+def test_sturmian_zero_frequency_is_listed_as_zero(rho):
+    # the spectrum config 6 of the determinism suite, at its own phase and
+    # at the one the benchmark's held-out seed draws
+    x = SturmianPoint(GOLDEN, rho)
+    rep = spectral_report(Observable.indicator("0", x.alphabet), x,
+                          intervals(base=10000, n_max=10),
+                          [32768, 65536, 131072], max_frequencies=9)
+    doc = rep.describe()
+    zero = [fr for fr in doc["frequencies"] if fr["theta_grid"] == 0.0]
+    assert len(zero) == 1
+    assert repr(zero[0]["theta"]) == "0.0"
+    assert repr(zero[0]["amplitude"][1]) == "0.0"
+    assert "0.0" in doc["trajectories"]
+    assert 0.0 in doc["parseval"]["thetas"]
 
 
 def test_odd_frequency_cut_keeps_larger_theta_of_tied_pair():
