@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +155,8 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     Kinds not requested are skipped and reported as NaN columns.  Each
     summary divides an exact integer (a window sum, the largest sliding
     sum or the largest cylinder sum) once, so it is correctly rounded.
+    A translate t > 0 whose -t is also requested shares one mismatch
+    mask with it: the run of -t is the run of t moved by t.
     """
     t_values = np.asarray(sorted(int(t) for t in t_values), dtype=np.int64)
     sched = budget.schedule
@@ -184,37 +185,55 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     if "weyl" in part:
         _, w_len = sched.window(budget.resolved_weyl_index())
 
+    # a unit is a translate t and the lead l of its mask
+    # codes[a - l + i] != codes[a - l + t + i], i < n + l: the sums of t
+    # sit at offset l, and for a pair (l = t > 0) those of -t at 0; a
+    # lone translate (l = 0) reads the n coordinates it always did
+    distinct = set(t_values.tolist())
+    units = [(t, t if t > 0 and -t in distinct else 0)
+             for t in sorted(distinct) if not (t < 0 and -t in distinct)]
+
     def work(block):
-        # one workspace per worker, reused for each of its translates
-        cyl = CylinderSums(n)
+        # one workspace per worker, reused for each of its units
+        cyl = CylinderSums(n + max((lead for _, lead in block), default=0))
         prefix = np.empty((2, n), dtype=np.int64)
-        rows = []
-        for t in block:
-            np.not_equal(codes[a:a + n], codes[a + t:a + t + n], out=cyl.mask)
-            s, c = cyl.counts(radius)
-            row = [np.nan, False, np.nan, np.nan]
-            if "mean" in part:
-                sums = segments.sums(s, lo_needed)[-k:]
-                q = [p * f for p, f in zip(sums.tolist(), scales)]
-                top = int(np.max(s[part["mean"]]))
-                row[0] = float(np.max(sums / (c * tail_lengths)))
-                row[1] = (top == 0 or (max(q) - min(q)) * tol_den
-                          < tol_num * top * m)
-            if "weyl" in part:
-                row[2] = max_sliding_sum(s[part["weyl"]], w_len,
-                                         prefix) / (c * w_len)
-            if "bohr" in part:
-                row[3] = int(np.max(s[part["bohr"]])) / c
-            rows.append(row)
+        rows = {}
+        for t, lead in block:
+            lo, run = a - lead, n + lead
+            np.not_equal(codes[lo:lo + run], codes[lo + t:lo + t + run],
+                         out=cyl.mask[:run])
+            sums_all, c = cyl.counts(radius, run)
+            for u, offset in ((t, lead), (-t, 0)) if lead else ((t, 0),):
+                s = sums_all[offset:offset + n - 2 * radius]
+                row = [np.nan, False, np.nan, np.nan]
+                if "mean" in part:
+                    sums = segments.sums(s, lo_needed)[-k:]
+                    q = [p * f for p, f in zip(sums.tolist(), scales)]
+                    top = int(np.max(s[part["mean"]]))
+                    row[0] = float(np.max(sums / (c * tail_lengths)))
+                    row[1] = (top == 0 or (max(q) - min(q)) * tol_den
+                              < tol_num * top * m)
+                if "weyl" in part:
+                    row[2] = max_sliding_sum(s[part["weyl"]], w_len,
+                                             prefix) / (c * w_len)
+                if "bohr" in part:
+                    row[3] = int(np.max(s[part["bohr"]])) / c
+                rows[u] = row
         return rows
 
     workers = min(threads, len(t_values), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # blocks of whole units, so t and -t stay with one worker
+        cuts = [len(units) * i // workers for i in range(workers + 1)]
+        blocks = [units[i:j] for i, j in zip(cuts, cuts[1:]) if i < j]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(work, np.array_split(t_values, workers))
-            rows = [row for block in blocks for row in block]
+            rows = {t: row for block in pool.map(work, blocks)
+                    for t, row in block.items()}
     else:
-        rows = work(t_values)
+        rows = work(units)
+    rows = [rows[t] for t in t_values.tolist()]
 
     mean_tm = np.array([r[0] for r in rows])
     conv = np.array([r[1] for r in rows], dtype=bool)

@@ -14,18 +14,23 @@ import fcntl
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import almost, diffraction, spectral
+from . import almost
 from .config import (build_budget, build_observable, build_point,
                      build_schedule, build_weights, canonical_json,
                      config_hash, load_config, validate)
 from .errors import ApspectraError, ConfigError
 from .folner import EstimatorConfig
 from .points import eval_window, observable_track, shift
+
+if TYPE_CHECKING:
+    # the spectral and diffraction layers are imported by the handlers
+    # that run them, so an orbit command does not load them
+    from . import spectral
 
 __all__ = ["main"]
 
@@ -259,6 +264,8 @@ def _cmd_classify(cfg: dict, threads: int) -> dict:
 
 def _cmd_spectrum(cfg: dict, threads: int) -> dict:
     """Fourier-Bohr grids and the frequencies detected on them."""
+    from . import spectral
+
     point = build_point(cfg["point"])
     report = spectral.spectral_report(
         build_observable(cfg["observable"], point), point,
@@ -277,6 +284,8 @@ def _cmd_spectrum(cfg: dict, threads: int) -> dict:
 def _detect_thetas(cfg: dict, point, obs) -> list[float]:
     if cfg["thetas"] is not None:
         return cfg["thetas"]
+    from . import spectral
+
     det = cfg["detect"]
     track = observable_track(obs, point, 0, max(det["grid_sizes"]) - 1)
     freqs = spectral.detect_frequencies(
@@ -287,6 +296,8 @@ def _detect_thetas(cfg: dict, point, obs) -> list[float]:
 
 def _cmd_parseval(cfg: dict, threads: int) -> dict:
     """The Parseval defect of an observable along the schedule."""
+    from . import spectral
+
     point = build_point(cfg["point"])
     obs = build_observable(cfg["observable"], point)
     schedule = build_schedule(cfg["schedule"])
@@ -306,6 +317,8 @@ def _cmd_parseval(cfg: dict, threads: int) -> dict:
 
 def _cmd_eigen(cfg: dict, threads: int) -> dict:
     """A Besicovitch eigenfunction sample at one frequency."""
+    from . import spectral
+
     point = build_point(cfg["point"])
     sample = spectral.eigenfunction_sample(
         build_observable(cfg["observable"], point), cfg["theta"],
@@ -317,6 +330,8 @@ def _cmd_eigen(cfg: dict, threads: int) -> dict:
 
 def _cmd_diffract(cfg: dict, threads: int) -> dict:
     """Autocorrelation, diffraction density and atoms of a comb."""
+    from . import diffraction
+
     point = build_point(cfg["point"])
     schedule = build_schedule(cfg["schedule"])
     estimator = EstimatorConfig(**cfg["estimator"])
@@ -381,6 +396,8 @@ def _run(command: str, config_path: str, out: str, threads: int | None,
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 1
 

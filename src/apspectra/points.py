@@ -519,21 +519,23 @@ def _geometric_sums(g: np.ndarray, taps: int, rising: bool,
 
 
 class CylinderSums:
-    """Reusable buffers for the cylinder sums of masks of one length n.
+    """Reusable buffers for the cylinder sums of masks of up to n entries.
 
-    Write a letter-mismatch mask into the boolean ``mask`` (for instance
-    with ``np.not_equal(..., out=work.mask)``), then ``counts(radius)``.
-    The doubling passes run in the three int32 ``rows``, so repeated
-    calls allocate nothing; each call overwrites the sums the last one
-    returned.
+    Write a letter-mismatch mask into the boolean ``mask``, or into a
+    prefix of it (for instance with ``np.not_equal(..., out=work.mask[:m])``),
+    then ``counts(radius, m)``.  The doubling passes run in the three
+    int32 ``rows``, so repeated calls allocate nothing; each call
+    overwrites the sums the last one returned.
     """
 
     def __init__(self, n: int):
         self.mask = np.empty(n, dtype=bool)
         self.rows = np.empty((3, n), dtype=np.int32)
 
-    def counts(self, radius: int) -> tuple[np.ndarray, int]:
-        """Integer cylinder sums of ``mask`` along its run of coordinates.
+    def counts(self, radius: int,
+               length: int | None = None) -> tuple[np.ndarray, int]:
+        """Integer cylinder sums of the first ``length`` entries of ``mask``
+        (all of them by default) along their run of coordinates.
 
         Entry i of S is sum_{|k|<=radius} 2^(radius-|k|) mask[i + radius + k]
         in int32, and C = 3 * 2^radius - 2 is the total weight, so S / C
@@ -541,7 +543,7 @@ class CylinderSums:
         coordinates at each end.  S is a view of ``rows``.
         """
         _check_radius(radius)
-        g, (a, b, c) = self.mask.view(np.uint8), self.rows
+        g, (a, b, c) = self.mask[:length].view(np.uint8), self.rows
         n = len(g) - 2 * radius
         # the left sums stay in row a while the right ones use rows b and c
         left = _geometric_sums(g[:n + radius - 1], radius, True, a, b)

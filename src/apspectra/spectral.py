@@ -83,14 +83,15 @@ class FourierBohrGrid:
 
 
 def _grid_direct(values: np.ndarray) -> np.ndarray:
+    # e(-jt/n) is the table entry e(-k/n) at k = jt mod n, computed once
     n = len(values)
-    t = np.arange(n)
+    t = np.arange(n, dtype=np.int64)
+    table = np.exp(-2j * np.pi * t / n)
     out = np.empty(n, dtype=complex)
     block = max(1, (1 << 22) // max(n, 1))
     for j0 in range(0, n, block):
-        j = np.arange(j0, min(j0 + block, n))
-        phases = np.exp(-2j * np.pi * np.outer(j, t) / n)
-        out[j] = phases @ values / n
+        j = t[j0:j0 + block]
+        out[j] = table[np.outer(j, t) % n] @ values / n
     return out
 
 

@@ -1,10 +1,12 @@
 """Averaged orbit metrics, almost-period scans, classification."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from apspectra.almost import (EVIDENCE_AGAINST, EVIDENCE_FOR, ScanBudget,
 from apspectra.errors import EmptyShiftRange, MissingSamples
 from apspectra.folner import (Converged, EstimatorConfig, FolnerSchedule,
                               partial_means, uniform_mean)
-from apspectra.points import (FIBONACCI_RULES, THUE_MORSE_RULES,
-                              BernoulliPoint, Observable, PeriodicPoint,
-                              StepPoint, SturmianPoint, SubstitutionPoint,
+from apspectra.points import (FIBONACCI_RULES, PERIOD_DOUBLING_RULES,
+                              THUE_MORSE_RULES, BernoulliPoint, Observable,
+                              PeriodicPoint, StepPoint, SturmianPoint,
+                              SubstitutionPoint,
                               BlockPoint, Track, cylinder_weights, metric_d,
                               observable_track, shift)
 
@@ -297,7 +300,8 @@ def test_profile_threads_deterministic():
 
 def test_profile_pool_is_bounded(monkeypatch):
     # a recorder stands in for the pool: it logs max_workers and runs the
-    # work inline, so no real thread is started
+    # work inline, so no real thread is started.  orbit_profile imports
+    # the pool only when it needs one, so the patch goes where it looks
     sizes = []
 
     class Recorder:
@@ -313,7 +317,7 @@ def test_profile_pool_is_bounded(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(almost, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     x = PeriodicPoint("AB")
     b = budget(base=20, n_max=3, bohr_horizon=8)
     serial = orbit_profile(x, range(-5, 6), b)
@@ -460,6 +464,117 @@ def test_profile_buffers_match_float_route(x, budgets, kinds, threads, first,
                 assert (column[i] == 0.0) == empty[kind]
             if "mean" in kinds:
                 assert prof.mean_converged[i] == converged
+
+
+# points of every kind: periodic, Bernoulli, substitution, Sturmian, step
+# and block, the last two moved so their features fall anywhere
+EVERY_KIND = st.one_of(
+    st.text("ABC", min_size=1, max_size=6).map(PeriodicPoint),
+    st.builds(BernoulliPoint, st.sampled_from([0.2, 0.5, 0.9]),
+              st.integers(0, 2 ** 20)),
+    st.builds(SubstitutionPoint, st.sampled_from(
+        [FIBONACCI_RULES, THUE_MORSE_RULES, PERIOD_DOUBLING_RULES])),
+    st.builds(SturmianPoint, st.floats(0.01, 0.99), st.floats(0.0, 0.99)),
+    st.builds(lambda t: shift(StepPoint(), t), st.integers(-60, 60)),
+    st.builds(lambda t: shift(BlockPoint(), t), st.integers(-60, 60)))
+
+# every schedule kind, radii 1..16, any weyl window and span, and
+# horizons that do and do not contain the weyl range
+ANY_BUDGETS = st.builds(
+    lambda schedule, radius, index, span, horizon, tol: ScanBudget(
+        schedule, metric_radius=radius,
+        weyl_index=min(index, len(schedule)), weyl_shift_span=span,
+        bohr_horizon=horizon,
+        estimator=EstimatorConfig(convergence_tol=tol)),
+    st.one_of(
+        st.builds(intervals, st.integers(1, 30), st.integers(1, 4)),
+        st.builds(FolnerSchedule.dyadic, st.integers(1, 6)),
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 40)),
+                 min_size=1, max_size=4, unique_by=lambda w: w[1]).map(
+            lambda ws: FolnerSchedule.custom(sorted(ws, key=lambda w: w[1])))),
+    st.integers(1, 16), st.integers(1, 6), st.integers(0, 40),
+    st.integers(0, 80), st.sampled_from([0.05, 0.0625, 0.5]))
+
+# symmetric and lopsided ranges, {0} alone, and scattered sets; under two
+# or three workers a symmetric range is one whose t and -t a plain split
+# of the sorted translates would give to different workers
+TRANSLATES = st.one_of(
+    st.integers(0, 20).map(lambda h: list(range(-h, h + 1))),
+    st.tuples(st.integers(-20, 0), st.integers(0, 20)).map(
+        lambda r: list(range(r[0], r[1] + 1))),
+    st.just([0]),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=EVERY_KIND, b=ANY_BUDGETS, ts=TRANSLATES,
+       kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True),
+       threads=st.sampled_from([1, 2, 3]))
+def test_profile_pairs_are_invisible(x, b, ts, kinds, threads):
+    # t and -t share one mask; each row must be the one a profile of t
+    # alone gives, bit for bit, with any number of workers (more CPUs
+    # than the host has, so three workers really run)
+    with mock.patch.object(almost.os, "cpu_count", return_value=8):
+        prof = orbit_profile(x, ts, b, threads=threads, kinds=tuple(kinds))
+    assert prof.t_values.tolist() == sorted(ts)
+    for i, t in enumerate(prof.t_values.tolist()):
+        one = orbit_profile(x, [t], b, kinds=tuple(kinds))
+        for column in ("mean_tail_max", "mean_converged", "weyl_value",
+                       "bohr_value"):
+            got, want = getattr(prof, column)[i], getattr(one, column)[0]
+            assert np.array_equal(got, want, equal_nan=True), (t, column)
+            assert np.signbit(got) == np.signbit(want)
+
+
+def period_of(x):
+    return len(x.pattern) if isinstance(x, PeriodicPoint) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=EVERY_KIND, b=ANY_BUDGETS, ts=TRANSLATES)
+def test_orbit_values_obey_the_finite_hierarchy(x, b, ts):
+    # each value times its weight c * length is an integer sum below 2^52,
+    # so it is recovered exactly by rounding; the properties are checked on
+    # those integers, where a tie cannot fall to rounding
+    prof = orbit_profile(x, ts, b)
+    r = b.metric_radius
+    c = 3 * 2 ** r - 2
+    index = b.resolved_weyl_index()
+    start, w_len = b.schedule.window(index)
+    span = b.resolved_weyl_span()
+    h = b.bohr_horizon
+    inside = -h <= start - span and start + span + w_len <= h + 1
+    tail = b.schedule.lengths()[-min(b.estimator.tail, len(b.schedule)):]
+
+    def integer(value, weight):
+        whole = round(Fraction(float(value)) * weight)
+        assert float(Fraction(whole, weight)) == value
+        return whole
+
+    for i, t in enumerate(prof.t_values.tolist()):
+        mean, weyl, bohr = (prof.mean_tail_max[i], prof.weyl_value[i],
+                            prof.bohr_value[i])
+        for value in (mean, weyl, bohr):
+            assert 0.0 <= value <= 1.0
+        weyl_sum = integer(weyl, c * w_len)
+        bohr_sum = integer(bohr, c)
+        assert 0 <= weyl_sum <= c * w_len and 0 <= bohr_sum <= c
+        # the mean partials as integer window sums; the one at the weyl
+        # index is the window sum at shift 0, among those weyl maximizes
+        partials = [round(Fraction(float(a.real)) * c * length)
+                    for (_, length), (_, a) in zip(
+                        b.schedule.windows,
+                        averaged_D(x, t, b.schedule, r).partials)]
+        assert mean == max(float(Fraction(s, c * length)) for s, length
+                           in zip(partials[-len(tail):], tail.tolist()))
+        assert weyl_sum >= partials[index - 1]
+        if inside:
+            assert bohr_sum * w_len >= weyl_sum
+            assert bohr >= weyl
+        p = period_of(x)
+        if t == 0 or (p is not None and t % p == 0):
+            assert mean == weyl == bohr == 0.0
+            assert prof.mean_converged[i]
 
 
 FAULT_PROBE = """

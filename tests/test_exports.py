@@ -1,9 +1,11 @@
 """Every name a module exports in ``__all__`` exists, so a stale entry
 fails here instead of breaking ``from apspectra.<module> import *``; the
-package root imports no submodule, and the command line needs nothing but
-the standard library and numpy."""
+package root imports no submodule, the command line needs nothing but
+the standard library and numpy, and a command imports only the layers it
+runs."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -40,3 +42,37 @@ def test_imports_stay_lazy_and_need_only_numpy():
                          text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n")[:2] == ["[]", "['apspectra', 'numpy']"]
+
+
+SCAN_PROBE = """
+import sys
+import apspectra.cli
+try:
+    apspectra.cli.main(["scan", "--config", sys.argv[1], "--out", sys.argv[2]])
+except SystemExit as exc:
+    print(exc.code)
+print(sorted(m for m in ("apspectra.spectral", "apspectra.diffraction",
+                         "concurrent.futures", "traceback")
+             if m in sys.modules))
+"""
+
+
+def test_scan_imports_only_the_layers_it_runs(tmp_path):
+    # an orbit command pays the start-up of the orbit layers only: no
+    # spectral or diffraction module, no thread pool on the serial path,
+    # and no traceback module unless it crashes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("APSPECTRA_THREADS", None)
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({
+        "point": "periodic:AB", "range": [-4, 4], "bohr_horizon": 8,
+        "schedule": {"kind": "intervals", "base": 10, "n_max": 3}}))
+    res = subprocess.run([sys.executable, "-c", SCAN_PROBE, str(cfg),
+                          str(tmp_path / "out")], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-2:] == ["0", "[]"]
+    assert (tmp_path / "out" / "scan.csv").exists()
