@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyShiftRange
 from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     WindowSegments, as_dense, max_sliding_sum, partial_means,
+                     WindowSegments, as_dense, max_sliding_sums, partial_means,
                      uniform_mean, upper_mean)
 from .points import CylinderSums, PointGen, Track, mismatch_track, shift
 
@@ -156,7 +156,8 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     summary divides an exact integer (a window sum, the largest sliding
     sum or the largest cylinder sum) once, so it is correctly rounded.
     A translate t > 0 whose -t is also requested shares one mismatch
-    mask with it: the run of -t is the run of t moved by t.
+    mask and one sliding pass with it: the run of -t is the run of t
+    moved by t.
     """
     t_values = np.asarray(sorted(int(t) for t in t_values), dtype=np.int64)
     sched = budget.schedule
@@ -195,15 +196,24 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
 
     def work(block):
         # one workspace per worker, reused for each of its units
-        cyl = CylinderSums(n + max((lead for _, lead in block), default=0))
-        prefix = np.empty((2, n), dtype=np.int64)
+        size = n + max((lead for _, lead in block), default=0)
+        cyl = CylinderSums(size)
+        prefix = np.empty((2, size), dtype=np.int64)
         rows = {}
         for t, lead in block:
             lo, run = a - lead, n + lead
             np.not_equal(codes[lo:lo + run], codes[lo + t:lo + t + run],
                          out=cyl.mask[:run])
             sums_all, c = cyl.counts(radius, run)
-            for u, offset in ((t, lead), (-t, 0)) if lead else ((t, 0),):
+            unit = ((t, lead), (-t, 0)) if lead else ((t, 0),)
+            if "weyl" in part:
+                # one sliding pass over the union of the unit's weyl runs
+                w = part["weyl"]
+                last = w.stop - w.start - w_len
+                tops = max_sliding_sums(
+                    sums_all[w.start:w.stop + lead], w_len,
+                    [(offset, offset + last) for _, offset in unit], prefix)
+            for i, (u, offset) in enumerate(unit):
                 s = sums_all[offset:offset + n - 2 * radius]
                 row = [np.nan, False, np.nan, np.nan]
                 if "mean" in part:
@@ -214,8 +224,7 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
                     row[1] = (top == 0 or (max(q) - min(q)) * tol_den
                               < tol_num * top * m)
                 if "weyl" in part:
-                    row[2] = max_sliding_sum(s[part["weyl"]], w_len,
-                                             prefix) / (c * w_len)
+                    row[2] = tops[i] / (c * w_len)
                 if "bohr" in part:
                     row[3] = int(np.max(s[part["bohr"]])) / c
                 rows[u] = row

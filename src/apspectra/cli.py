@@ -15,22 +15,18 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import almost
+# every layer loads with the CLI: perfbench's tracer looks each one up
+# in sys.modules, and its self-test snapshots them after importing cli
+from . import almost, diffraction, spectral
 from .config import (build_budget, build_observable, build_point,
                      build_schedule, build_weights, canonical_json,
                      config_hash, load_config, validate)
 from .errors import ApspectraError, ConfigError
 from .folner import EstimatorConfig
 from .points import eval_window, observable_track, shift
-
-if TYPE_CHECKING:
-    # the spectral and diffraction layers are imported by the handlers
-    # that run them, so an orbit command does not load them
-    from . import spectral
 
 __all__ = ["main"]
 
@@ -264,8 +260,6 @@ def _cmd_classify(cfg: dict, threads: int) -> dict:
 
 def _cmd_spectrum(cfg: dict, threads: int) -> dict:
     """Fourier-Bohr grids and the frequencies detected on them."""
-    from . import spectral
-
     point = build_point(cfg["point"])
     report = spectral.spectral_report(
         build_observable(cfg["observable"], point), point,
@@ -284,8 +278,6 @@ def _cmd_spectrum(cfg: dict, threads: int) -> dict:
 def _detect_thetas(cfg: dict, point, obs) -> list[float]:
     if cfg["thetas"] is not None:
         return cfg["thetas"]
-    from . import spectral
-
     det = cfg["detect"]
     track = observable_track(obs, point, 0, max(det["grid_sizes"]) - 1)
     freqs = spectral.detect_frequencies(
@@ -296,8 +288,6 @@ def _detect_thetas(cfg: dict, point, obs) -> list[float]:
 
 def _cmd_parseval(cfg: dict, threads: int) -> dict:
     """The Parseval defect of an observable along the schedule."""
-    from . import spectral
-
     point = build_point(cfg["point"])
     obs = build_observable(cfg["observable"], point)
     schedule = build_schedule(cfg["schedule"])
@@ -317,8 +307,6 @@ def _cmd_parseval(cfg: dict, threads: int) -> dict:
 
 def _cmd_eigen(cfg: dict, threads: int) -> dict:
     """A Besicovitch eigenfunction sample at one frequency."""
-    from . import spectral
-
     point = build_point(cfg["point"])
     sample = spectral.eigenfunction_sample(
         build_observable(cfg["observable"], point), cfg["theta"],
@@ -330,8 +318,6 @@ def _cmd_eigen(cfg: dict, threads: int) -> dict:
 
 def _cmd_diffract(cfg: dict, threads: int) -> dict:
     """Autocorrelation, diffraction density and atoms of a comb."""
-    from . import diffraction
-
     point = build_point(cfg["point"])
     schedule = build_schedule(cfg["schedule"])
     estimator = EstimatorConfig(**cfg["estimator"])

@@ -30,7 +30,7 @@ __all__ = [
     "WindowSegments",
     "lag_window_sums",
     "sliding_sums",
-    "max_sliding_sum",
+    "max_sliding_sums",
     "estimate",
     "partial_means",
     "upper_mean",
@@ -383,17 +383,21 @@ def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:
     return sums
 
 
-def max_sliding_sum(values: np.ndarray, length: int, out: np.ndarray) -> int:
-    """The largest sum of ``length`` consecutive entries of the
-    nonnegative int32 array ``values``: ``max(sliding_sums(values,
-    length))``, exactly.
+def max_sliding_sums(values: np.ndarray, length: int, spans,
+                     out: np.ndarray) -> list[int]:
+    """For each span ``(p, q)``, the largest sum of ``length``
+    consecutive entries of the nonnegative int32 array ``values`` that
+    start at p..q: ``max(sliding_sums(values, length)[p:q + 1])``,
+    exactly, for 0 <= p <= q <= len(values) - length.
 
     Run i sums to run 0 plus the steps values[length + j] - values[j]
     for j < i.  ``out`` is two int64 rows at least as long as
     ``values``.  The steps go into row 0 in blocks of eight: row r of an
     (8, blocks) view holds step r of every block, so seven vector adds
     give the running sums inside all blocks at once, and only the block
-    totals go through a serial prefix sum.
+    totals go through a serial prefix sum.  The spans share that one
+    pass: a span reads the maxima of the blocks it covers whole and the
+    rows of the two blocks its ends cut.
     """
     m = len(values) - length
     full = m // 8
@@ -413,8 +417,26 @@ def max_sliding_sum(values: np.ndarray, length: int, out: np.ndarray) -> int:
     # the last m % 8 steps run on from the end of the blocks
     tail = np.cumsum(values[length + 8 * full:] - values[8 * full:m],
                      dtype=np.int64)
-    top = max(0, int(best.max(initial=0)), total + int(tail.max(initial=0)))
-    return int(values[:length].sum(dtype=np.int64)) + top
+    first = int(values[:length].sum(dtype=np.int64))
+    tops = []
+    for p, q in spans:
+        # run i >= 1 is entry i - 1 of the blocks, or of the tail after them
+        found = [0] if p == 0 else []
+        k0, k1 = max(p, 1) - 1, min(q, 8 * full) - 1
+        if k0 <= k1:
+            (b0, r0), (b1, r1) = divmod(k0, 8), divmod(k1, 8)
+            if b0 == b1:
+                found.append(steps[r0:r1 + 1, b0].max() + before[b0])
+            else:
+                found += [steps[r0:, b0].max() + before[b0],
+                          steps[:r1 + 1, b1].max() + before[b1]]
+                if b0 + 1 < b1:
+                    found.append(best[b0 + 1:b1].max())
+        j0, j1 = max(p - 1, 8 * full) - 8 * full, q - 1 - 8 * full
+        if j0 <= j1:
+            found.append(total + tail[j0:j1 + 1].max())
+        tops.append(first + int(max(found)))
+    return tops
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Every name a module exports in ``__all__`` exists, so a stale entry
 fails here instead of breaking ``from apspectra.<module> import *``; the
 package root imports no submodule, the command line needs nothing but
-the standard library and numpy, and a command imports only the layers it
-runs."""
+the standard library and numpy, and an orbit command loads neither the
+thread pool nor the traceback module it does not use."""
 
 import importlib
 import json
@@ -51,16 +51,14 @@ try:
     apspectra.cli.main(["scan", "--config", sys.argv[1], "--out", sys.argv[2]])
 except SystemExit as exc:
     print(exc.code)
-print(sorted(m for m in ("apspectra.spectral", "apspectra.diffraction",
-                         "concurrent.futures", "traceback")
+print(sorted(m for m in ("concurrent.futures", "traceback")
              if m in sys.modules))
 """
 
 
-def test_scan_imports_only_the_layers_it_runs(tmp_path):
-    # an orbit command pays the start-up of the orbit layers only: no
-    # spectral or diffraction module, no thread pool on the serial path,
-    # and no traceback module unless it crashes
+def test_serial_scan_skips_the_thread_pool_and_traceback(tmp_path):
+    # a serial orbit command opens no thread pool, and only a crash
+    # prints a traceback, so neither module is imported
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from apspectra.errors import EmptyShiftRange, MissingSamples, NeverBelow
 from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
-                              Undecided, WindowSegments, max_sliding_sum,
+                              Undecided, WindowSegments, max_sliding_sums,
                               partial_means, seminorm_eval, sliding_sums,
                               stabilization_check, uniform_mean,
                               upper_mean)
@@ -401,13 +401,19 @@ def test_sliding_sums_equal_brute_sums(values, dtype, data):
                              for i in range(len(values) - length + 1)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=90),
        data=st.data())
 def test_max_sliding_sum_equals_max_of_sliding_sums(values, data):
-    # lengths leave 0 to 89 steps: no block, whole blocks and a ragged tail
+    # lengths leave 0 to 89 steps: no block, whole blocks and a ragged
+    # tail; spans start and end anywhere, inside one block or across many
     length = data.draw(st.integers(1, len(values)))
     arr = np.array(values, dtype=np.int32)
     out = np.full((2, len(values)), -1, dtype=np.int64)
-    want = int(np.max(sliding_sums(arr.astype(np.int64), length)))
-    assert max_sliding_sum(arr, length, out) == want
+    sums = sliding_sums(arr.astype(np.int64), length)
+    last = len(sums) - 1
+    spans = [(0, last)] + data.draw(st.lists(
+        st.tuples(st.integers(0, last), st.integers(0, last)).map(
+            lambda pq: tuple(sorted(pq))), max_size=4))
+    want = [int(np.max(sums[p:q + 1])) for p, q in spans]
+    assert max_sliding_sums(arr, length, spans, out) == want
