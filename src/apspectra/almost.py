@@ -230,13 +230,13 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
                 rows[u] = row
         return rows
 
-    workers = min(threads, len(t_values), os.cpu_count() or 1)
+    workers = min(threads, len(units), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         # blocks of whole units, so t and -t stay with one worker
         cuts = [len(units) * i // workers for i in range(workers + 1)]
-        blocks = [units[i:j] for i, j in zip(cuts, cuts[1:]) if i < j]
+        blocks = [units[i:j] for i, j in zip(cuts, cuts[1:])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = {t: row for block in pool.map(work, blocks)
                     for t, row in block.items()}

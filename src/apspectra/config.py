@@ -26,8 +26,8 @@ from .points import (FIBONACCI_RULES, MAX_RADIUS, PERIOD_DOUBLING_RULES,
                      PeriodicPoint, PointGen, StepPoint, SturmianPoint,
                      SubstitutionPoint)
 
-__all__ = ["COMMANDS", "SAMPLE_BUDGET", "validate", "build_point",
-           "build_budget", "build_observable", "build_schedule",
+__all__ = ["COMMANDS", "SAMPLE_BUDGET", "MAX_MAGNITUDE", "validate",
+           "build_point", "build_budget", "build_observable", "build_schedule",
            "build_weights", "canonical_json", "config_hash", "load_config"]
 
 REQUIRED = object()     # the default of a key that must be given
@@ -37,6 +37,11 @@ REQUIRED = object()     # the default of a key that must be given
 # run of a scan may read.  The largest of the determinism configs, a
 # diffract span of 10^6, is a quarter of it.
 SAMPLE_BUDGET = 2 ** 22
+
+# The largest magnitude of a part of a weight or an observable value.
+# Squared sums over SAMPLE_BUDGET samples, and the frequency refinement's
+# moments, which weigh a value by s^2 for |s| < SAMPLE_BUDGET, stay finite.
+MAX_MAGNITUDE = 1e100
 
 
 def _join(path: str, key) -> str:
@@ -97,11 +102,16 @@ class Num(Spec):
 
 
 class Complex(Spec):
-    """A number or [re, im], expanded to [re, im]."""
+    """A number or [re, im], expanded to [re, im]; no part may exceed
+    ``MAX_MAGNITUDE`` in magnitude."""
 
     def check(self, value, path):
         parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
-        return [Num().check(v, path) for v in parts]
+        parts = [Num().check(v, path) for v in parts]
+        if max(map(abs, parts)) > MAX_MAGNITUDE:
+            raise ConfigError(path, f"parts must be at most {MAX_MAGNITUDE:g} "
+                                    f"in magnitude, got {value!r}")
+        return parts
 
 
 class Str(Spec):

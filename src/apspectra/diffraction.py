@@ -60,14 +60,6 @@ class WeightedComb:
         return Observable.letter_values(self.weights, 0,
                                         self.name or "comb-weights")
 
-    def describe(self) -> dict:
-        return {
-            "point": self.point.describe(),
-            "weights": {a: [complex(v).real, complex(v).imag]
-                        for a, v in sorted(self.weights.items())},
-            "name": self.name,
-        }
-
 
 @dataclass(frozen=True)
 class AutocorrEstimate:
@@ -157,14 +149,6 @@ class DiffractionDensity:
     taper: str
     negative_density: bool
 
-    def describe(self) -> dict:
-        return {
-            "taper": self.taper,
-            "negative_density": self.negative_density,
-            "samples": [[float(t), float(v)]
-                        for t, v in zip(self.thetas, self.values)],
-        }
-
 
 def diffraction_density(eta: AutocorrEstimate, taper: str = "triangular",
                         grid_size: int | None = None) -> DiffractionDensity:
@@ -192,17 +176,22 @@ def diffraction_density(eta: AutocorrEstimate, taper: str = "triangular",
     return DiffractionDensity(thetas, values, taper, flag)
 
 
-def pure_point_fraction(atoms, eta0: float, tol: float = 0.05) -> float:
+# how far the atoms' share of the intensity may exceed 1 before it raises
+FRACTION_TOL = 0.05
+
+
+def pure_point_fraction(atoms, eta0: float) -> float:
     """Share of the total intensity carried by the listed atoms.
 
-    ``atoms`` is an iterable of (theta, mass).  A result above 1 + tol
-    signals double-counted or spurious atoms and raises.
+    ``atoms`` is an iterable of (theta, mass).  A result above
+    1 + ``FRACTION_TOL`` signals double-counted or spurious atoms and
+    raises.
     """
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
     total = sum(float(mass) for _, mass in atoms)
     frac = total / eta0
-    if frac > 1.0 + tol:
+    if frac > 1.0 + FRACTION_TOL:
         raise FractionExceedsOne(
             f"atom masses sum to {total:.6g} against eta(0) = {eta0:.6g}")
     return frac
@@ -212,11 +201,6 @@ def pure_point_fraction(atoms, eta0: float, tol: float = 0.05) -> float:
 class NphiBridge:
     track: Track
     residual: float
-
-    def describe(self) -> dict:
-        vals = [[int(t), complex(v).real, complex(v).imag]
-                for t, v in self.track.items()]
-        return {"residual": self.residual, "track": vals}
 
 
 def nphi_bridge(comb: WeightedComb, kernel: dict, t0: int, t1: int) -> NphiBridge:

@@ -10,12 +10,12 @@ artifacts stay distinguishable from genuine convergence.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyShiftRange, MissingSamples, NeverBelow
+from .points import Track
 
 __all__ = [
     "FolnerSchedule",
@@ -295,31 +295,16 @@ def estimate(avgs: np.ndarray, sup: float, config: EstimatorConfig) -> MeanEstim
 # ---------------------------------------------------------------------------
 
 
-def as_dense(samples, lo: int, hi: int) -> np.ndarray:
-    """Values of ``samples`` on [lo, hi) as an array.
+def as_dense(samples: Track, lo: int, hi: int) -> np.ndarray:
+    """Values of the track ``samples`` on [lo, hi), a view of its array.
 
-    ``samples`` is any finite map t -> value.  Objects exposing
-    ``start``/``values`` (dense tracks) take a fast path.  The first
-    missing coordinate raises :class:`MissingSamples`.
+    The first coordinate the track lacks raises :class:`MissingSamples`.
     """
     if hi <= lo:
         return np.zeros(0)
-    start = getattr(samples, "start", None)
-    vals = getattr(samples, "values", None)
-    if start is not None and isinstance(vals, np.ndarray):
-        if lo < start or hi > start + len(vals):
-            missing = lo if lo < start else start + len(vals)
-            raise MissingSamples(int(missing))
-        return vals[lo - start:hi - start]
-    out = np.empty(hi - lo, dtype=complex)
-    for i, t in enumerate(range(lo, hi)):
-        try:
-            out[i] = samples[t]
-        except KeyError:
-            raise MissingSamples(t) from None
-    if np.max(np.abs(out.imag), initial=0.0) == 0.0:
-        return out.real.copy()
-    return out
+    if lo < samples.start or hi > samples.stop:
+        raise MissingSamples(lo if lo < samples.start else samples.stop)
+    return samples.values[lo - samples.start:hi - samples.start]
 
 
 class WindowSegments:
@@ -444,30 +429,25 @@ def max_sliding_sums(values: np.ndarray, length: int, spans,
 # ---------------------------------------------------------------------------
 
 
-def partial_means(samples, schedule: FolnerSchedule, n_max: int | None = None,
+def partial_means(samples: Track, schedule: FolnerSchedule,
                   config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
     """Partial window averages (1/|B_n|) sum_{t in B_n} samples[t]."""
-    n_max = len(schedule) if n_max is None else n_max
-    if not 1 <= n_max <= len(schedule):
-        raise ValueError(f"n_max must lie in 1..{len(schedule)}")
-    head = FolnerSchedule(schedule.kind, schedule.windows[:n_max])
-    lo, hi = head.span()
+    lo, hi = schedule.span()
     dense = as_dense(samples, lo, hi)
     sup = float(np.max(np.abs(dense), initial=0.0))
     # summed as complex: a real track gives the same bits as its complex copy
-    sums = WindowSegments(head.windows).sums(dense.astype(complex), lo)
-    return estimate(sums / head.lengths(), sup, config)
+    sums = WindowSegments(schedule.windows).sums(dense.astype(complex), lo)
+    return estimate(sums / schedule.lengths(), sup, config)
 
 
-def upper_mean(samples, schedule: FolnerSchedule, n_max: int | None = None,
-               tail: int = 5) -> float:
+def upper_mean(samples: Track, schedule: FolnerSchedule, tail: int = 5) -> float:
     """Finite proxy for the upper mean: tail max of window averages of |h|."""
-    est = partial_means(_AbsView(samples), schedule, n_max,
+    est = partial_means(Track(samples.start, np.abs(samples.values)), schedule,
                         EstimatorConfig(tail=tail))
     return float(np.max(est.tail_values()).real)
 
 
-def _real_dense(samples, lo: int, hi: int) -> np.ndarray:
+def _real_dense(samples: Track, lo: int, hi: int) -> np.ndarray:
     dense = as_dense(samples, lo, hi)
     if np.iscomplexobj(dense):
         if np.max(np.abs(dense.imag), initial=0.0) > 0.0:
@@ -476,7 +456,7 @@ def _real_dense(samples, lo: int, hi: int) -> np.ndarray:
     return np.asarray(dense, dtype=float)
 
 
-def uniform_mean(samples, schedule: FolnerSchedule, n: int,
+def uniform_mean(samples: Track, schedule: FolnerSchedule, n: int,
                  shifts: tuple[int, int]) -> tuple[float, int]:
     """Sup over scanned shifts s of the average over B_n + s.
 
@@ -505,7 +485,8 @@ class AdmissibleSeminorm:
 
     kind "sup" ignores the schedule; "mean" is the upper-mean proxy of
     |h|; "weyl" takes the largest uniform mean of |h| over the last
-    ``tail`` window indices, scanning shifts with |s| <= shift_budget.
+    ``tail`` window indices, scanning shifts with |s| <= shift_budget
+    (by default four times the largest window).
     """
 
     kind: str
@@ -519,53 +500,24 @@ class AdmissibleSeminorm:
         if self.kind != "sup" and self.schedule is None:
             raise ValueError(f"{self.kind} seminorm needs a schedule")
 
-    def resolved_shift_budget(self) -> int:
-        if self.shift_budget is not None:
-            return self.shift_budget
-        return 4 * self.schedule.largest_length()
 
-    def describe(self) -> dict:
-        out: dict = {"kind": self.kind, "tail": self.tail}
-        if self.schedule is not None:
-            out["schedule"] = self.schedule.describe()
-        if self.kind == "weyl":
-            out["shift_budget"] = self.resolved_shift_budget()
-        return out
-
-
-def seminorm_eval(norm: AdmissibleSeminorm, samples) -> float:
-    """Evaluate an admissible seminorm on a finite sample map."""
+def seminorm_eval(norm: AdmissibleSeminorm, samples: Track) -> float:
+    """Evaluate an admissible seminorm on a track."""
     if norm.kind == "sup":
-        vals = getattr(samples, "values", None)
-        if isinstance(vals, np.ndarray):
-            return float(np.max(np.abs(vals), initial=0.0))
-        return float(max((abs(v) for v in samples.values()), default=0.0))
+        return samples.sup_norm()
     if norm.kind == "mean":
         return upper_mean(samples, norm.schedule, tail=norm.tail)
     # weyl: max of uniform means of |h| over the last `tail` indices
     sched = norm.schedule
-    budget = norm.resolved_shift_budget()
+    budget = norm.shift_budget
+    if budget is None:
+        budget = 4 * sched.largest_length()
     best = -math.inf
-    shifted = _AbsView(samples)
+    shifted = Track(samples.start, np.abs(samples.values))
     for n in range(max(1, len(sched) - norm.tail + 1), len(sched) + 1):
         value, _ = uniform_mean(shifted, sched, n, (-budget, budget))
         best = max(best, value)
     return best
-
-
-class _AbsView:
-    """Read-only |h| view over a sample map, keeping the dense fast path."""
-
-    def __init__(self, samples):
-        self._samples = samples
-        start = getattr(samples, "start", None)
-        vals = getattr(samples, "values", None)
-        if start is not None and isinstance(vals, np.ndarray):
-            self.start = start
-            self.values = np.abs(vals)
-
-    def __getitem__(self, t):
-        return abs(self._samples[t])
 
 
 # ---------------------------------------------------------------------------
@@ -582,18 +534,8 @@ class StabilizationReport:
     values: tuple[float, ...]
     slacks: tuple[float, ...]
 
-    def describe(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "first_n_below": self.first_n_below,
-            "all_later_below": self.all_later_below,
-            "margin": self.margin,
-            "values": list(self.values),
-            "slacks": list(self.slacks),
-        }
 
-
-def stabilization_check(samples, schedule: FolnerSchedule, epsilon: float,
+def stabilization_check(samples: Track, schedule: FolnerSchedule, epsilon: float,
                         shift_budget: int | None = None) -> StabilizationReport:
     """Find the first window index with uniform mean of |h| below epsilon.
 
@@ -605,13 +547,13 @@ def stabilization_check(samples, schedule: FolnerSchedule, epsilon: float,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     budget = shift_budget if shift_budget is not None else 4 * schedule.largest_length()
-    view = _AbsView(samples)
+    view = Track(samples.start, np.abs(samples.values))
     values = []
     for n in range(1, len(schedule) + 1):
         value, _ = uniform_mean(view, schedule, n, (-budget, budget))
         values.append(value)
     lo, hi = schedule.span()
-    sup_h = float(np.max(np.abs(as_dense(samples, lo - budget, hi + budget)), initial=0.0))
+    sup_h = float(np.max(as_dense(view, lo - budget, hi + budget), initial=0.0))
 
     first = next((n for n, v in enumerate(values, start=1) if v < epsilon), None)
     if first is None:

@@ -54,21 +54,10 @@ class PointGen:
         """Alphabet indices of x(start..stop-1)."""
         raise NotImplementedError
 
-    def letter(self, t: int) -> str:
-        return self.alphabet[int(self.codes(t, t + 1)[0])]
-
-    def shifted(self, t: int) -> "PointGen":
-        if t == 0:
-            return self
-        return _Shifted(self, t)
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 def shift(x: PointGen, t: int) -> PointGen:
     """The translated point t.x with (t.x)(k) = x(k + t)."""
-    return x.shifted(t)
+    return x if t == 0 else _Shifted(x, t)
 
 
 def eval_window(x: PointGen, a: int, b: int) -> str:
@@ -91,10 +80,6 @@ class _Shifted(PointGen):
     def codes(self, start: int, stop: int) -> np.ndarray:
         return self.base.codes(start + self.offset, stop + self.offset)
 
-    def describe(self) -> dict:
-        return {"kind": "shifted", "offset": self.offset,
-                "base": self.base.describe()}
-
 
 class PeriodicPoint(PointGen):
     """x(t) = pattern[t mod p]."""
@@ -110,9 +95,6 @@ class PeriodicPoint(PointGen):
     def codes(self, start: int, stop: int) -> np.ndarray:
         t = np.arange(start, stop, dtype=np.int64)
         return self._codes[t % len(self.pattern)]
-
-    def describe(self) -> dict:
-        return {"kind": "periodic", "pattern": self.pattern}
 
 
 FIBONACCI_RULES = {"0": "01", "1": "0"}
@@ -203,10 +185,6 @@ class SubstitutionPoint(PointGen):
         raw = np.frombuffer("".join(parts).encode("ascii"), dtype=np.uint8)
         return self._byte_index[raw]
 
-    def describe(self) -> dict:
-        return {"kind": "substitution", "rules": dict(self.rules),
-                "seed": list(self.seed), "name": self.name}
-
 
 class SturmianPoint(PointGen):
     """Rotation coding: x(t) = 1 iff frac(t*alpha + rho) in [1-alpha, 1)."""
@@ -223,9 +201,6 @@ class SturmianPoint(PointGen):
         t = np.arange(start, stop, dtype=float)
         frac = np.mod(t * self.alpha + self.rho, 1.0)
         return (frac >= 1.0 - self.alpha).astype(np.int64)
-
-    def describe(self) -> dict:
-        return {"kind": "sturmian", "alpha": self.alpha, "rho": self.rho}
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -258,9 +233,6 @@ class BernoulliPoint(PointGen):
         u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
         return (u < self.p).astype(np.int64)
 
-    def describe(self) -> dict:
-        return {"kind": "bernoulli", "p": self.p, "seed": self.seed}
-
 
 class StepPoint(PointGen):
     """x(t) = 1 for t >= 0 and 0 below."""
@@ -270,9 +242,6 @@ class StepPoint(PointGen):
     def codes(self, start: int, stop: int) -> np.ndarray:
         t = np.arange(start, stop, dtype=np.int64)
         return (t >= 0).astype(np.int64)
-
-    def describe(self) -> dict:
-        return {"kind": "step"}
 
 
 class BlockPoint(PointGen):
@@ -302,9 +271,6 @@ class BlockPoint(PointGen):
         if self.fill == "1":
             vals[t <= 0] = 1
         return vals
-
-    def describe(self) -> dict:
-        return {"kind": "block", "fill": self.fill}
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +363,6 @@ class Observable:
                 raise KeyError(f"observable table misses pattern {pattern!r}")
             lut[key] = self.table[pattern]
         return lut
-
-    def describe(self) -> dict:
-        return {
-            "window": list(self.window),
-            "table": {k: [complex(v).real, complex(v).imag]
-                      for k, v in sorted(self.table.items())},
-            "name": self.name,
-        }
 
 
 def observable_track(f: Observable, x: PointGen, t0: int, t1: int) -> Track:

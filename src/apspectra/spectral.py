@@ -284,10 +284,13 @@ def _exact(grids: list[FourierBohrGrid], j: int, tol: float) -> bool:
         for g in shorter)
 
 
+# the most peaks detect_frequencies refines, a mirrored pair counting twice
+MAX_CANDIDATES = 64
+
+
 def detect_frequencies(grids: list[FourierBohrGrid],
                        threshold: float | None = None,
-                       refine_steps: int = 48,
-                       max_candidates: int = 64) -> list[DetectedFrequency]:
+                       refine_steps: int = 48) -> list[DetectedFrequency]:
     """Persistent grid peaks, refined off-grid and re-estimated.
 
     A candidate is a local maximum of the largest grid with amplitude
@@ -306,7 +309,7 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     A real track has |A(theta)| = |A(1 - theta)| and A(1 - theta) the
     conjugate of A(theta), so only peaks in [0, 1/2] are refined and each
     one off 0 and 1/2 brings its mirror along, taking two of the
-    ``max_candidates`` slots for the strongest peaks refined.  The
+    ``MAX_CANDIDATES`` slots for the strongest peaks refined.  The
     returned list is sorted by amplitude, largest first; of two equal
     amplitudes, as a mirrored pair has, the larger theta comes first.
     """
@@ -328,7 +331,7 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     candidates, slots = [], 0
     for j in sorted(np.nonzero(is_peak)[0], key=lambda j: -amps[j]):
         slots += 2 if real and 0 < 2 * j < n else 1
-        if slots > max_candidates:
+        if slots > MAX_CANDIDATES:
             break
         candidates.append(j)
 
@@ -505,11 +508,6 @@ class WeylUniformity:
     spread: float
     argmax_shift: int
     argmin_shift: int
-
-    def describe(self) -> dict:
-        return {"max_modulus": self.max_modulus, "min_modulus": self.min_modulus,
-                "spread": self.spread, "argmax_shift": self.argmax_shift,
-                "argmin_shift": self.argmin_shift}
 
 
 def weyl_uniform_fb(f: Observable, x: PointGen, theta: float,

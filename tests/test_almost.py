@@ -328,7 +328,8 @@ def test_profile_pool_is_bounded(monkeypatch):
     orbit_profile(x, range(3), b, threads=10 ** 6)
     monkeypatch.setattr(almost.os, "cpu_count", lambda: None)
     orbit_profile(x, range(3), b, threads=10 ** 6)
-    assert sizes == [8, 3]
+    # one worker per unit at most: t = 0 and the pairs +-1 .. +-5 are six
+    assert sizes == [6, 3]
 
 
 def float_profile_row(x, t, b):
@@ -575,6 +576,48 @@ def test_orbit_values_obey_the_finite_hierarchy(x, b, ts):
         if t == 0 or (p is not None and t % p == 0):
             assert mean == weyl == bohr == 0.0
             assert prof.mean_converged[i]
+
+
+def weyl_run_inside_bohr(b):
+    start, w_len = b.schedule.window(b.resolved_weyl_index())
+    span, h = b.resolved_weyl_span(), b.bohr_horizon
+    return -h <= start - span and start + span + w_len <= h + 1
+
+
+EPS_GRIDS = st.lists(st.floats(0.001, 0.5), min_size=1, max_size=4)
+SCAN_RANGES = st.tuples(st.integers(-30, 10), st.integers(0, 40)).map(
+    lambda r: (r[0], r[0] + r[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=EVERY_KIND, b=ANY_BUDGETS, eps_grid=EPS_GRIDS,
+       scan_range=SCAN_RANGES, gap=st.sampled_from([0.05, 0.2, 0.5]))
+def test_classify_raw_verdicts_follow_the_hierarchy(x, b, eps_grid,
+                                                    scan_range, gap):
+    # where the weyl run lies inside the bohr horizon, bohr >= weyl for
+    # every translate, so the bohr periods at each epsilon are a subset of
+    # the weyl ones: before reconciliation, bohr-for implies weyl-for and
+    # weyl-against implies bohr-against
+    rep = classify_point(x, eps_grid, b, scan_range, gap)
+    raw = rep.raw_verdicts
+    if weyl_run_inside_bohr(b):
+        if raw["bohr"] == EVIDENCE_FOR:
+            assert raw["weyl"] == EVIDENCE_FOR
+        if raw["weyl"] == EVIDENCE_AGAINST:
+            assert raw["bohr"] == EVIDENCE_AGAINST
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern=st.text("ABC", min_size=1, max_size=6), b=ANY_BUDGETS,
+       eps_grid=EPS_GRIDS, lo=st.integers(-40, 20), extra=st.integers(0, 20))
+def test_classify_periodic_point_is_evidence_for(pattern, b, eps_grid, lo,
+                                                 extra):
+    # every multiple of the period p is a period of every kind at every
+    # epsilon, so no gap exceeds p, a fifth of a range 5p wide or wider
+    p = len(pattern)
+    scan_range = (lo, lo + 5 * p + extra)
+    rep = classify_point(PeriodicPoint(pattern), eps_grid, b, scan_range)
+    assert rep.raw_verdicts == dict.fromkeys(almost.KINDS, EVIDENCE_FOR)
 
 
 FAULT_PROBE = """

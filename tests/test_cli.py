@@ -500,12 +500,48 @@ SMALL_AB = {"point": "periodic:AB",
     ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0}, "k_max": 10 ** 6,
                   "schedule": {"kind": "intervals", "base": 1, "n_max": 10},
                   "atom_thetas": [0.0]}, "k_max"),
+    # a finite but huge value would square to inf in the energies and lag
+    # sums, and write inf and NaN cells
+    ("spectrum", {**SMALL_AB, "point": "thue-morse", "grid_sizes": [64, 128],
+                  "observable": {"kind": "letter_values",
+                                 "map": {"0": 1e308, "1": 1e308}}},
+     "observable.map.0"),
+    ("parseval", {**SMALL_AB, "observable": {"kind": "letter_values",
+                                             "map": {"A": 1e308, "B": 1e308}}},
+     "observable.map.A"),
+    ("parseval", {**SMALL_AB, "thetas": [0.0],
+                  "observable": {"kind": "table", "window": [0],
+                                 "table": {"A": 1, "B": [0, -1e101]}}},
+     "observable.table.B"),
+    ("diffract", {**SMALL_AB, "point": "bernoulli:0.5:3",
+                  "weights": {"0": 0.0, "1": 1e308}, "atom_thetas": [0.0]},
+     "weights.1"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
     res = run_cli([command, "--config", path, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert field in res.output
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("spectrum", {"observable": {"kind": "letter_values", "map": {
+        "0": 1e100, "1": [-1e100, 1e100]}}, "grid_sizes": [4096, 8192]}),
+    ("parseval", {"observable": {"kind": "letter_values", "map": {
+        "0": 1e100, "1": -1e100}}, "detect": {"grid_sizes": [4096, 8192]}}),
+    ("diffract", {"weights": {"0": -1e100, "1": [0, 1e100]}, "k_max": 16,
+                  "detect": {"grid_sizes": [4096, 8192]}}),
+])
+def test_values_at_the_magnitude_bound_stay_finite(tmp_path, command, cfg):
+    # an overflow warning fails the run under the suite's warning filter
+    path = write_config(tmp_path / "c.json", {
+        "point": "fibonacci", **cfg,
+        "schedule": {"kind": "intervals", "base": 1000, "n_max": 8}})
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", path, "--out", str(out)]).exit_code == 0
+    for artifact in out.iterdir():
+        assert not re.search(r"\b(nan|inf|NaN|Infinity)\b",
+                             artifact.read_text()), artifact.name
 
 
 def test_orbit_run_budget_counts_only_the_requested_kinds():

@@ -19,7 +19,7 @@ from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
 
 
 def dict_track(lo, hi, fn):
-    return {t: fn(t) for t in range(lo, hi + 1)}
+    return Track(lo, np.array([fn(t) for t in range(lo, hi + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +97,13 @@ def test_partial_means_alternating_sign_converges_to_zero():
 
 def test_partial_means_missing_sample_reports_first_t():
     s = FolnerSchedule.intervals(base=5, n_max=2)
-    samples = {t: 1.0 for t in range(10) if t != 3}
+    samples = Track(0, np.ones(7))      # stops short of the span [0, 10)
     with pytest.raises(MissingSamples) as err:
         partial_means(samples, s)
-    assert err.value.t == 3
+    assert err.value.t == 7
+    with pytest.raises(MissingSamples) as err:
+        partial_means(Track(3, np.ones(10)), s)     # starts late
+    assert err.value.t == 0
 
 
 def test_partial_means_undecided_between_tolerances():
@@ -180,7 +183,7 @@ def test_uniform_mean_right_tail_saturates():
 def test_uniform_mean_empty_shift_range():
     s = FolnerSchedule.custom([(0, 4)])
     with pytest.raises(EmptyShiftRange):
-        uniform_mean({0: 1.0}, s, 1, (5, 2))
+        uniform_mean(Track(0, np.ones(1)), s, 1, (5, 2))
 
 
 def test_uniform_mean_dominates_plain_average_when_zero_scanned():
