@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,8 @@ from .errors import EmptyShiftRange
 from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate,
                      WindowSegments, as_dense, max_sliding_sums, partial_means,
                      uniform_mean, upper_mean)
-from .points import CylinderSums, PointGen, Track, mismatch_track, shift
+from .points import (CylinderSums, PointGen, Record, Track, mismatch_track,
+                     shift)
 
 __all__ = [
     "ScanBudget",
@@ -36,8 +36,7 @@ __all__ = [
 KINDS = ("mean", "weyl", "bohr")
 
 
-@dataclass(frozen=True)
-class ScanBudget:
+class ScanBudget(Record):
     """Truncations used by every scan; recorded verbatim in all outputs."""
 
     schedule: FolnerSchedule
@@ -136,8 +135,7 @@ def superlevel_density(x: PointGen, t: int, delta: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitProfile:
+class OrbitProfile(Record):
     """Per-translate distances at one budget: everything a scan needs."""
 
     t_values: np.ndarray
@@ -251,8 +249,7 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     return OrbitProfile(t_values, mean_tm, conv, weyl, bohr, budget)
 
 
-@dataclass(frozen=True)
-class AlmostPeriodScan:
+class AlmostPeriodScan(Record):
     epsilon: float
     kind: str
     scan_range: tuple[int, int]
@@ -320,8 +317,7 @@ EVIDENCE_AGAINST = "evidence-against"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     scans: dict                      # kind -> {epsilon -> AlmostPeriodScan}
     verdicts: dict                   # kind -> verdict string
     raw_verdicts: dict               # before hierarchy reconciliation

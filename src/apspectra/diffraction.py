@@ -12,14 +12,13 @@ two routes to the same quantity and are cross-checked in the tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FractionExceedsOne
 from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate, estimate,
                      lag_window_sums)
-from .points import Observable, PointGen, Track, observable_track
+from .points import Observable, PointGen, Record, Track, observable_track
 from .spectral import _windowed_character_means
 
 __all__ = [
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedComb:
+class WeightedComb(Record):
     """A translation-bounded weight pattern w(t) = weight(x(t))."""
 
     point: PointGen
@@ -61,8 +59,7 @@ class WeightedComb:
                                         self.name or "comb-weights")
 
 
-@dataclass(frozen=True)
-class AutocorrEstimate:
+class AutocorrEstimate(Record):
     """Lag correlations eta(k) with their per-lag trajectories.
 
     eta(-k) is the conjugate mirror of eta(k) by construction, so the
@@ -142,8 +139,7 @@ def bombieri_taylor_atom(comb: WeightedComb, theta: float,
                     comb.sup_weight() ** 2, config)
 
 
-@dataclass(frozen=True)
-class DiffractionDensity:
+class DiffractionDensity(Record):
     thetas: np.ndarray
     values: np.ndarray
     taper: str
@@ -197,8 +193,7 @@ def pure_point_fraction(atoms, eta0: float) -> float:
     return frac
 
 
-@dataclass(frozen=True)
-class NphiBridge:
+class NphiBridge(Record):
     track: Track
     residual: float
 

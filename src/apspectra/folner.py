@@ -10,12 +10,11 @@ artifacts stay distinguishable from genuine convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyShiftRange, MissingSamples, NeverBelow
-from .points import Track
+from .points import Record, Track
 
 __all__ = [
     "FolnerSchedule",
@@ -46,8 +45,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FolnerSchedule:
+class FolnerSchedule(Record):
     """A nested family of finite integer windows B_1, B_2, ...
 
     Each window is a half-open interval stored as ``(start, length)``.
@@ -131,8 +129,7 @@ class FolnerSchedule:
         }
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """A character of the integers, t -> exp(2*pi*i*theta*t)."""
 
     theta: float
@@ -154,8 +151,7 @@ class Character:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
+class EstimatorConfig(Record):
     """Knobs for turning a trajectory of partial means into a verdict.
 
     Tolerances are relative to the sup norm of the averaged samples.
@@ -166,28 +162,24 @@ class EstimatorConfig:
     oscillation_threshold: float = 0.1
 
 
-@dataclass(frozen=True)
-class Converged:
+class Converged(Record):
     limit: complex
     residual: float
 
 
-@dataclass(frozen=True)
-class Oscillating:
+class Oscillating(Record):
     liminf: float
     limsup: float
 
 
-@dataclass(frozen=True)
-class Undecided:
+class Undecided(Record):
     reason: str = ""
 
 
 Verdict = Converged | Oscillating | Undecided
 
 
-@dataclass(frozen=True)
-class MeanEstimate:
+class MeanEstimate(Record):
     """Trajectory of partial window averages plus a convergence verdict."""
 
     partials: tuple[tuple[int, complex], ...]
@@ -479,8 +471,7 @@ def uniform_mean(samples: Track, schedule: FolnerSchedule, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibleSeminorm:
+class AdmissibleSeminorm(Record):
     """Shift-invariant monotone seminorm with N(1) = 1.
 
     kind "sup" ignores the schedule; "mean" is the upper-mean proxy of
@@ -525,8 +516,7 @@ def seminorm_eval(norm: AdmissibleSeminorm, samples: Track) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(Record):
     epsilon: float
     first_n_below: int
     all_later_below: bool

@@ -13,11 +13,11 @@ import itertools
 import math
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "Record",
     "PointGen",
     "PeriodicPoint",
     "SubstitutionPoint",
@@ -43,6 +43,51 @@ __all__ = [
     "THUE_MORSE_RULES",
     "PERIOD_DOUBLING_RULES",
 ]
+
+
+class Record:
+    """An immutable value with named fields, like a frozen dataclass: the
+    fields are the class annotations in order, a class attribute of a
+    field's name is its default.  Unlike a dataclass, a record class
+    compiles no code when it is defined, which keeps start-up short."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, rest = type(self), self._fields[len(args):]
+        if (len(args) > len(self._fields) or kwargs.keys() - set(rest)
+                or any(n not in kwargs and not hasattr(cls, n) for n in rest)):
+            raise TypeError(f"{cls.__name__}() takes the fields "
+                            f"{', '.join(self._fields)}, each once")
+        self.__dict__.update(zip(self._fields, args), **{
+            n: kwargs[n] if n in kwargs else getattr(cls, n) for n in rest})
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks or normalises the fields; set one with object.__setattr__."""
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):    # only records of one class are comparable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class PointGen:
@@ -132,6 +177,8 @@ class SubstitutionPoint(PointGen):
                  seed: tuple[str, str] = ("0", "0"), name: str = ""):
         self.rules = dict(rules)
         self.alphabet = tuple(sorted(self.rules))
+        if any(len(a) != 1 or ord(a) > 127 for a in self.alphabet):
+            raise ValueError("letters must be single ASCII characters")
         if any(set(w) - set(self.alphabet) for w in self.rules.values()):
             raise ValueError("rule words must stay inside the alphabet")
         if any(not w for w in self.rules.values()):
@@ -139,11 +186,11 @@ class SubstitutionPoint(PointGen):
         self.seed = (str(seed[0]), str(seed[1]))
         self.name = name
         left, right = self.seed
+        if left not in self.alphabet or right not in self.alphabet:
+            raise ValueError("each seed entry must be one letter of the alphabet")
         if left + right not in _two_letter_factors(self.rules):
             raise ValueError(f"seed pair {left + right!r} is not legal for these rules")
         self._power = self._stable_power(left, right)
-        if any(len(a) != 1 or ord(a) > 127 for a in self.alphabet):
-            raise ValueError("letters must be single ASCII characters")
         byte_index = np.full(256, -1, dtype=np.int64)
         for i, a in enumerate(self.alphabet):
             byte_index[ord(a)] = i
@@ -158,10 +205,11 @@ class SubstitutionPoint(PointGen):
         return word
 
     def _stable_power(self, left: str, right: str) -> int:
+        # sigma^p(l) ends in l iff p steps of l -> last letter of sigma(l) fix l
+        last, first = left, right
         for p in range(1, 25):
-            lw = self._apply(left, p)
-            rw = self._apply(right, p)
-            if lw.endswith(left) and rw.startswith(right):
+            last, first = self.rules[last][-1], self.rules[first][0]
+            if last == left and first == right:
                 return p
         raise ValueError("seed pair is not stabilized by any small power of the rules")
 
@@ -308,8 +356,7 @@ class Track(Mapping):
         return float(np.max(np.abs(self.values), initial=0.0))
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Record):
     """A cylinder function: finite window of offsets plus a total value table.
 
     ``table`` maps every letter pattern on the window (a string, one
@@ -354,15 +401,15 @@ class Observable:
         Raises KeyError naming the first missing pattern, which is how
         partial tables get caught.
         """
-        width = len(self.window)
-        lut = np.empty(len(alphabet) ** width, dtype=complex)
-        # the digits of key in base len(alphabet), lowest first, spell the pattern
-        for key, letters in enumerate(itertools.product(alphabet, repeat=width)):
+        values = []
+        # entry k's digits in base len(alphabet), lowest first, spell its
+        # pattern; a missing one stops the loop before any array is built
+        for letters in itertools.product(alphabet, repeat=len(self.window)):
             pattern = "".join(reversed(letters))
             if pattern not in self.table:
                 raise KeyError(f"observable table misses pattern {pattern!r}")
-            lut[key] = self.table[pattern]
-        return lut
+            values.append(self.table[pattern])
+        return np.array(values, dtype=complex)
 
 
 def observable_track(f: Observable, x: PointGen, t0: int, t1: int) -> Track:
@@ -409,8 +456,7 @@ def cylinder_weights(radius: int) -> tuple[np.ndarray, float]:
     return w, float(w.sum())
 
 
-@dataclass(frozen=True)
-class CylinderMetric:
+class CylinderMetric(Record):
     """Weighted mismatch distance on a window of coordinates around 0.
 
     d(x, y) = (1/C) sum_{|k| <= radius} 2^-|k| [x(k) != y(k)] with

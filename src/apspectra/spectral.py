@@ -11,14 +11,13 @@ grid hits exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .folner import (Character, Converged, EstimatorConfig, FolnerSchedule,
                      MeanEstimate, Oscillating, WindowSegments, as_dense,
                      estimate, partial_means, sliding_sums)
-from .points import Observable, PointGen, Track, observable_track
+from .points import Observable, PointGen, Record, Track, observable_track
 
 __all__ = [
     "fourier_bohr",
@@ -67,8 +66,7 @@ def fourier_bohr(f: Observable, x: PointGen, theta: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FourierBohrGrid:
+class FourierBohrGrid(Record):
     """Coefficients c_j = (1/N) sum_t f(t.x) e(-j t / N) on the grid j/N."""
 
     n: int
@@ -149,8 +147,7 @@ def _grid(values: np.ndarray, method: str = "fast",
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetectedFrequency:
+class DetectedFrequency(Record):
     theta_grid: float
     theta: float
     amplitude: complex
@@ -368,8 +365,7 @@ def detect_frequencies(grids: list[FourierBohrGrid],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsevalTrajectory:
+class ParsevalTrajectory(Record):
     thetas: tuple[float, ...]
     energy: MeanEstimate
     captured: tuple[float, ...]
@@ -421,8 +417,7 @@ def _parseval(track: Track, thetas: tuple, means, schedule: FolnerSchedule,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenfunctionSample:
+class EigenfunctionSample(Record):
     theta: float
     values: tuple[complex, ...]
     flags: tuple[str, ...]          # "", "oscillating", "undecided"
@@ -501,8 +496,7 @@ def eigenfunction_sample(f: Observable, theta: float, points,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylUniformity:
+class WeylUniformity(Record):
     max_modulus: float
     min_modulus: float
     spread: float
@@ -537,8 +531,7 @@ NOT_PURE_POINT = "evidence-not-pure-point"
 PURITY_UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(Record):
     frequencies: tuple[DetectedFrequency, ...]
     trajectories: dict               # theta -> MeanEstimate
     energy: MeanEstimate

@@ -516,6 +516,20 @@ SMALL_AB = {"point": "periodic:AB",
     ("diffract", {**SMALL_AB, "point": "bernoulli:0.5:3",
                   "weights": {"0": 0.0, "1": 1e308}, "atom_thetas": [0.0]},
      "weights.1"),
+    # a seed entry must be one letter: an empty left word never grows, and
+    # words that no power of the rules stabilises grew as 3^p while the
+    # power was sought
+    ("generate", {"range": [-8, 8], "point": {
+        "kind": "substitution", "rules": {"0": "01", "1": "10"},
+        "seed": ["", "01"]}}, "point"),
+    ("generate", {"range": [-8, 8], "point": {
+        "kind": "substitution", "rules": {"0": "011", "1": "111"},
+        "seed": ["0", "1"]}}, "point"),
+    # a table over 40 offsets would have 2^40 entries; the first missing
+    # pattern is found before any is allocated
+    ("parseval", {**SMALL_AB, "thetas": [0.0],
+                  "observable": {"kind": "table", "window": list(range(40)),
+                                 "table": {"A" * 40: 1}}}, "observable.table"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)

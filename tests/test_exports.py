@@ -2,7 +2,8 @@
 fails here instead of breaking ``from apspectra.<module> import *``; the
 package root imports no submodule, the command line needs nothing but
 the standard library and numpy, and an orbit command loads neither the
-thread pool nor the traceback module it does not use."""
+thread pool nor the traceback module it does not use, and no command
+builds dataclasses."""
 
 import importlib
 import json
@@ -51,14 +52,15 @@ try:
     apspectra.cli.main(["scan", "--config", sys.argv[1], "--out", sys.argv[2]])
 except SystemExit as exc:
     print(exc.code)
-print(sorted(m for m in ("concurrent.futures", "traceback")
+print(sorted(m for m in ("concurrent.futures", "traceback", "dataclasses")
              if m in sys.modules))
 """
 
 
 def test_serial_scan_skips_the_thread_pool_and_traceback(tmp_path):
     # a serial orbit command opens no thread pool, and only a crash
-    # prints a traceback, so neither module is imported
+    # prints a traceback, so neither module is imported; records are not
+    # dataclasses, whose per-class code generation would lengthen the start
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
