@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import itertools
 import json
 import os
 import sys
@@ -98,11 +99,15 @@ class OutputDir:
         return False
 
     def write_text(self, name: str, content: str) -> None:
-        target = self.path / name
+        self.write_blocks(name, (content,))
+
+    def write_blocks(self, name: str, blocks) -> None:
+        """Write ``blocks``, strings, as they come; then rename onto ``name``."""
         tmp = self.path / f"{name}.tmp-{os.getpid()}"
         try:
-            tmp.write_text(content, encoding="utf-8", newline="\n")
-            os.replace(tmp, target)
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(blocks)
+            os.replace(tmp, self.path / name)
         finally:
             tmp.unlink(missing_ok=True)
 
@@ -134,8 +139,8 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-# spectrum.csv's body is joined in blocks of at most this many lines, so
-# no list of one string per line is held
+# spectrum.csv's body is formatted and written in blocks of at most this
+# many lines, so neither a string per line nor the whole body is held
 _BLOCK = 8192
 
 
@@ -144,15 +149,16 @@ def _block(thetas: np.ndarray, re: list, im: list, mod: list) -> str:
                     for t, r, i, m in zip(thetas.tolist(), re, im, mod)])
 
 
-def _grid_lines(grid: spectral.FourierBohrGrid) -> list[str]:
+def _grid_lines(grid: spectral.FourierBohrGrid):
     """spectrum.csv's theta,re,im,|c| lines with the digits ``_fmt`` writes,
-    in blocks of at most ``_BLOCK`` lines that each end in a newline.
+    yielded in blocks of at most ``_BLOCK`` lines that each end in a newline.
 
     The scalar ``abs`` rounds |c| as numpy scalars do; ``np.abs`` of the
     array may not.  When bin n - j is the conjugate of bin j bit for bit,
     as a real track's grid is, rows 0 .. n // 2 are formatted and row
     n - j reuses row j's cells with the sign of ``im`` toggled, which is
-    exact since repr(-x) is "-" + repr(x) for every float but nan.
+    exact since repr(-x) is "-" + repr(x) for every float but nan.  Only
+    the mirrored blocks, the body's second half, are held until the end.
     """
     n = grid.n
     thetas = grid.thetas
@@ -163,13 +169,13 @@ def _grid_lines(grid: spectral.FourierBohrGrid) -> list[str]:
                        amps[n - half:0:-1].conj().view(np.uint64))
         and not np.isnan(amps.imag).any())
     top = half if hermitian else n
-    blocks, mirrors = [], []
+    mirrors = []
     for lo in range(0, top, _BLOCK):
         rows = amps[lo:min(lo + _BLOCK, top)]
         re = list(map(repr, rows.real.tolist()))
         im = list(map(repr, rows.imag.tolist()))
         mod = list(map(repr, map(abs, rows.tolist())))
-        blocks.append(_block(thetas[lo:lo + len(rows)], re, im, mod))
+        yield _block(thetas[lo:lo + len(rows)], re, im, mod)
         # rows n - j for the rows j = lo + i of this block in 1 .. n - half
         a, b = max(lo, 1) - lo, min(lo + len(rows), n - half + 1) - lo
         if hermitian and a < b:
@@ -177,25 +183,27 @@ def _grid_lines(grid: spectral.FourierBohrGrid) -> list[str]:
                 thetas[n - lo - b + 1:n - lo - a + 1], re[a:b][::-1],
                 [s[1:] if s[0] == "-" else "-" + s for s in im[a:b][::-1]],
                 mod[a:b][::-1]))
-    return blocks + mirrors[::-1]
+    yield from reversed(mirrors)
 
 
-def _csv_doc(header: list[str], rows, expanded: dict, budget: dict | None) -> str:
-    """A row is a list of cells, or a block of formatted lines that each
-    end in a newline."""
+def _csv_head(header: list[str], expanded: dict, budget: dict | None) -> str:
     head = [f"# config_hash={config_hash(expanded)}"]
     if budget is not None:
         head.append(f"# budget={canonical_json(budget)}")
     head.append(",".join(header))
-    text = ["\n".join(head) + "\n"]
-    text.extend(row if isinstance(row, str) else ",".join(
-        _fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
-        for row in rows)
+    return "\n".join(head) + "\n"
+
+
+def _csv_doc(header: list[str], rows, expanded: dict, budget: dict | None) -> str:
+    text = [_csv_head(header, expanded, budget)]
+    text.extend(",".join(_fmt(v) if not isinstance(v, str) else v
+                         for v in row) + "\n" for row in rows)
     return "".join(text)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: take the validated config, return {filename: text}
+# command handlers: take the validated config, return {filename: text},
+# where a text may also be an iterable of strings, written as they come
 # ---------------------------------------------------------------------------
 
 
@@ -269,9 +277,10 @@ def _cmd_spectrum(cfg: dict, threads: int) -> dict:
         config=EstimatorConfig(**cfg["estimator"]))
     return {
         "spectrum.json": _json_doc({"report": report.describe()}, cfg),
-        "spectrum.csv": _csv_doc(["theta", "amp_re", "amp_im", "amp_abs"],
-                                 _grid_lines(report.grids[-1]), cfg,
-                                 report.budget_fingerprint),
+        "spectrum.csv": itertools.chain(
+            [_csv_head(["theta", "amp_re", "amp_im", "amp_abs"], cfg,
+                       report.budget_fingerprint)],
+            _grid_lines(report.grids[-1])),
     }
 
 
@@ -372,7 +381,9 @@ def _run(command: str, config_path: str, out: str, threads: int | None,
         files = _HANDLERS[command](cfg, _resolve_threads(threads))
         with OutputDir(out) as sink:
             for name, content in sorted(files.items()):
-                sink.write_text(name, content)
+                write = sink.write_text if isinstance(content, str) \
+                    else sink.write_blocks
+                write(name, content)
         print(f"{command}: wrote {', '.join(sorted(files))} to {out}")
         return 0
     except ConfigError as exc:

@@ -207,9 +207,15 @@ class SubstitutionPoint(PointGen):
     def _stable_power(self, left: str, right: str) -> int:
         # sigma^p(l) ends in l iff p steps of l -> last letter of sigma(l) fix l
         last, first = left, right
+        size = dict.fromkeys(self.rules, 1)     # |sigma^p(a)|, capped at 2
         for p in range(1, 25):
             last, first = self.rules[last][-1], self.rules[first][0]
+            size = {a: min(2, sum(size[b] for b in w))
+                    for a, w in self.rules.items()}
             if last == left and first == right:
+                if min(size[left], size[right]) < 2:
+                    raise ValueError("a seed letter's word does not grow "
+                                     "under the rules")
                 return p
         raise ValueError("seed pair is not stabilized by any small power of the rules")
 

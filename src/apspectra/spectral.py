@@ -73,7 +73,7 @@ class FourierBohrGrid(Record):
     amplitudes: np.ndarray
     method: str
     cross_residual: float | None
-    track: np.ndarray
+    track: np.ndarray               # float when the track is real
 
     @property
     def thetas(self) -> np.ndarray:
@@ -119,15 +119,18 @@ def fourier_bohr_grids(track: Track, sizes) -> list[FourierBohrGrid]:
 
 def _grid(values: np.ndarray, method: str = "fast",
           direct_check_limit: int = 4096) -> FourierBohrGrid:
-    values = np.asarray(values, dtype=complex)
+    # a real track stays real: the grid keeps a float view of it, no copy
+    values = np.asarray(values)
+    if not (np.iscomplexobj(values) and values.imag.any()):
+        values = np.asarray(values.real, dtype=float)
     n = len(values)
     if n < 2:
         raise ValueError("grid length must be at least 2")
-    if values.imag.any():
+    if np.iscomplexobj(values):
         fast = np.fft.fft(values) / n
     else:
         # a real track: bin n - j is the conjugate of bin j, bit for bit
-        half = np.fft.rfft(values.real) / n
+        half = np.fft.rfft(values) / n
         fast = np.empty(n, dtype=complex)
         fast[:len(half)] = half
         fast[len(half):] = half[(n + 1) // 2 - 1:0:-1].conj()
@@ -321,7 +324,7 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     thr = max(thr, 1e-12 * sup)
     amps = np.abs(base.amplitudes)
     n = base.n
-    real = not base.track.imag.any()
+    real = not np.iscomplexobj(base.track)
     is_peak = (amps >= thr) & (amps >= np.roll(amps, 1)) & (amps >= np.roll(amps, -1))
     if real:
         is_peak[n // 2 + 1:] = False

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apspectra import config, spectral
+from apspectra import cli, config, spectral
 from apspectra.cli import _BLOCK, _fmt, _grid_lines, main
 from apspectra.diffraction import WeightedComb
 from apspectra.errors import ConfigError
@@ -196,6 +197,56 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     # generate.json went in before the failure; no temp file or lock stays
     assert sorted(p.name for p in out.iterdir()) == ["generate.json",
                                                      "sequence.csv"]
+
+
+def _spectrum_config(tmp_path, grid_sizes):
+    return write_config(tmp_path / "s.json", {
+        "point": "fibonacci",
+        "observable": {"kind": "indicator", "letter": "1"},
+        "schedule": {"kind": "intervals", "base": 256, "n_max": 4},
+        "grid_sizes": grid_sizes})
+
+
+def test_spectrum_crash_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    def failing(grid):
+        yield next(real(grid))
+        raise RuntimeError("formatting failed after one block")
+
+    real = cli._grid_lines
+    monkeypatch.setattr(cli, "_grid_lines", failing)
+    cfg = _spectrum_config(tmp_path, [2048, 4 * _BLOCK])
+    out = tmp_path / "out"
+    res = run_cli(["spectrum", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 1
+    assert "formatting failed after one block" in res.output
+    # spectrum.csv is written first: no artifact, temp file or lock stays
+    assert list(out.iterdir()) == []
+    monkeypatch.setattr(cli, "_grid_lines", real)
+    assert run_cli(["spectrum", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv",
+                                                     "spectrum.json"]
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 3 + 4 * _BLOCK
+
+
+# bytes per point of the largest grid that a spectrum run may hold at once,
+# as tracemalloc counts them: the run keeps the track, the grids, the
+# refinement moments and half of spectrum.csv's text, about 140 B/pt; it
+# held about 230 B/pt when every stage kept a complex copy of the track
+# and the whole CSV text was built before it was written
+SPECTRUM_BYTES_PER_POINT = 180
+
+
+def test_spectrum_peak_memory_scales_with_the_grid(tmp_path):
+    n = 2 ** 16
+    cfg = _spectrum_config(tmp_path, [n // 4, n // 2, n])
+    tracemalloc.start()
+    try:
+        code = cli._run("spectrum", cfg, str(tmp_path / "out"), 1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= SPECTRUM_BYTES_PER_POINT * n, peak / n
 
 
 def test_out_naming_a_file_exits_two(tmp_path):
@@ -530,6 +581,10 @@ SMALL_AB = {"point": "periodic:AB",
     ("parseval", {**SMALL_AB, "thetas": [0.0],
                   "observable": {"kind": "table", "window": list(range(40)),
                                  "table": {"A" * 40: 1}}}, "observable.table"),
+    # sigma(0) = 0 and the seed is 0.0, so neither seed word ever grows
+    ("generate", {"range": [-8, 8], "point": {
+        "kind": "substitution", "rules": {"0": "0", "1": "10"},
+        "seed": ["0", "0"]}}, "point"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
@@ -607,7 +662,7 @@ def test_spectrum_csv_rows_match_cell_formatting():
         cells = "".join(
             ",".join(_fmt(v) for v in (t, a.real, a.imag, abs(a))) + "\n"
             for t, a in zip(grid.thetas, grid.amplitudes))
-        blocks = _grid_lines(grid)
+        blocks = list(_grid_lines(grid))
         assert all(0 < b.count("\n") <= _BLOCK and b.endswith("\n")
                    for b in blocks)
         assert "".join(blocks) == cells
