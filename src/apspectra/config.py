@@ -259,8 +259,8 @@ def _observable_preset(value, path: str):
 # ---------------------------------------------------------------------------
 
 SEED = Int(least=0, most=2 ** 64 - 1)
-# a point is generated out to the farthest coordinate it is asked for, so
-# coordinates (and offsets, shifts and window starts) stay in the budget
+# an input cap: coordinates (and offsets, shifts and window starts) stay in
+# the budget, far inside what the generators' float arithmetic resolves
 COORD = Int(least=-SAMPLE_BUDGET, most=SAMPLE_BUDGET)
 
 POINT = Kinds({

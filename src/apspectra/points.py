@@ -9,9 +9,8 @@ convention.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import math
-import threading
 from collections.abc import Mapping
 
 import numpy as np
@@ -147,97 +146,97 @@ THUE_MORSE_RULES = {"0": "01", "1": "10"}
 PERIOD_DOUBLING_RULES = {"0": "01", "1": "00"}
 
 
-def _two_letter_factors(rules: Mapping[str, str]) -> set[str]:
-    """Closure of the legal two-letter words of the substitution."""
-    def pairs_of(word):
-        return {word[i:i + 2] for i in range(len(word) - 1)}
-
-    factors: set[str] = set()
-    for w in rules.values():
-        factors |= pairs_of(w)
-    while True:
-        new = set(factors)
-        for p in factors:
-            new |= pairs_of(rules[p[0]] + rules[p[1]])
-        if new == factors:
-            return factors
-        factors = new
+# the letter lengths |sigma^j(a)| are capped here, past every int64 coordinate
+_LENGTH_CAP = 2 ** 63
 
 
 class SubstitutionPoint(PointGen):
-    """Two-sided fixed point of a primitive substitution.
+    """Two-sided fixed point of a substitution sigma.
 
-    The seed is a legal two-letter word l.r placed at coordinates
-    (-1, 0).  Internally the rules are iterated with the smallest power
-    p for which sigma^p(l) ends in l and sigma^p(r) starts with r, so
-    each expansion extends the cached words without rewriting them.
+    The seed is a legal two-letter word l.r at coordinates (-1, 0); with p
+    the smallest power for which sigma^p(l) ends in l and sigma^p(r) starts
+    with r, the point reads sigma^(pK)(l).sigma^(pK)(r) for every K.  A
+    window is read by descending from the seed letters, one application of
+    sigma per level, expanding only the tiles that meet it: its work follows
+    its width, not its coordinates.
     """
 
     def __init__(self, rules: Mapping[str, str],
                  seed: tuple[str, str] = ("0", "0"), name: str = ""):
         self.rules = dict(rules)
         self.alphabet = tuple(sorted(self.rules))
-        if any(len(a) != 1 or ord(a) > 127 for a in self.alphabet):
-            raise ValueError("letters must be single ASCII characters")
-        if any(set(w) - set(self.alphabet) for w in self.rules.values()):
-            raise ValueError("rule words must stay inside the alphabet")
-        if any(not w for w in self.rules.values()):
-            raise ValueError("rule words must be nonempty")
-        self.seed = (str(seed[0]), str(seed[1]))
-        self.name = name
-        left, right = self.seed
-        if left not in self.alphabet or right not in self.alphabet:
+        # the seed checks below take time quadratic to cubic in the letters
+        if len(self.alphabet) > 128 or any(len(a) != 1 for a in self.alphabet):
+            raise ValueError("letters must be at most 128 single characters")
+        if any(not w or set(w) - set(self.alphabet) for w in self.rules.values()):
+            raise ValueError("rule words must be nonempty words over the alphabet")
+        self.seed, self.name = (str(seed[0]), str(seed[1])), name
+        if not set(self.seed) <= set(self.alphabet):
             raise ValueError("each seed entry must be one letter of the alphabet")
-        if left + right not in _two_letter_factors(self.rules):
-            raise ValueError(f"seed pair {left + right!r} is not legal for these rules")
-        self._power = self._stable_power(left, right)
-        byte_index = np.full(256, -1, dtype=np.int64)
-        for i, a in enumerate(self.alphabet):
-            byte_index[ord(a)] = i
-        self._byte_index = byte_index
-        self._left_word = left
-        self._right_word = right
-        self._lock = threading.Lock()
+        index = {a: i for i, a in enumerate(self.alphabet)}
+        images = [tuple(index[c] for c in self.rules[a]) for a in self.alphabet]
+        self._seed = seed = (index[self.seed[0]], index[self.seed[1]])
+        # the legal two-letter words: the pairs inside an image, closed under
+        # a.b -> (last letter of sigma(a)).(first letter of sigma(b))
+        pairs, new = set(), {w[i:i + 2] for w in images for i in range(len(w) - 1)}
+        while new:
+            pairs |= new
+            new = {(images[a][-1], images[b][0]) for a, b in new} - pairs
+        if seed not in pairs:
+            raise ValueError(f"seed pair {''.join(self.seed)!r} is not legal")
+        # sigma^j(a) grows exponentially in j iff a reaches a letter b whose
+        # image holds two letters of b's own strongly connected class
+        n = len(images)
+        count = np.array([np.bincount(w, minlength=n) for w in images])
+        reach = np.linalg.matrix_power(np.eye(n, dtype=bool) | (count > 0), n)
+        pumps = (count * (reach & reach.T)).sum(axis=1) >= 2
+        if not (reach[list(seed)] & pumps).any(axis=1).all():
+            raise ValueError("a seed letter's word does not grow exponentially")
+        ends = [seed]       # the last letter of sigma^j(l), the first of sigma^j(r)
+        for _ in range(24):
+            ends.append((images[ends[-1][0]][-1], images[ends[-1][1]][0]))
+        if seed not in ends[1:]:
+            raise ValueError("no power p <= 24 of the rules fixes the seed pair")
+        self._power = ends.index(seed, 1)
+        self._lengths = lengths = [(1,) * n]    # level j: |sigma^j(a)|, capped
+        while (len(lengths) - 1) % self._power or min(
+                lengths[-1][a] for a in seed) < _LENGTH_CAP:
+            lengths.append(tuple(min(_LENGTH_CAP, sum(lengths[-1][b] for b in w))
+                                 for w in images))
+        # per side: the images (mirrored for the left half), and concatenated
+        self._tables = [(t, np.fromiter(itertools.chain(*t), np.int64))
+                        for t in ([w[::-1] for w in images], images)]
+        self._size = np.array([len(w) for w in images])
+        self._offset = np.cumsum(self._size) - self._size
 
-    def _apply(self, word: str, times: int = 1) -> str:
-        for _ in range(times):
-            word = "".join(self.rules[c] for c in word)
-        return word
-
-    def _stable_power(self, left: str, right: str) -> int:
-        # sigma^p(l) ends in l iff p steps of l -> last letter of sigma(l) fix l
-        last, first = left, right
-        size = dict.fromkeys(self.rules, 1)     # |sigma^p(a)|, capped at 2
-        for p in range(1, 25):
-            last, first = self.rules[last][-1], self.rules[first][0]
-            size = {a: min(2, sum(size[b] for b in w))
-                    for a, w in self.rules.items()}
-            if last == left and first == right:
-                if min(size[left], size[right]) < 2:
-                    raise ValueError("a seed letter's word does not grow "
-                                     "under the rules")
-                return p
-        raise ValueError("seed pair is not stabilized by any small power of the rules")
-
-    def _ensure(self, start: int, stop: int) -> None:
-        with self._lock:
-            while len(self._left_word) < max(0, -start):
-                self._left_word = self._apply(self._left_word, self._power)
-            while len(self._right_word) < max(0, stop):
-                self._right_word = self._apply(self._right_word, self._power)
-
-    def codes(self, start: int, stop: int) -> np.ndarray:
+    def _descend(self, side: int, start: int, stop: int) -> np.ndarray:
+        """Letters [start, stop) of sigma^(pK)(seed), 0 <= start, stop <= 2^63,
+        of the right half (side 1) or of the mirrored left half (side 0)."""
         if stop <= start:
             return np.zeros(0, dtype=np.int64)
-        self._ensure(start, stop)
-        parts = []
-        if start < 0:
-            lw = self._left_word
-            parts.append(lw[len(lw) + start:len(lw) + min(stop, 0)])
-        if stop > 0:
-            parts.append(self._right_word[max(start, 0):stop])
-        raw = np.frombuffer("".join(parts).encode("ascii"), dtype=np.uint8)
-        return self._byte_index[raw]
+        images, flat = self._tables[side]
+        letter, lengths = self._seed[side], self._lengths
+        depth = next(j for j in range(0, len(lengths), self._power)
+                     if lengths[j][letter] >= stop)
+        # the run of tiles meeting the window starts at lo, its last tile at
+        # last; only the children of its end tiles can fall outside
+        run, lo, last = np.array([letter], dtype=np.int64), 0, 0
+        for size in reversed(lengths[:depth]):
+            tail, head = (list(itertools.accumulate(
+                (size[c] for c in images[tile]), initial=edge))
+                for tile, edge in ((run[-1], last), (run[0], lo)))
+            keep = bisect.bisect_left(tail, stop)
+            drop = bisect.bisect_right(head, start) - 1
+            lo, last = head[drop], tail[keep - 1]
+            sizes = self._size[run]
+            at = np.repeat(self._offset[run] - np.cumsum(sizes) + sizes, sizes)
+            at += np.arange(len(at))
+            run = flat[at[drop:len(at) - len(tail) + 1 + keep]]
+        return run
+
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        left = self._descend(0, -min(stop, 0), -start)
+        return np.concatenate((left[::-1], self._descend(1, max(start, 0), stop)))
 
 
 class SturmianPoint(PointGen):

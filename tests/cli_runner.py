@@ -1,12 +1,18 @@
-"""Run the command line in process, as the tests drive it."""
+"""Run the command line in process, as the tests drive it, or in a fresh
+process with a deadline."""
 
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
 from apspectra.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class Result(NamedTuple):
@@ -25,3 +31,16 @@ def run_cli(args, env=None) -> Result:
         except SystemExit as exc:
             return Result(exc.code, buffer.getvalue())
     raise AssertionError("main returned instead of exiting")
+
+
+def run_cli_process(args, timeout: float) -> Result:
+    """``python -m apspectra.cli args`` with this tree's ``src`` first on
+    the path.  A run still going after ``timeout`` seconds is killed and
+    raises ``subprocess.TimeoutExpired``, so a hang fails its test where
+    an in-process ``run_cli`` could not be interrupted."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-m", "apspectra.cli", *args],
+                         env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.STDOUT, text=True, timeout=timeout)
+    return Result(res.returncode, res.stdout)

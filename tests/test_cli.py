@@ -2,12 +2,8 @@
 
 import fcntl
 import json
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,7 @@ from apspectra.diffraction import WeightedComb
 from apspectra.errors import ConfigError
 from apspectra.points import BernoulliPoint, Observable
 from apspectra.spectral import FourierBohrGrid, fourier_bohr_grid
-from cli_runner import run_cli
+from cli_runner import run_cli, run_cli_process
 
 
 def write_config(path, cfg):
@@ -260,16 +256,11 @@ def test_out_naming_a_file_exits_two(tmp_path):
 
 
 def test_module_entry_point_lists_commands():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-m", "apspectra.cli", "--help"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 0
+    res = run_cli_process(["--help"], timeout=60)
+    assert res.exit_code == 0
     for name in ("generate", "scan", "classify", "spectrum", "parseval",
                  "eigen", "diffract"):
-        assert re.search(rf"^\s+{name}\b", res.stdout, re.M), name
+        assert re.search(rf"^\s+{name}\b", res.output, re.M), name
 
 
 @pytest.mark.parametrize("args", [
@@ -516,8 +507,8 @@ SMALL_AB = {"point": "periodic:AB",
                   "atom_thetas": [0.0]}, "grid_size"),
     ("classify", {**SMALL_AB, "weyl_shift_span": 10 ** 10}, "weyl_shift_span"),
     ("classify", {**SMALL_AB, "bohr_horizon": 10 ** 10}, "bohr_horizon"),
-    # coordinates stay inside the budget too: a point is generated out to
-    # the farthest coordinate asked for, however few samples that is
+    # coordinates stay inside the budget too, however few samples they ask
+    # for: the budget caps every coordinate a config names
     ("generate", {"point": "fibonacci", "range": [10 ** 9, 10 ** 9]},
      "range[0]"),
     ("scan", {**SMALL_AB, "range": [-2 ** 22 - 1, -2 ** 22]}, "range[0]"),
@@ -585,12 +576,52 @@ SMALL_AB = {"point": "periodic:AB",
     ("generate", {"range": [-8, 8], "point": {
         "kind": "substitution", "rules": {"0": "0", "1": "10"},
         "seed": ["0", "0"]}}, "point"),
+    # |sigma^n(a)| = n + 1 and |sigma^n(c)| grows as n^2 / 2: reading
+    # coordinate k of seeds that grow only polynomially takes about k levels
+    ("generate", {"range": [-4000, 4000], "point": {
+        "kind": "substitution", "rules": {"a": "ba", "b": "b", "c": "cb",
+                                          "d": "ac"},
+        "seed": ["a", "c"]}}, "point"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
-    res = run_cli([command, "--config", path, "--out", str(tmp_path / "o")])
+    args = [command, "--config", path, "--out", str(tmp_path / "o")]
+    # substitution seeds have hung the generator before: a fresh process
+    # with a deadline fails in seconds if one hangs again
+    if isinstance(cfg.get("point"), dict) and (
+            cfg["point"]["kind"] == "substitution"):
+        res = run_cli_process(args, timeout=10)
+    else:
+        res = run_cli(args)
     assert res.exit_code == 2
     assert field in res.output
+
+
+P24 = "abcdefghijklmnopqrstuvwx"
+
+
+@pytest.mark.parametrize("cfg,letters", [
+    # c_i -> c_i c_(i+1) c_(i+1) on 24 letters: the seed a.b is stable under
+    # sigma^24 only, whose words have 3^24 letters
+    ({"range": [-8, 8], "point": {
+        "kind": "substitution", "seed": ["a", "b"],
+        "rules": {c: c + P24[(i + 1) % 24] * 2 for i, c in enumerate(P24)}}},
+     "xxxaaxaabcccddcdd"),
+    # a short window at the far end of the coordinate budget
+    ({"range": [2 ** 22 - 100, 2 ** 22 - 1], "point": "fibonacci"}, None),
+])
+def test_substitution_windows_deep_or_far_out_exit_zero(tmp_path, cfg,
+                                                         letters):
+    path = write_config(tmp_path / "c.json", cfg)
+    out = tmp_path / "o"
+    res = run_cli_process(["generate", "--config", path, "--out", str(out)],
+                          timeout=10)
+    assert res.exit_code == 0, res.output
+    rows = (out / "sequence.csv").read_text().splitlines()[2:]
+    assert [int(row.split(",")[0]) for row in rows] == list(
+        range(cfg["range"][0], cfg["range"][1] + 1))
+    if letters:
+        assert "".join(row.split(",")[1] for row in rows) == letters
 
 
 @pytest.mark.parametrize("command,cfg", [

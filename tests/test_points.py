@@ -1,8 +1,11 @@
 """Generators, observables, tracks and the cylinder metric."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apspectra.points import (FIBONACCI_RULES, MAX_RADIUS,
@@ -70,6 +73,140 @@ def test_substitution_prefix_is_fixed():
 def test_substitution_rejects_illegal_seed():
     with pytest.raises(ValueError):
         SubstitutionPoint(FIBONACCI_RULES, ("1", "1"))  # "11" never occurs
+
+
+P24 = "abcdefghijklmnopqrstuvwx"
+
+
+@pytest.mark.parametrize("rules,seed,grows", [
+    (FIBONACCI_RULES, "00", True),
+    (THUE_MORSE_RULES, "00", True),
+    ({"0": "0010", "1": "1"}, "00", True),         # Chacon's: not primitive
+    ({c: c + P24[(i + 1) % 24] * 2 for i, c in enumerate(P24)}, "ab", True),
+    ({"a": "b", "b": "c", "c": "ab"}, "ba", True),  # the plastic number
+    ({"a": "ba", "b": "b", "c": "cb", "d": "ac"}, "ac", False),  # linear
+    ({"a": "ab", "b": "bc", "c": "c"}, "ab", False),  # quadratic
+    ({"0": "0", "1": "10"}, "00", False),          # never grows
+])
+def test_substitution_seed_letters_must_grow_exponentially(rules, seed,
+                                                          grows):
+    if grows:
+        SubstitutionPoint(rules, tuple(seed))
+    else:
+        with pytest.raises(ValueError, match="exponentially"):
+            SubstitutionPoint(rules, tuple(seed))
+
+
+@pytest.mark.parametrize("size", [128, 129])
+def test_substitution_alphabet_has_at_most_128_letters(size):
+    # letters need not be ASCII, but their number stays bounded
+    c = [chr(0x4E00 + i) for i in range(size)]
+    rules = {a: a + c[(i + 1) % size] + a for i, a in enumerate(c)}
+    if size <= 128:
+        x = SubstitutionPoint(rules, (c[0], c[1]))
+        assert eval_window(x, -1, 0) == c[0] + c[1]
+    else:
+        with pytest.raises(ValueError, match="128"):
+            SubstitutionPoint(rules, (c[0], c[1]))
+
+
+def oracle_window(rules, seed, start, stop):
+    """x(start..stop-1) of the fixed point by plain word expansion: the
+    seed words l and r grow under sigma^p, with p the smallest power for
+    which sigma^p(l) ends in l and sigma^p(r) starts with r, until they
+    cover the window.  The last (first) n letters of sigma(w) depend only
+    on the last (first) n letters of w, so each word is cut to what the
+    window reads after every application."""
+    table = str.maketrans(rules)
+    need_left, need_right = max(-start, 1), max(stop, 1)
+
+    def apply(left, right):
+        return (left.translate(table)[-need_left:],
+                right.translate(table)[:need_right])
+
+    left, right = apply(*seed)
+    power = 1
+    while (left[-1], right[0]) != seed:
+        left, right = apply(left, right)
+        power += 1
+        assert power <= 24
+    while len(left) < -start or len(right) < stop:
+        for _ in range(power):
+            left, right = apply(left, right)
+    word = left + right
+    return word[len(left) + start:len(left) + stop]
+
+
+@st.composite
+def growing_points(draw, letters=tuple("01abαβé中")):
+    """Points of random substitutions on two to four letters, non-ASCII
+    ones among them, primitive or not, at one of their legal seeds whose
+    letters grow exponentially."""
+    alphabet = draw(st.lists(st.sampled_from(letters), min_size=2,
+                             max_size=4, unique=True))
+    word = st.lists(st.sampled_from(alphabet), min_size=1, max_size=4)
+    rules = {a: "".join(draw(word)) for a in alphabet}
+    points = []
+    for left in alphabet:
+        for right in alphabet:
+            try:
+                points.append(SubstitutionPoint(rules, (left, right)))
+            except ValueError:
+                pass
+    assume(points)
+    return draw(st.sampled_from(points))
+
+
+CHACON = SubstitutionPoint({"0": "0010", "1": "1"}, ("0", "0"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=growing_points(), start=st.integers(-300, 300),
+       length=st.integers(0, 400))
+@example(x=CHACON, start=-300, length=400)
+def test_substitution_codes_match_word_expansion(x, start, length):
+    window = "".join(x.alphabet[c] for c in x.codes(start, start + length))
+    assert window == oracle_window(x.rules, x.seed, start, start + length)
+
+
+FAR = 2 ** 22
+
+
+@pytest.mark.parametrize("x", [
+    SubstitutionPoint(FIBONACCI_RULES, ("0", "0")),
+    CHACON,
+    SubstitutionPoint({"α": "αβ中", "β": "中αβ", "中": "βα"}, ("β", "α")),
+], ids=["fibonacci", "chacon", "non-ascii"])
+def test_substitution_far_windows_match_word_expansion(x):
+    # short windows at both ends of [-FAR - 100, FAR], the ends included
+    word = oracle_window(x.rules, x.seed, -FAR - 100, FAR + 1)
+    rng = np.random.default_rng(17)
+    starts = np.concatenate([rng.integers(FAR - 400, FAR, 40),
+                             rng.integers(-FAR - 100, -FAR + 300, 40)])
+    for start, length in zip(starts.tolist(), rng.integers(0, 400, 80).tolist()):
+        stop = min(start + length, FAR + 1)
+        window = "".join(x.alphabet[c] for c in x.codes(start, stop))
+        assert window == word[start + FAR + 100:stop + FAR + 100]
+    assert "".join(x.alphabet[c] for c in x.codes(FAR - 1, FAR + 1)) == word[-2:]
+    assert x.alphabet[x.codes(-FAR - 100, -FAR - 99)[0]] == word[0]
+
+
+def test_substitution_codes_are_safe_across_threads():
+    x = SubstitutionPoint(FIBONACCI_RULES, ("0", "0"))
+    rng = np.random.default_rng(11)
+    windows = [(int(a), int(a) + int(n)) for a, n in zip(
+        rng.integers(-FAR, FAR, 64), rng.integers(0, 5000, 64))]
+    expected = [x.codes(a, b) for a, b in windows]
+    fresh = SubstitutionPoint(FIBONACCI_RULES, ("0", "0"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda w: fresh.codes(*w), windows * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, codes in enumerate(got):
+        assert np.array_equal(codes, expected[i % len(windows)])
 
 
 def test_bernoulli_reproducible_and_order_independent():
