@@ -112,10 +112,9 @@ def autocorrelation(comb: WeightedComb, k_max: int,
         raise ValueError("k_max must be nonnegative")
     lo, hi = schedule.span()
     samples = Track(lo - k_max, comb.values(lo - k_max, hi))
-    w = np.asarray(samples.values, dtype=complex)
-    table = (lag_window_sums(w, lo - k_max, schedule.windows, k_max)
-             / schedule.lengths()[:, None])
-    sup = float(np.max(np.abs(w), initial=0.0)) ** 2
+    table = (lag_window_sums(samples.values, lo - k_max, schedule.windows,
+                             k_max) / schedule.lengths()[:, None])
+    sup = samples.sup_norm() ** 2
     verdicts = tuple(estimate(table[:, k], sup, config) for k in range(k_max + 1))
     return AutocorrEstimate(k_max, schedule.windows, table, verdicts, samples)
 

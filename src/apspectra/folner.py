@@ -299,6 +299,13 @@ def as_dense(samples: Track, lo: int, hi: int) -> np.ndarray:
     return samples.values[lo - samples.start:hi - samples.start]
 
 
+# segments that start in one block of this many coordinates are summed
+# together, so a schedule of many short windows costs no Python step per
+# segment, and a run of segments is at most this much longer than its
+# longest segment
+RUN_BLOCK = 1 << 16
+
+
 class WindowSegments:
     """Schedule windows cut at their ends into segments.
 
@@ -313,14 +320,44 @@ class WindowSegments:
         self.first = np.searchsorted(self.ends, [s for s, _ in windows])
         self.last = np.searchsorted(self.ends, [s + l for s, l in windows])
 
-    def sums(self, values: np.ndarray, start: int) -> np.ndarray:
+    def sums(self, values: np.ndarray, start: int, phase=None) -> np.ndarray:
         """Sums of ``values`` over each window, ``values[0]`` sitting at
-        coordinate ``start``: one ``reduceat`` over the segments.  Integer
-        input sums exactly in int64, float and complex in its own dtype."""
-        lo, hi = self.ends[0], self.ends[-1]
-        dtype = values.dtype if values.dtype.kind in "fc" else np.int64
-        return self.totals(np.add.reduceat(values[lo - start:hi - start],
-                                           self.ends[:-1] - lo, dtype=dtype))
+        coordinate ``start``.  ``phase(a, b)``, when given, is the
+        conjugate character on [a, b), and the sums are of ``values``
+        times it.
+
+        Integer input without a phase sums exactly in int64, one
+        ``reduceat`` over the span.  Float and complex input is summed
+        one run of segments at a time (see :meth:`parts`): the run times
+        its slice of the character, reduced by ``reduceat`` at its
+        segment ends, which adds each segment in the order the
+        span-wide ``reduceat`` would, so the sums keep its bits; a
+        pairwise ``sum`` would not.  No array of the span's length is
+        formed.
+        """
+        ends = self.ends
+        if phase is None and values.dtype.kind not in "fc":
+            lo, hi = ends[0], ends[-1]
+            return self.totals(np.add.reduceat(values[lo - start:hi - start],
+                                               ends[:-1] - lo, dtype=np.int64))
+        seg = np.empty(len(ends) - 1, dtype=complex)
+        for i, j, part in self.parts(values, start):
+            if phase is not None:
+                part *= phase(ends[i], ends[j])
+            seg[i:j] = np.add.reduceat(part, ends[i:j] - ends[i])
+        return self.totals(seg)
+
+    def parts(self, values: np.ndarray, start: int, before: int = 0):
+        """Runs of whole segments as ``(i, j, part)``: segments i to j - 1,
+        and ``part`` a complex copy of ``values`` on [ends[i] - before,
+        ends[j]), ``values[0]`` sitting at coordinate ``start``.  A run
+        holds the segments that start in one block of ``RUN_BLOCK``
+        coordinates."""
+        block = (self.ends[:-1] - self.ends[0]) // RUN_BLOCK
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(block)]
+        for i, j in zip(cuts, cuts[1:]):
+            a, b = self.ends[i] - before - start, self.ends[j] - start
+            yield i, j, values[a:b].astype(complex)
 
     def totals(self, seg: np.ndarray) -> np.ndarray:
         """Window totals from segment sums, row i of ``seg`` summing the
@@ -338,17 +375,20 @@ def lag_window_sums(values: np.ndarray, start: int, windows,
     sits at coordinate ``start`` and the array must cover every window
     and the ``max_lag`` coordinates before it.  The span is cut at the
     window ends into segments whose lag sums are one BLAS dot product
-    each; a window's row is a difference of cumulative segment sums, so
-    no product array of the span's length is formed.
+    each, over the complex copy of a run of segments; a window's row is
+    a difference of cumulative segment sums, so no array of the span's
+    length is formed.
     """
     segments = WindowSegments(windows)
-    ends = segments.ends
+    ends = segments.ends.tolist()
     seg = np.empty((len(ends) - 1, max_lag + 1), dtype=complex)
-    for i in range(len(ends) - 1):
-        a, b = ends[i] - start, ends[i + 1] - start
-        cur = values[a:b]
-        for k in range(max_lag + 1):
-            seg[i, k] = np.vdot(values[a - k:b - k], cur)
+    for i, j, part in segments.parts(values, start, max_lag):
+        origin = ends[i] - max_lag          # the coordinate of part[0]
+        for m in range(i, j):
+            a, b = ends[m] - origin, ends[m + 1] - origin
+            cur = part[a:b]
+            for k in range(max_lag + 1):
+                seg[m, k] = np.vdot(part[a - k:b - k], cur)
     return segments.totals(seg)
 
 
@@ -426,10 +466,9 @@ def partial_means(samples: Track, schedule: FolnerSchedule,
     """Partial window averages (1/|B_n|) sum_{t in B_n} samples[t]."""
     lo, hi = schedule.span()
     dense = as_dense(samples, lo, hi)
-    sup = float(np.max(np.abs(dense), initial=0.0))
-    # summed as complex: a real track gives the same bits as its complex copy
-    sums = WindowSegments(schedule.windows).sums(dense.astype(complex), lo)
-    return estimate(sums / schedule.lengths(), sup, config)
+    sums = WindowSegments(schedule.windows).sums(dense, lo)
+    return estimate(sums / schedule.lengths(), Track(lo, dense).sup_norm(),
+                    config)
 
 
 def upper_mean(samples: Track, schedule: FolnerSchedule, tail: int = 5) -> float:

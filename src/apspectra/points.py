@@ -258,10 +258,14 @@ class SturmianPoint(PointGen):
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; input and output are uint64 arrays."""
-    z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    z = z + np.uint64(0x9E3779B97F4A7C15)       # wraps modulo 2^64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+# coordinates hashed at once by BernoulliPoint.codes
+HASH_BLOCK = 1 << 16
 
 
 class BernoulliPoint(PointGen):
@@ -281,10 +285,15 @@ class BernoulliPoint(PointGen):
         self._key = _splitmix64(np.array([self.seed], dtype=np.uint64))[0]
 
     def codes(self, start: int, stop: int) -> np.ndarray:
-        t = np.arange(start, stop, dtype=np.int64).view(np.uint64)
-        h = _splitmix64(t ^ self._key)
-        u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        return (u < self.p).astype(np.int64)
+        # hashed in blocks: the hash temporaries stay a block long
+        out = np.empty(max(stop - start, 0), dtype=np.int64)
+        for a in range(start, stop, HASH_BLOCK):
+            b = min(a + HASH_BLOCK, stop)
+            t = np.arange(a, b, dtype=np.int64).view(np.uint64)
+            h = _splitmix64(t ^ self._key)
+            u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+            np.less(u, self.p, out=out[a - start:b - start])
+        return out
 
 
 class StepPoint(PointGen):
@@ -358,7 +367,11 @@ class Track(Mapping):
         return iter(range(self.start, self.stop))
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
+        v = self.values
+        if np.iscomplexobj(v):
+            return float(np.max(np.abs(v), initial=0.0))
+        # a real track needs no array of |v|: its extremes decide
+        return float(max(v.max(initial=0.0), -v.min(initial=0.0)))
 
 
 class Observable(Record):
@@ -427,16 +440,20 @@ def observable_track(f: Observable, x: PointGen, t0: int, t1: int) -> Track:
     base = len(x.alphabet)
     lut = f.lookup_array(x.alphabet)
     n = t1 - t0 + 1
+    # key = sum_j codes(t + w[j]) base^j by Horner's rule, in place in
+    # int64: no temporary per offset
     key = np.zeros(n, dtype=np.int64)
-    mult = 1
-    for off in w:
+    for off in reversed(w):
         a = t0 + off - lo
-        key += codes[a:a + n] * mult
-        mult *= base
-    vals = lut[key]
-    if np.max(np.abs(vals.imag), initial=0.0) == 0.0:
-        vals = vals.real.copy()
-    return Track(t0, vals)
+        key *= base
+        key += codes[a:a + n]
+    del codes                   # freed before the lookup, not after it
+    # the track is real unless an entry with an imaginary part occurs
+    if lut.imag.any():
+        seen = np.bincount(key, minlength=len(lut)) > 0
+        if lut.imag[seen].any():
+            return Track(t0, lut[key])
+    return Track(t0, lut.real[key])
 
 
 # ---------------------------------------------------------------------------

@@ -37,18 +37,20 @@ __all__ = [
 ]
 
 
-def _character_means(values: np.ndarray, phase: np.ndarray,
+def _character_means(values: np.ndarray, phase,
                      schedule: FolnerSchedule) -> np.ndarray:
-    """Window means of values * phase, both given on the schedule span."""
+    """Window means of ``values``, given on the schedule span, times the
+    conjugate character ``phase(a, b)`` on each segment [a, b)."""
     segments = WindowSegments(schedule.windows)
-    return segments.sums(values * phase, schedule.span()[0]) / schedule.lengths()
+    return (segments.sums(values, schedule.span()[0], phase)
+            / schedule.lengths())
 
 
 def _windowed_character_means(track: Track, theta: float,
                               schedule: FolnerSchedule) -> np.ndarray:
     lo, hi = schedule.span()
     return _character_means(as_dense(track, lo, hi),
-                            Character(theta).conj_values(lo, hi), schedule)
+                            Character(theta).conj_values, schedule)
 
 
 def fourier_bohr(f: Observable, x: PointGen, theta: float,
@@ -86,10 +88,19 @@ def _grid_direct(values: np.ndarray) -> np.ndarray:
     t = np.arange(n, dtype=np.int64)
     table = np.exp(-2j * np.pi * t / n)
     out = np.empty(n, dtype=complex)
-    block = max(1, (1 << 22) // max(n, 1))
+    # at most 2^19 gathered entries a block, in two buffers reused by
+    # every block: 12 MiB, where 2^22 fresh ones cost 96 MiB
+    block = max(1, (1 << 19) // max(n, 1))
+    index = np.empty((min(block, n), n), dtype=np.int64)
+    gathered = np.empty(index.shape, dtype=complex)
     for j0 in range(0, n, block):
         j = t[j0:j0 + block]
-        out[j] = table[np.outer(j, t) % n] @ values / n
+        k, rows = index[:len(j)], gathered[:len(j)]
+        np.multiply.outer(j, t, out=k)
+        np.remainder(k, n, out=k)
+        # "clip" never clips (0 <= k < n); "raise" would buffer a copy
+        np.take(table, k, out=rows, mode="clip")
+        out[j] = rows @ values / n
     return out
 
 
@@ -405,7 +416,10 @@ def parseval_defect(f: Observable, x: PointGen, thetas,
 def _parseval(track: Track, thetas: tuple, means, schedule: FolnerSchedule,
               config: EstimatorConfig) -> ParsevalTrajectory:
     """Parseval trajectory from the character means of each theta."""
-    sq = Track(track.start, np.abs(np.asarray(track.values)) ** 2)
+    values = track.values
+    # |v|^2 of a real track is v^2, bit for bit, with no array of |v|
+    sq = Track(track.start, np.abs(values) ** 2 if np.iscomplexobj(values)
+               else values ** 2)
     energy = partial_means(sq, schedule, config=config)
     captured = np.zeros(len(schedule))
     for m in means:
@@ -464,7 +478,10 @@ def eigenfunction_sample(f: Observable, theta: float, points,
     probes = [int(t) for t in shift_probes]
     first, last = min([0, *probes]), max([0, *probes])
     lo, hi = schedule.span()
-    phase = xi.conj_values(lo, hi)
+    table = xi.conj_values(lo, hi)
+
+    def phase(a, b):
+        return table[a - lo:b - lo]
 
     def value_at(track, t):
         """Eigen value of t.p from the track of p, sampled from lo + first."""

@@ -245,6 +245,30 @@ def test_spectrum_peak_memory_scales_with_the_grid(tmp_path):
     assert peak <= SPECTRUM_BYTES_PER_POINT * n, peak / n
 
 
+# traced bytes per span coordinate that a diffract run may hold at once:
+# the int64 codes and lookup key of the comb's track, later the float
+# track and complex copies of one run of segments, about 16 B; it held
+# about 40 B when the hash temporaries, the complex track and its
+# character products were as long as the span
+DIFFRACT_BYTES_PER_COORDINATE = 20
+
+
+def test_diffract_peak_memory_scales_with_the_span(tmp_path):
+    n = 2 ** 20
+    cfg = write_config(tmp_path / "d.json", {
+        "point": "bernoulli:0.5:42", "weights": {"0": 0.0, "1": 1.0},
+        "schedule": {"kind": "intervals", "base": n // 8, "n_max": 8},
+        "k_max": 32, "atom_thetas": [0.0, 0.25]})
+    tracemalloc.start()
+    try:
+        code = cli._run("diffract", cfg, str(tmp_path / "out"), 1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= DIFFRACT_BYTES_PER_COORDINATE * n, peak / n
+
+
 def test_out_naming_a_file_exits_two(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"point": "step", "range": [0, 5]})
     out = tmp_path / "afile"

@@ -1,17 +1,20 @@
 """Window schedules, partial means, seminorms, stabilization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apspectra import folner
 from apspectra.errors import EmptyShiftRange, MissingSamples, NeverBelow
 from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
                               Undecided, WindowSegments, max_sliding_sums,
-                              partial_means, seminorm_eval, sliding_sums,
+                              lag_window_sums, partial_means,
+                              seminorm_eval, sliding_sums,
                               stabilization_check, uniform_mean,
                               upper_mean)
 from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
@@ -386,12 +389,74 @@ def test_long_window_sums_exact_or_near_fsum(dtype):
         brute = [int(values[s:s + l].sum(dtype=np.int64)) for s, l in windows]
         assert got.dtype == np.int64 and got.tolist() == brute
         return
-    assert got.dtype == values.dtype
+    assert got.dtype == complex                     # float input is widened
     for (s, l), total in zip(windows, got):
         part = values[s:s + l]
         bound = n * 2.0 ** -52 * float(np.sum(np.abs(part)))
         want = complex(math.fsum(part.real.tolist()), math.fsum(part.imag.tolist()))
         assert abs(total - want) <= bound
+
+
+SCHEDULES = st.one_of(
+    st.builds(FolnerSchedule.intervals, st.integers(1, 400), st.integers(1, 8)),
+    st.builds(FolnerSchedule.dyadic, st.integers(1, 11)),
+    st.builds(FolnerSchedule.alternating, st.integers(1, 60)))
+
+
+def bits(values: np.ndarray) -> list[int]:
+    return values.view(np.uint64).ravel().tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(schedule=SCHEDULES, before=st.integers(0, 50), after=st.integers(0, 50),
+       max_lag=st.integers(0, 6), real=st.booleans(),
+       theta=st.one_of(st.sampled_from([0.0, 0.5, 0.25]),
+                       st.floats(0.0, 1.0, exclude_max=True)),
+       run_block=st.sampled_from([1, 5, 64, folner.RUN_BLOCK]),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_segment_sums_equal_span_wide_sums_bit_for_bit(
+        schedule, before, after, max_lag, real, theta, run_block, seed):
+    # the span-wide reference is the sum the segment runs replaced: one
+    # reduceat over span-long complex values, character products and
+    # lagged copies; values include exact and signed zeros, and short
+    # run blocks cut the spans into many runs
+    with mock.patch.object(folner, "RUN_BLOCK", run_block):
+        check_segment_sums(schedule, before, after, max_lag, real, theta,
+                           seed)
+
+
+def check_segment_sums(schedule, before, after, max_lag, real, theta, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = schedule.span()
+    start = lo - max_lag - before
+    n = hi + after - start
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    values[rng.random(n) < 0.1] = 0.0
+    values[rng.random(n) < 0.05] = -0.0
+    if not real:
+        values = values + 1j * rng.standard_normal(n)
+    segments = WindowSegments(schedule.windows)
+    cuts = segments.ends[:-1] - lo
+    span = values[lo - start:hi - start]
+
+    want = segments.totals(np.add.reduceat(span.astype(complex), cuts))
+    assert bits(segments.sums(values, start)) == bits(want)
+
+    table = Character(theta).conj_values(lo, hi)
+    want = segments.totals(np.add.reduceat(span * table, cuts))
+    got = segments.sums(values, start, Character(theta).conj_values)
+    assert bits(got) == bits(want)
+    shared = segments.sums(values, start, lambda a, b: table[a - lo:b - lo])
+    assert bits(shared) == bits(want)
+
+    w = values.astype(complex)
+    seg = np.empty((len(cuts), max_lag + 1), dtype=complex)
+    for i, (a, b) in enumerate(zip(segments.ends[:-1], segments.ends[1:])):
+        for k in range(max_lag + 1):
+            seg[i, k] = np.vdot(w[a - k - start:b - k - start],
+                                w[a - start:b - start])
+    got = lag_window_sums(values, start, schedule.windows, max_lag)
+    assert bits(got) == bits(segments.totals(seg))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Generators, observables, tracks and the cylinder metric."""
 
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -218,6 +219,12 @@ def test_bernoulli_reproducible_and_order_independent():
     assert np.array_equal(a.codes(-100, 200), full)
     other = BernoulliPoint(0.5, 43)
     assert not np.array_equal(other.codes(-100, 200), full)
+    # hashed in blocks: cuts anywhere, across block ends, read the same
+    long = a.codes(-70_000, 140_000)
+    assert long.dtype == np.int64
+    assert np.array_equal(np.concatenate([b.codes(-70_000, 123),
+                                          b.codes(123, 65_659),
+                                          b.codes(65_659, 140_000)]), long)
 
 
 def test_bernoulli_density_tracks_p():
@@ -318,6 +325,44 @@ def test_two_site_observable_patterns():
     f = Observable((0, 1), table)
     track = observable_track(f, x, 0, 3)
     assert list(track.values) == [1.0, 2.0, 1.0, 2.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rest=st.text(alphabet="abc", max_size=9),
+       window=st.lists(st.integers(-5, 5), min_size=1, max_size=7),
+       t0=st.integers(-40, 40), length=st.integers(1, 60),
+       kind=st.sampled_from(["real", "complex", "complex unseen"]),
+       seed=st.integers(0, 2 ** 31 - 1))
+@example(rest="", window=[3, -2, 0, 5, -5, 1, 2], t0=-7, length=30,
+         kind="complex unseen", seed=0)
+def test_observable_track_matches_per_coordinate_lookup(rest, window, t0,
+                                                        length, kind, seed):
+    # three letters and up to seven offsets: keys run past 3^6 - 1 = 728,
+    # which uint8 arithmetic would wrap without a sound
+    pattern = "abc" + rest
+    x = PeriodicPoint(pattern)
+    rng = np.random.default_rng(seed)
+    patterns = ["".join(p) for p in
+                itertools.product(x.alphabet, repeat=len(window))]
+    table = dict(zip(patterns, rng.standard_normal(len(patterns)).tolist()))
+
+    def at(t):
+        return "".join(pattern[(t + off) % len(pattern)] for off in window)
+
+    coords = range(t0, t0 + length)
+    seen = {at(t) for t in coords}
+    if kind == "complex":
+        table = {p: complex(v, rng.standard_normal()) for p, v in table.items()}
+    elif kind == "complex unseen":
+        unseen = [p for p in patterns if p not in seen]
+        assume(unseen)
+        table[unseen[0]] = complex(table[unseen[0]], 1.0)
+    track = observable_track(Observable(tuple(window), table), x, t0,
+                             t0 + length - 1)
+    # an imaginary part that never occurs leaves the track real
+    assert track.values.dtype == (complex if kind == "complex" else float)
+    assert track.start == t0
+    assert track.values.tolist() == [table[at(t)] for t in coords]
 
 
 def test_partial_table_raises_naming_pattern():
