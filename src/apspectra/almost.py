@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyShiftRange
 from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     WindowSegments, as_dense, max_sliding_sums, partial_means,
+                     WindowSegments, max_sliding_sums, partial_means,
                      uniform_mean, upper_mean)
 from .points import (CylinderSums, PointGen, Record, Track, mismatch_track,
                      shift)
@@ -215,7 +215,7 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
                 s = sums_all[offset:offset + n - 2 * radius]
                 row = [np.nan, False, np.nan, np.nan]
                 if "mean" in part:
-                    sums = segments.sums(s, lo_needed)[-k:]
+                    sums = segments.sums(Track(lo_needed, s).read)[-k:]
                     q = [p * f for p, f in zip(sums.tolist(), scales)]
                     top = int(np.max(s[part["mean"]]))
                     row[0] = float(np.max(sums / (c * tail_lengths)))
@@ -410,7 +410,7 @@ def function_almost_periods(track, epsilon: float, schedule: FolnerSchedule,
     lo, hi = scan_range
     s0, s1 = schedule.span()
     need_lo = min(s0, s0 - hi)
-    values = as_dense(track, need_lo, max(s1, s1 - lo))
+    values = track.read(need_lo, max(s1, s1 - lo))
     a, b = s0 - need_lo, s1 - need_lo
     out = []
     for t in range(lo, hi + 1):

@@ -27,7 +27,7 @@ from .config import (build_budget, build_observable, build_point,
                      config_hash, load_config, validate)
 from .errors import ApspectraError, ConfigError
 from .folner import EstimatorConfig
-from .points import eval_window, observable_track, shift
+from .points import observable_keys, observable_track, shift
 
 __all__ = ["main"]
 
@@ -213,18 +213,34 @@ def _cmd_generate(cfg: dict, threads: int) -> dict:
     obs = None if cfg["observable"] is None else \
         build_observable(cfg["observable"], point)
     lo, hi = cfg["range"]
-    letters = eval_window(point, lo, hi)
-    rows = [[str(t), letters[i]] for i, t in enumerate(range(lo, hi + 1))]
     files = {
-        "generate.json": _json_doc({"length": len(letters)}, cfg),
-        "sequence.csv": _csv_doc(["t", "letter"], rows, cfg, None),
+        "generate.json": _json_doc({"length": hi - lo + 1}, cfg),
+        "sequence.csv": itertools.chain(
+            [_csv_head(["t", "letter"], cfg, None)],
+            _range_lines(lo, hi, lambda a, b: (point.codes(a, b),
+                                               point.alphabet))),
     }
     if obs is not None:
-        track = observable_track(obs, point, lo, hi)
-        rows = [[str(t), complex(v).real, complex(v).imag]
-                for t, v in track.items()]
-        files["track.csv"] = _csv_doc(["t", "re", "im"], rows, cfg, None)
+        table = obs.lookup_array(point.alphabet)
+        cells = [f"{z.real!r},{z.imag!r}" for z in table.tolist()]
+
+        def track(a, b):
+            return observable_keys(obs, point, a, b - 1, table)[0], cells
+        files["track.csv"] = itertools.chain(
+            [_csv_head(["t", "re", "im"], cfg, None)],
+            _range_lines(lo, hi, track))
     return files
+
+
+def _range_lines(lo: int, hi: int, read):
+    """CSV lines t,cell for t in [lo, hi], _BLOCK at a time, where
+    ``read(a, b)`` gives ``(key, cells)`` and t's cell is cells[key[t - a]],
+    formatted with the digits ``_fmt`` writes."""
+    for a in range(lo, hi + 1, _BLOCK):
+        b = min(a + _BLOCK, hi + 1)
+        key, cells = read(a, b)
+        yield "".join(f"{t},{cells[k]}\n"
+                      for t, k in zip(range(a, b), key.tolist()))
 
 
 def _cmd_scan(cfg: dict, threads: int) -> dict:
@@ -332,14 +348,15 @@ def _cmd_diffract(cfg: dict, threads: int) -> dict:
     estimator = EstimatorConfig(**cfg["estimator"])
     comb = diffraction.WeightedComb(point, build_weights(cfg["weights"], point))
     k_max, taper = cfg["k_max"], cfg["taper"]
-    eta = diffraction.autocorrelation(comb, k_max, schedule, estimator)
-    density = diffraction.diffraction_density(eta, taper, cfg["grid_size"])
     atom_thetas = cfg["atom_thetas"]
     if atom_thetas is None:
         atom_thetas = _detect_thetas(cfg, point, comb.as_observable())
-    atoms = {float(t): diffraction.bombieri_taylor_atom(
-                 comb, float(t), schedule, estimator, eta.samples)
-             for t in atom_thetas}
+    atom_thetas = [float(t) for t in atom_thetas]
+    # one read of the weights gives the lag sums and the atoms
+    eta = diffraction.autocorrelation(comb, k_max, schedule, estimator,
+                                      atom_thetas)
+    density = diffraction.diffraction_density(eta, taper, cfg["grid_size"])
+    atoms = dict(zip(atom_thetas, eta.atoms))
     masses = [(t, est.tail_max()) for t, est in atoms.items()]
     fraction = diffraction.pure_point_fraction(masses, eta.eta0) \
         if masses and eta.eta0 > 0 else 0.0

@@ -16,10 +16,10 @@ import itertools
 import numpy as np
 
 from .errors import FractionExceedsOne
-from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate, estimate,
-                     lag_window_sums)
-from .points import Observable, PointGen, Record, Track, observable_track
-from .spectral import _windowed_character_means
+from .folner import (Character, EstimatorConfig, FolnerSchedule, MeanEstimate,
+                     WindowSegments, estimate)
+from .points import (Observable, PointGen, Record, Track, observable_track,
+                     sup_norm)
 
 __all__ = [
     "WeightedComb",
@@ -70,7 +70,7 @@ class AutocorrEstimate(Record):
     stages: tuple[tuple[int, int], ...]          # windows used
     table: np.ndarray                            # shape (stages, k_max+1)
     verdicts: tuple                              # MeanEstimate per lag k>=0
-    samples: Track                               # w(t) read, from lo - k_max
+    atoms: tuple                                 # MeanEstimate per atom theta
 
     def eta(self, k: int) -> complex:
         a = self.table[-1, abs(k)]
@@ -100,42 +100,48 @@ class AutocorrEstimate(Record):
 
 def autocorrelation(comb: WeightedComb, k_max: int,
                     schedule: FolnerSchedule,
-                    config: EstimatorConfig = EstimatorConfig()) -> AutocorrEstimate:
+                    config: EstimatorConfig = EstimatorConfig(),
+                    atom_thetas=()) -> AutocorrEstimate:
     """Empirical lag correlations along the schedule.
 
     Stage n, lag k >= 0: (1/|B_n|) sum_{t in B_n} w(t) conj(w(t-k)),
     with w read off the comb wherever the lag reaches.  Negative lags
     are filled in by conjugation, which enforces Hermitian symmetry
-    exactly.
+    exactly.  The same read of the weights, one run of window segments
+    at a time, gives the atom estimate (:func:`bombieri_taylor_atom`) at
+    each of ``atom_thetas``.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    lo, hi = schedule.span()
-    samples = Track(lo - k_max, comb.values(lo - k_max, hi))
-    table = (lag_window_sums(samples.values, lo - k_max, schedule.windows,
-                             k_max) / schedule.lengths()[:, None])
-    sup = samples.sup_norm() ** 2
-    verdicts = tuple(estimate(table[:, k], sup, config) for k in range(k_max + 1))
-    return AutocorrEstimate(k_max, schedule.windows, table, verdicts, samples)
+    segments = WindowSegments(schedule.windows)
+    lags, atoms, sup = [], [[] for _ in atom_thetas], 0.0
+    for i, j, pieces, values in segments.whole_runs(comb.values, k_max):
+        sup = max(sup, sup_norm(values))
+        lags.append(segments.lag_reduce(i, j, values, k_max))
+        origin = pieces[0][0] - k_max
+        for seg, theta in zip(atoms, atom_thetas):
+            xi = Character(theta)
+            seg += [segments.reduce(p, values[p[0] - origin:],
+                                    xi.conj_values(*p[:2])) for p in pieces]
+    lengths = schedule.lengths()
+    table = segments.totals(np.concatenate(lags)) / lengths[:, None]
+    verdicts = tuple(estimate(table[:, k], sup ** 2, config)
+                     for k in range(k_max + 1))
+    atoms = tuple(estimate((np.abs(segments.totals(segments.combine(seg))
+                                   / lengths) ** 2).astype(complex),
+                           comb.sup_weight() ** 2, config) for seg in atoms)
+    return AutocorrEstimate(k_max, schedule.windows, table, verdicts, atoms)
 
 
 def bombieri_taylor_atom(comb: WeightedComb, theta: float,
                          schedule: FolnerSchedule,
-                         config: EstimatorConfig = EstimatorConfig(),
-                         samples: Track | None = None) -> MeanEstimate:
+                         config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
     """Squared normalized exponential sum of the weights at one frequency.
 
     Stage n: |(1/|B_n|) sum_{t in B_n} w(t) e(-theta t)|^2, the point
-    mass estimate at theta.  ``samples``, the comb's weights already
-    read on a range covering the schedule span (such as
-    ``AutocorrEstimate.samples``), saves reading them again.
+    mass estimate at theta.
     """
-    lo, hi = schedule.span()
-    if samples is None:
-        samples = Track(lo, comb.values(lo, hi))
-    means = _windowed_character_means(samples, theta, schedule)
-    return estimate((np.abs(means) ** 2).astype(complex),
-                    comb.sup_weight() ** 2, config)
+    return autocorrelation(comb, 0, schedule, config, (theta,)).atoms[0]
 
 
 class DiffractionDensity(Record):

@@ -9,12 +9,13 @@ artifacts stay distinguishable from genuine convergence.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import EmptyShiftRange, MissingSamples, NeverBelow
-from .points import Record, Track
+from .errors import EmptyShiftRange, NeverBelow
+from .points import Record, Track, sup_norm
 
 __all__ = [
     "FolnerSchedule",
@@ -36,7 +37,6 @@ __all__ = [
     "uniform_mean",
     "seminorm_eval",
     "stabilization_check",
-    "as_dense",
 ]
 
 
@@ -283,27 +283,25 @@ def estimate(avgs: np.ndarray, sup: float, config: EstimatorConfig) -> MeanEstim
 
 
 # ---------------------------------------------------------------------------
-# sample access
+# window sums
 # ---------------------------------------------------------------------------
 
 
-def as_dense(samples: Track, lo: int, hi: int) -> np.ndarray:
-    """Values of the track ``samples`` on [lo, hi), a view of its array.
-
-    The first coordinate the track lacks raises :class:`MissingSamples`.
-    """
-    if hi <= lo:
-        return np.zeros(0)
-    if lo < samples.start or hi > samples.stop:
-        raise MissingSamples(lo if lo < samples.start else samples.stop)
-    return samples.values[lo - samples.start:hi - samples.start]
-
-
-# segments that start in one block of this many coordinates are summed
-# together, so a schedule of many short windows costs no Python step per
-# segment, and a run of segments is at most this much longer than its
-# longest segment
+# segments that start in one block of this many coordinates form a run,
+# read and summed together, so many short windows cost no Python step per
+# segment; a longer segment is read in blocks of at most this many
 RUN_BLOCK = 1 << 16
+
+
+def _tree(m: int, block):
+    """numpy's pairwise sum of m complex values, ``block(n)`` standing for
+    the sum of each part of n values, in order, that it splits them into
+    until at most ``RUN_BLOCK`` (or 64, which it sums unsplit) are left.
+    With ``block = lambda n: [n]`` it lists the parts' lengths."""
+    if m <= max(RUN_BLOCK, 64):
+        return block(m)
+    left = (m - m % 8) // 2
+    return _tree(left, block) + _tree(m - left, block)
 
 
 class WindowSegments:
@@ -311,53 +309,110 @@ class WindowSegments:
 
     ``ends`` are the sorted distinct window ends; window n covers the
     segments from ``ends[first[n]]`` to ``ends[last[n]]``, so a window
-    sum is a difference of cumulative segment sums.
+    sum is a difference of cumulative segment sums.  They are read from a
+    sample source, a function ``source(a, b)`` giving the values on
+    [a, b) (:meth:`Track.read`, :func:`observable_source`), a piece
+    ``(a, b, index)`` at a time (see :meth:`reduce`), so no array of the
+    span's length is formed.
     """
 
     def __init__(self, windows):
         # sorted in Python: np.unique imports numpy.ma, about 1 MiB
-        self.ends = np.array(sorted({e for s, l in windows for e in (s, s + l)}))
+        ends = sorted({e for s, l in windows for e in (s, s + l)})
+        self.ends = np.array(ends)
         self.first = np.searchsorted(self.ends, [s for s, _ in windows])
         self.last = np.searchsorted(self.ends, [s + l for s, l in windows])
+        self.runs = []                  # [i, j, pieces]: segments i to j - 1
+        for m, (a, b) in enumerate(zip(ends, ends[1:])):
+            at = list(itertools.accumulate(_tree(b - a - 1, lambda n: [n]),
+                                           initial=a + 1))
+            if len(at) > 2:     # a long segment: its first value, its blocks
+                self.runs.append([m, m + 1, [(a, a + 1, [1])] + [
+                    (c, d, [0]) for c, d in zip(at, at[1:])]])
+            elif (self.runs and self.runs[-1][2] is None
+                  and (a - ends[0]) // RUN_BLOCK
+                  == (ends[self.runs[-1][0]] - ends[0]) // RUN_BLOCK):
+                self.runs[-1][1] = m + 1
+            else:
+                self.runs.append([m, m + 1, None])
+        for run in self.runs:
+            i, j = run[:2]
+            run[2] = run[2] or [(ends[i], ends[j],
+                                 [e - ends[i] + 1 for e in ends[i:j]])]
+        self.pieces = [piece for _, _, pieces in self.runs for piece in pieces]
 
-    def sums(self, values: np.ndarray, start: int, phase=None) -> np.ndarray:
-        """Sums of ``values`` over each window, ``values[0]`` sitting at
-        coordinate ``start``.  ``phase(a, b)``, when given, is the
-        conjugate character on [a, b), and the sums are of ``values``
-        times it.
+    def whole_runs(self, source, before: int = 0):
+        """Every run as ``(i, j, pieces, values)``: segments i to j - 1, and
+        a complex copy of the source on [ends[i] - before, ends[j]), read
+        a piece at a time into one buffer, which the next run overwrites."""
+        buf = np.empty(before + max(p[-1][1] - p[0][0] for _, _, p in self.runs),
+                       dtype=complex)
+        for i, j, pieces in self.runs:
+            origin = pieces[0][0] - before
+            for a, b, _ in pieces:
+                a = origin if a == pieces[0][0] else a
+                buf[a - origin:b - origin] = source(a, b)
+            yield i, j, pieces, buf[:pieces[-1][1] - origin]
 
-        Integer input without a phase sums exactly in int64, one
-        ``reduceat`` over the span.  Float and complex input is summed
-        one run of segments at a time (see :meth:`parts`): the run times
-        its slice of the character, reduced by ``reduceat`` at its
-        segment ends, which adds each segment in the order the
-        span-wide ``reduceat`` would, so the sums keep its bits; a
-        pairwise ``sum`` would not.  No array of the span's length is
-        formed.
-        """
-        ends = self.ends
+    def reduce(self, piece, values: np.ndarray,
+               phase: np.ndarray | None = None) -> np.ndarray:
+        """Partial sums of a piece by ``reduceat``, from ``values`` on it:
+        of a complex copy, or of the product with ``phase`` (the conjugate
+        character on the piece); integer values without a phase sum
+        exactly in int64.
+
+        The values sit from offset 1 of the buffer reduced at ``index``.
+        ``reduceat`` adds a segment's first value to numpy's pairwise sum
+        of the others, so a long segment's first value is a piece alone
+        and each block sums from offset 0, behind a -0.0 that adds
+        nothing; :meth:`combine` adds them as numpy would, and every sum
+        keeps the bits of one span-wide ``reduceat``.  The product is not
+        taken in place: numpy rounds an in-place product of one value
+        otherwise."""
+        a, b, index = piece
         if phase is None and values.dtype.kind not in "fc":
-            lo, hi = ends[0], ends[-1]
-            return self.totals(np.add.reduceat(values[lo - start:hi - start],
-                                               ends[:-1] - lo, dtype=np.int64))
-        seg = np.empty(len(ends) - 1, dtype=complex)
-        for i, j, part in self.parts(values, start):
-            if phase is not None:
-                part *= phase(ends[i], ends[j])
-            seg[i:j] = np.add.reduceat(part, ends[i:j] - ends[i])
-        return self.totals(seg)
+            # exact: no copy, and no zero in front of a block
+            return np.add.reduceat(values[:b - a], [max(i - 1, 0) for i in index],
+                                   dtype=np.int64)
+        buf = np.empty(b - a + 1, dtype=complex)
+        if phase is None:
+            buf[1:] = values[:b - a]
+        else:
+            np.multiply(values[:b - a], phase, out=buf[1:])
+        buf[0] = complex(-0.0, -0.0)
+        return np.add.reduceat(buf, index)
 
-    def parts(self, values: np.ndarray, start: int, before: int = 0):
-        """Runs of whole segments as ``(i, j, part)``: segments i to j - 1,
-        and ``part`` a complex copy of ``values`` on [ends[i] - before,
-        ends[j]), ``values[0]`` sitting at coordinate ``start``.  A run
-        holds the segments that start in one block of ``RUN_BLOCK``
-        coordinates."""
-        block = (self.ends[:-1] - self.ends[0]) // RUN_BLOCK
-        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(block)]
-        for i, j in zip(cuts, cuts[1:]):
-            a, b = self.ends[i] - before - start, self.ends[j] - start
-            yield i, j, values[a:b].astype(complex)
+    def combine(self, partials) -> np.ndarray:
+        """Segment sums from the partial sums of every piece, in order."""
+        partials, sums = iter(partials), []
+        for i, j, pieces in self.runs:
+            sums.append(next(partials))
+            if len(pieces) > 1:
+                blocks = iter([next(partials)[0] for _ in pieces[1:]])
+                sums[-1] = sums[-1] + _tree(self.ends[j] - self.ends[i] - 1,
+                                            lambda n: next(blocks))
+        return np.concatenate(sums)
+
+    def sums(self, source, phase=None) -> np.ndarray:
+        """Sums of the source's values over each window, times the
+        conjugate character ``phase(a, b)`` on [a, b) when given."""
+        return self.totals(self.combine(
+            self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2]))
+            for p in self.pieces))
+
+    def lag_reduce(self, i: int, j: int, values: np.ndarray,
+                   max_lag: int) -> np.ndarray:
+        """Lag sums sum v(t) conj(v(t - k)), k = 0..max_lag, of segments i
+        to j - 1, a row each, from complex ``values`` on [ends[i] -
+        max_lag, ends[j]): a BLAS dot product per segment and lag, which
+        cannot be split, so a long segment is held whole."""
+        origin = self.ends[i] - max_lag     # the coordinate of values[0]
+        seg = np.empty((j - i, max_lag + 1), dtype=complex)
+        for m in range(i, j):
+            a, b = self.ends[m] - origin, self.ends[m + 1] - origin
+            for k in range(max_lag + 1):
+                seg[m - i, k] = np.vdot(values[a - k:b - k], values[a:b])
+        return seg
 
     def totals(self, seg: np.ndarray) -> np.ndarray:
         """Window totals from segment sums, row i of ``seg`` summing the
@@ -367,29 +422,15 @@ class WindowSegments:
         return cum[self.last] - cum[self.first]
 
 
-def lag_window_sums(values: np.ndarray, start: int, windows,
-                    max_lag: int) -> np.ndarray:
-    """Lag sums sum_{t in [s, s + l)} v(t) conj(v(t - k)) per window and lag.
-
-    Row n, column k holds window n at lag k = 0..max_lag.  ``values[0]``
-    sits at coordinate ``start`` and the array must cover every window
-    and the ``max_lag`` coordinates before it.  The span is cut at the
-    window ends into segments whose lag sums are one BLAS dot product
-    each, over the complex copy of a run of segments; a window's row is
-    a difference of cumulative segment sums, so no array of the span's
-    length is formed.
-    """
+def lag_window_sums(source, windows, max_lag: int) -> np.ndarray:
+    """Lag sums sum_{t in [s, s + l)} v(t) conj(v(t - k)) per window and
+    lag: row n, column k holds window n at lag k = 0..max_lag.  ``source``
+    gives the values on every window and the ``max_lag`` coordinates
+    before it."""
     segments = WindowSegments(windows)
-    ends = segments.ends.tolist()
-    seg = np.empty((len(ends) - 1, max_lag + 1), dtype=complex)
-    for i, j, part in segments.parts(values, start, max_lag):
-        origin = ends[i] - max_lag          # the coordinate of part[0]
-        for m in range(i, j):
-            a, b = ends[m] - origin, ends[m + 1] - origin
-            cur = part[a:b]
-            for k in range(max_lag + 1):
-                seg[m, k] = np.vdot(part[a - k:b - k], cur)
-    return segments.totals(seg)
+    return segments.totals(np.concatenate([
+        segments.lag_reduce(i, j, values, max_lag)
+        for i, j, _, values in segments.whole_runs(source, max_lag)]))
 
 
 def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:
@@ -464,11 +505,9 @@ def max_sliding_sums(values: np.ndarray, length: int, spans,
 def partial_means(samples: Track, schedule: FolnerSchedule,
                   config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
     """Partial window averages (1/|B_n|) sum_{t in B_n} samples[t]."""
-    lo, hi = schedule.span()
-    dense = as_dense(samples, lo, hi)
-    sums = WindowSegments(schedule.windows).sums(dense, lo)
-    return estimate(sums / schedule.lengths(), Track(lo, dense).sup_norm(),
-                    config)
+    sums = WindowSegments(schedule.windows).sums(samples.read)
+    return estimate(sums / schedule.lengths(),
+                    sup_norm(samples.read(*schedule.span())), config)
 
 
 def upper_mean(samples: Track, schedule: FolnerSchedule, tail: int = 5) -> float:
@@ -479,7 +518,7 @@ def upper_mean(samples: Track, schedule: FolnerSchedule, tail: int = 5) -> float
 
 
 def _real_dense(samples: Track, lo: int, hi: int) -> np.ndarray:
-    dense = as_dense(samples, lo, hi)
+    dense = samples.read(lo, hi)
     if np.iscomplexobj(dense):
         if np.max(np.abs(dense.imag), initial=0.0) > 0.0:
             raise TypeError("uniform means are defined for real-valued samples")
@@ -582,7 +621,7 @@ def stabilization_check(samples: Track, schedule: FolnerSchedule, epsilon: float
         value, _ = uniform_mean(view, schedule, n, (-budget, budget))
         values.append(value)
     lo, hi = schedule.span()
-    sup_h = float(np.max(as_dense(view, lo - budget, hi + budget), initial=0.0))
+    sup_h = float(np.max(view.read(lo - budget, hi + budget), initial=0.0))
 
     first = next((n for n, v in enumerate(values, start=1) if v < epsilon), None)
     if first is None:

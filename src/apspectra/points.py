@@ -15,6 +15,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from .errors import MissingSamples
+
 __all__ = [
     "Record",
     "PointGen",
@@ -28,7 +30,10 @@ __all__ = [
     "eval_window",
     "Observable",
     "Track",
+    "observable_keys",
     "observable_track",
+    "observable_source",
+    "sup_norm",
     "CylinderMetric",
     "MAX_RADIUS",
     "cylinder_weights",
@@ -239,6 +244,10 @@ class SubstitutionPoint(PointGen):
         return np.concatenate((left[::-1], self._descend(1, max(start, 0), stop)))
 
 
+# coordinates computed at once by SturmianPoint.codes and BernoulliPoint.codes
+HASH_BLOCK = 1 << 16
+
+
 class SturmianPoint(PointGen):
     """Rotation coding: x(t) = 1 iff frac(t*alpha + rho) in [1-alpha, 1)."""
 
@@ -251,9 +260,13 @@ class SturmianPoint(PointGen):
         self.rho = float(rho)
 
     def codes(self, start: int, stop: int) -> np.ndarray:
-        t = np.arange(start, stop, dtype=float)
-        frac = np.mod(t * self.alpha + self.rho, 1.0)
-        return (frac >= 1.0 - self.alpha).astype(np.int64)
+        # in blocks: the float temporaries stay a block long
+        out = np.empty(max(stop - start, 0), dtype=np.int64)
+        for a in range(start, stop, HASH_BLOCK):
+            b = min(a + HASH_BLOCK, stop)
+            frac = np.mod(np.arange(a, b, dtype=float) * self.alpha + self.rho, 1.0)
+            np.greater_equal(frac, 1.0 - self.alpha, out=out[a - start:b - start])
+        return out
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -262,10 +275,6 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-# coordinates hashed at once by BernoulliPoint.codes
-HASH_BLOCK = 1 << 16
 
 
 class BernoulliPoint(PointGen):
@@ -366,12 +375,29 @@ class Track(Mapping):
     def __iter__(self):
         return iter(range(self.start, self.stop))
 
+    def read(self, a: int, b: int) -> np.ndarray:
+        """Values on [a, b), a view: the track as a sample source.
+
+        The first coordinate the track lacks raises :class:`MissingSamples`.
+        """
+        if b <= a:
+            return np.zeros(0)
+        if a < self.start or b > self.stop:
+            raise MissingSamples(a if a < self.start else self.stop)
+        return self.values[a - self.start:b - self.start]
+
     def sup_norm(self) -> float:
-        v = self.values
-        if np.iscomplexobj(v):
-            return float(np.max(np.abs(v), initial=0.0))
-        # a real track needs no array of |v|: its extremes decide
-        return float(max(v.max(initial=0.0), -v.min(initial=0.0)))
+        return sup_norm(self.values)
+
+
+def sup_norm(values: np.ndarray) -> float:
+    """max |v| over ``values``, 0 for none."""
+    if np.iscomplexobj(values):
+        # |v| a block at a time: no float array as long as the values
+        return max((float(np.max(np.abs(values[k:k + HASH_BLOCK])))
+                    for k in range(0, len(values), HASH_BLOCK)), default=0.0)
+    # real values need no array of |v|: their extremes decide
+    return float(max(values.max(initial=0.0), -values.min(initial=0.0)))
 
 
 class Observable(Record):
@@ -417,7 +443,9 @@ class Observable(Record):
         """Dense table over all patterns of ``alphabet`` on the window.
 
         Raises KeyError naming the first missing pattern, which is how
-        partial tables get caught.
+        partial tables get caught.  A zero imaginary part reads +0.0, so
+        a real track and a complex one agree bit for bit once copied to
+        complex, whichever range is read.
         """
         values = []
         # entry k's digits in base len(alphabet), lowest first, spell its
@@ -427,18 +455,23 @@ class Observable(Record):
             if pattern not in self.table:
                 raise KeyError(f"observable table misses pattern {pattern!r}")
             values.append(self.table[pattern])
-        return np.array(values, dtype=complex)
+        table = np.array(values, dtype=complex)
+        table.imag += 0.0
+        return table
 
 
-def observable_track(f: Observable, x: PointGen, t0: int, t1: int) -> Track:
-    """Samples f(t.x) for t in [t0, t1]; both endpoints included."""
+def observable_keys(f: Observable, x: PointGen, t0: int, t1: int,
+                    table=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(key, table)`` with f(t.x) = table[key] for t in [t0, t1], both
+    endpoints included: ``table`` is ``f.lookup_array(x.alphabet)``,
+    built when not given."""
     if t1 < t0:
         raise ValueError("empty track range")
     w = f.window
     lo, hi = t0 + min(w), t1 + max(w) + 1
     codes = x.codes(lo, hi)
     base = len(x.alphabet)
-    lut = f.lookup_array(x.alphabet)
+    lut = f.lookup_array(x.alphabet) if table is None else table
     n = t1 - t0 + 1
     # key = sum_j codes(t + w[j]) base^j by Horner's rule, in place in
     # int64: no temporary per offset
@@ -447,13 +480,28 @@ def observable_track(f: Observable, x: PointGen, t0: int, t1: int) -> Track:
         a = t0 + off - lo
         key *= base
         key += codes[a:a + n]
-    del codes                   # freed before the lookup, not after it
+    return key, lut
+
+
+def observable_track(f: Observable, x: PointGen, t0: int, t1: int,
+                     table=None) -> Track:
+    """Samples f(t.x) for t in [t0, t1]; both endpoints included
+    (``table`` as for :func:`observable_keys`)."""
+    key, lut = observable_keys(f, x, t0, t1, table)   # its codes are freed
     # the track is real unless an entry with an imaginary part occurs
     if lut.imag.any():
         seen = np.bincount(key, minlength=len(lut)) > 0
         if lut.imag[seen].any():
             return Track(t0, lut[key])
     return Track(t0, lut.real[key])
+
+
+def observable_source(f: Observable, x: PointGen):
+    """The samples f(t.x) for t in [a, b) as a function of (a, b): a
+    sample source that reads them when called and holds none but f's
+    lookup table, built once."""
+    table = f.lookup_array(x.alphabet)
+    return lambda a, b: observable_track(f, x, a, b - 1, table).values
 
 
 # ---------------------------------------------------------------------------

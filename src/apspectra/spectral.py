@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .folner import (Character, Converged, EstimatorConfig, FolnerSchedule,
-                     MeanEstimate, Oscillating, WindowSegments, as_dense,
-                     estimate, partial_means, sliding_sums)
-from .points import Observable, PointGen, Record, Track, observable_track
+                     MeanEstimate, Oscillating, WindowSegments, estimate,
+                     sliding_sums)
+from .points import (Observable, PointGen, Record, Track, observable_source,
+                     observable_track, sup_norm)
 
 __all__ = [
     "fourier_bohr",
@@ -37,30 +38,61 @@ __all__ = [
 ]
 
 
-def _character_means(values: np.ndarray, phase,
-                     schedule: FolnerSchedule) -> np.ndarray:
-    """Window means of ``values``, given on the schedule span, times the
-    conjugate character ``phase(a, b)`` on each segment [a, b)."""
+def _sweep(sources, schedule: FolnerSchedule, thetas, shifts=(0,),
+           energy: bool = False):
+    """Averages of the sample ``sources`` along the schedule.
+
+    For each source v and shift s, in that order, and each theta: the
+    window means of v(t + s) conj(xi(t)), xi the character of theta, and
+    the sup of |v| over the span moved by s.  With ``energy``, also the
+    window means of |v|^2 of the first source (shift 0 must come first).
+    One piece of one source is held at a time, read once for all of them
+    (once a shift when the shifts spread wider than the piece), and each
+    piece of a character is formed once.
+    """
     segments = WindowSegments(schedule.windows)
-    return (segments.sums(values, schedule.span()[0], phase)
-            / schedule.lengths())
+    first, last = min(shifts), max(shifts)
+    means = [[[] for _ in thetas] for _ in sources for _ in shifts]
+    sups, squares = [0.0] * len(means), []
+    for piece in segments.pieces:
+        a, b = piece[:2]
+        phases = {}         # held for the next source, if there is one
+        for n, source in enumerate(sources):
+            if last - first > b - a:
+                vs = [source(a + s, b + s) for s in shifts]
+            else:
+                part = source(a + first, b + last)
+                vs = [part[s - first:s - first + b - a] for s in shifts]
+            rows = range(n * len(shifts), (n + 1) * len(shifts))
+            for k, v in zip(rows, vs):
+                sups[k] = max(sups[k], sup_norm(v))
+            if energy and n == 0:
+                # |v|^2 of a real v is v^2, bit for bit, with no array of |v|
+                squares.append(segments.reduce(piece, np.abs(vs[0]) ** 2
+                                               if np.iscomplexobj(vs[0])
+                                               else vs[0] ** 2))
+            for m, theta in enumerate(thetas):
+                phase = phases.pop(m, None)
+                if phase is None:
+                    phase = Character(theta).conj_values(a, b)
+                if n + 1 < len(sources):
+                    phases[m] = phase
+                for k, v in zip(rows, vs):
+                    means[k][m].append(segments.reduce(piece, v, phase))
 
-
-def _windowed_character_means(track: Track, theta: float,
-                              schedule: FolnerSchedule) -> np.ndarray:
-    lo, hi = schedule.span()
-    return _character_means(as_dense(track, lo, hi),
-                            Character(theta).conj_values, schedule)
+    def window_means(partials):
+        return segments.totals(segments.combine(partials)) / schedule.lengths()
+    return ([[window_means(row) for row in rows] for rows in means], sups,
+            window_means(squares) if energy else None)
 
 
 def fourier_bohr(f: Observable, x: PointGen, theta: float,
                  schedule: FolnerSchedule,
                  config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
     """Averages of f(t.x) against conj(character theta) along the schedule."""
-    lo, hi = schedule.span()
-    track = observable_track(f, x, lo, hi - 1)
-    return estimate(_windowed_character_means(track, theta, schedule),
-                    track.sup_norm(), config)
+    ((means,),), (sup,), _ = _sweep([observable_source(f, x)], schedule,
+                                    (theta,))
+    return estimate(means, sup, config)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +157,7 @@ def fourier_bohr_grid(f: Observable, x: PointGen, n: int,
 def fourier_bohr_grids(track: Track, sizes) -> list[FourierBohrGrid]:
     """Fast grid transforms over [0, N) for every N in ``sizes``, ascending,
     all read from one ``track`` that covers [0, max N)."""
-    return [_grid(as_dense(track, 0, n)) for n in sorted(sizes)]
+    return [_grid(track.read(0, n)) for n in sorted(sizes)]
 
 
 def _grid(values: np.ndarray, method: str = "fast",
@@ -407,21 +439,17 @@ def parseval_defect(f: Observable, x: PointGen, thetas,
     the full spectral mass of this observable along this point.
     """
     thetas = tuple(float(t) for t in thetas)
-    lo, hi = schedule.span()
-    track = observable_track(f, x, lo, hi - 1)
-    means = [_windowed_character_means(track, t, schedule) for t in thetas]
-    return _parseval(track, thetas, means, schedule, config)
+    (means,), (sup,), energy = _sweep([observable_source(f, x)], schedule,
+                                      thetas, energy=True)
+    return _parseval(thetas, means, energy, sup, config)
 
 
-def _parseval(track: Track, thetas: tuple, means, schedule: FolnerSchedule,
+def _parseval(thetas: tuple, means, energy: np.ndarray, sup: float,
               config: EstimatorConfig) -> ParsevalTrajectory:
-    """Parseval trajectory from the character means of each theta."""
-    values = track.values
-    # |v|^2 of a real track is v^2, bit for bit, with no array of |v|
-    sq = Track(track.start, np.abs(values) ** 2 if np.iscomplexobj(values)
-               else values ** 2)
-    energy = partial_means(sq, schedule, config=config)
-    captured = np.zeros(len(schedule))
+    """Parseval trajectory from the character means of each theta and the
+    energy means, the samples' sup being ``sup``."""
+    energy = estimate(energy, sup * sup, config)
+    captured = np.zeros(len(energy.partials))
     for m in means:
         captured += np.abs(m) ** 2
     defects = tuple(float(e.real - c) for (_, e), c in zip(energy.partials, captured))
@@ -475,35 +503,23 @@ def eigenfunction_sample(f: Observable, theta: float, points,
     if not points:
         raise ValueError("need at least one sample point")
     xi = Character(theta)
-    probes = [int(t) for t in shift_probes]
-    first, last = min([0, *probes]), max([0, *probes])
-    lo, hi = schedule.span()
-    table = xi.conj_values(lo, hi)
-
-    def phase(a, b):
-        return table[a - lo:b - lo]
-
-    def value_at(track, t):
-        """Eigen value of t.p from the track of p, sampled from lo + first."""
-        vals = track.values[t - first:t - first + hi - lo]
-        est = estimate(_character_means(vals, phase, schedule),
-                       Track(lo, vals).sup_norm(), config)
-        return _eigen_value(est)
-
+    shifts = (0, *(int(t) for t in shift_probes))
+    # every point and its probes from one read of each point's samples
+    rows, sups, _ = _sweep([observable_source(f, p) for p in points], schedule,
+                           (theta,), shifts)
+    found = [_eigen_value(estimate(m, sup, config))
+             for (m,), sup in zip(rows, sups)]
     values, flags = [], []
     residual = 0.0
-    for p in points:
-        track = observable_track(f, p, lo + first, hi - 1 + last)
-        e_p, flag = value_at(track, 0)
+    for at in range(0, len(found), len(shifts)):
+        (e_p, flag), *probes = found[at:at + len(shifts)]
         values.append(e_p)
         flags.append(flag)
         if flag == "undecided":
             continue
-        for t in probes:
-            e_shift, flag_shift = value_at(track, t)
-            if flag_shift == "undecided":
-                continue
-            residual = max(residual, abs(e_shift - complex(xi(t)) * e_p))
+        for t, (e_shift, flag_shift) in zip(shifts[1:], probes):
+            if flag_shift != "undecided":
+                residual = max(residual, abs(e_shift - complex(xi(t)) * e_p))
 
     mods = [abs(v) for v, flag in zip(values, flags) if flag != "undecided"]
     spread = (max(mods) - min(mods)) if mods else 0.0
@@ -603,20 +619,22 @@ def spectral_report(f: Observable, x: PointGen, schedule: FolnerSchedule,
                     config: EstimatorConfig = EstimatorConfig()) -> SpectralReport:
     """Detect frequencies, estimate their trajectories, test Parseval.
 
-    One track, over the grids' [0, max N) and the schedule span, feeds
-    every grid and every average.
+    One track over the grids' [0, max N) feeds every grid, and every
+    average over the schedule span where it covers a piece of it; the
+    other pieces are read from the point.
     """
     grid_sizes = tuple(sorted(int(n) for n in grid_sizes))
-    lo, hi = schedule.span()
-    whole = observable_track(f, x, min(0, lo), max(grid_sizes[-1], hi) - 1)
+    whole = observable_track(f, x, 0, grid_sizes[-1] - 1)
     grids = fourier_bohr_grids(whole, grid_sizes)
     freqs = detect_frequencies(grids, threshold, refine_steps)[:max_frequencies]
-    track = Track(lo, as_dense(whole, lo, hi))
     thetas = tuple(fr.theta for fr in freqs)
-    means = [_windowed_character_means(track, t, schedule) for t in thetas]
-    sup = track.sup_norm()
+    source = observable_source(f, x)
+
+    def read(a, b):
+        return whole.read(a, b) if 0 <= a and b <= whole.stop else source(a, b)
+    (means,), (sup,), energy = _sweep([read], schedule, thetas, energy=True)
     trajectories = {t: estimate(m, sup, config) for t, m in zip(thetas, means)}
-    parseval = _parseval(track, thetas, means, schedule, config)
+    parseval = _parseval(thetas, means, energy, sup, config)
     purity = _purity_verdict(parseval.energy, parseval.defects)
     return SpectralReport(tuple(freqs), trajectories, parseval.energy, parseval,
                           purity, tuple(grids),

@@ -5,11 +5,13 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
+from apspectra import cli
 from apspectra.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -44,3 +46,17 @@ def run_cli_process(args, timeout: float) -> Result:
                          env=env, stdout=subprocess.PIPE,
                          stderr=subprocess.STDOUT, text=True, timeout=timeout)
     return Result(res.returncode, res.stdout)
+
+
+def traced_peak(command: str, config, out) -> int:
+    """The peak of the memory tracemalloc traces while ``command`` runs
+    in process on ``config`` into ``out``, single-threaded, in bytes; a
+    run that does not exit 0 fails."""
+    tracemalloc.start()
+    try:
+        code = cli._run(command, str(config), str(out), 1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, f"{command} exited {code}"
+    return peak

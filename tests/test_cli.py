@@ -3,7 +3,6 @@
 import fcntl
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,10 @@ from apspectra.diffraction import WeightedComb
 from apspectra.errors import ConfigError
 from apspectra.points import BernoulliPoint, Observable
 from apspectra.spectral import FourierBohrGrid, fourier_bohr_grid
-from cli_runner import run_cli, run_cli_process
+from cli_runner import run_cli, run_cli_process, traced_peak
+
+
+GOLDEN = (5 ** 0.5 - 1) / 2
 
 
 def write_config(path, cfg):
@@ -235,38 +237,64 @@ SPECTRUM_BYTES_PER_POINT = 180
 def test_spectrum_peak_memory_scales_with_the_grid(tmp_path):
     n = 2 ** 16
     cfg = _spectrum_config(tmp_path, [n // 4, n // 2, n])
-    tracemalloc.start()
-    try:
-        code = cli._run("spectrum", cfg, str(tmp_path / "out"), 1, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+    peak = traced_peak("spectrum", cfg, tmp_path / "out")
     assert peak <= SPECTRUM_BYTES_PER_POINT * n, peak / n
 
 
-# traced bytes per span coordinate that a diffract run may hold at once:
-# the int64 codes and lookup key of the comb's track, later the float
-# track and complex copies of one run of segments, about 16 B; it held
-# about 40 B when the hash temporaries, the complex track and its
-# character products were as long as the span
-DIFFRACT_BYTES_PER_COORDINATE = 20
+# how much the traced peak of a run may grow from a 2^18 to a 2^22
+# coordinate span: the sample layer reads and sums pieces of at most
+# about two RUN_BLOCKs, whatever the span, and about 0.1 MiB grows with
+# the windows; diffract also holds its longest segment whole, for its lag
+# sums, so its schedule here keeps segments at 2^16 coordinates.  Each
+# command grew by 16 to 49 B per span coordinate, 60 to 190 MiB here,
+# when it held a span-long track
+SPAN_GROWTH_BYTES = 2 << 20
 
 
-def test_diffract_peak_memory_scales_with_the_span(tmp_path):
-    n = 2 ** 20
-    cfg = write_config(tmp_path / "d.json", {
+def span_peaks(tmp_path, command, config):
+    """Traced peaks of ``command`` at spans of 2^18 and 2^22 coordinates,
+    ``config(n)`` its config at span n."""
+    return [traced_peak(command, write_config(tmp_path / f"{n}.json", config(n)),
+                        tmp_path / f"out{n}") for n in (2 ** 18, 2 ** 22)]
+
+
+def test_diffract_peak_memory_does_not_grow_with_the_span(tmp_path):
+    small, large = span_peaks(tmp_path, "diffract", lambda n: {
         "point": "bernoulli:0.5:42", "weights": {"0": 0.0, "1": 1.0},
-        "schedule": {"kind": "intervals", "base": n // 8, "n_max": 8},
+        "schedule": {"kind": "intervals", "base": 2 ** 16, "n_max": n >> 16},
         "k_max": 32, "atom_thetas": [0.0, 0.25]})
-    tracemalloc.start()
-    try:
-        code = cli._run("diffract", cfg, str(tmp_path / "out"), 1, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak <= DIFFRACT_BYTES_PER_COORDINATE * n, peak / n
+    assert large - small <= SPAN_GROWTH_BYTES, (small, large)
+
+
+def test_parseval_peak_memory_does_not_grow_with_the_span(tmp_path):
+    # windows of n/8 to n coordinates: each segment is read in blocks,
+    # and a Fibonacci point descends its substitution once a block
+    small, large = span_peaks(tmp_path, "parseval", lambda n: {
+        "point": "fibonacci", "observable": "indicator:0",
+        "schedule": {"kind": "intervals", "base": n // 8, "n_max": 8},
+        "thetas": [0.0, GOLDEN]})
+    assert large - small <= SPAN_GROWTH_BYTES, (small, large)
+
+
+def test_eigen_peak_memory_does_not_grow_with_the_span(tmp_path):
+    small, large = span_peaks(tmp_path, "eigen", lambda n: {
+        "point": {"kind": "sturmian", "alpha": GOLDEN},
+        "observable": {"kind": "indicator", "letter": "0"},
+        "schedule": {"kind": "intervals", "base": n // 8, "n_max": 8},
+        "theta": GOLDEN, "point_shifts": [0, 13], "shift_probes": [1, 2, -3]})
+    assert large - small <= SPAN_GROWTH_BYTES, (small, large)
+
+
+def test_generate_peak_memory_does_not_grow_with_the_range(tmp_path):
+    # both CSVs are written a block of lines at a time: about 0.8 MiB at
+    # 2^20 coordinates, where building every row first held 344 MiB
+    n = 2 ** 20
+    cfg = write_config(tmp_path / "g.json", {
+        "point": "bernoulli:0.5:42", "range": [-n // 2, n // 2 - 1],
+        "observable": "indicator:1"})
+    assert traced_peak("generate", cfg, tmp_path / "out") <= 2 << 20
+    lines = (tmp_path / "out" / "track.csv").read_text().splitlines()
+    assert len(lines) == 2 + n and lines[2].startswith(f"{-n // 2},")
 
 
 def test_out_naming_a_file_exits_two(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apspectra.diffraction import (WeightedComb, autocorrelation,
@@ -12,7 +12,7 @@ from apspectra.errors import FractionExceedsOne
 from apspectra.folner import FolnerSchedule, lag_window_sums
 from apspectra.points import (THUE_MORSE_RULES, BernoulliPoint, Observable,
                               PeriodicPoint, StepPoint, SubstitutionPoint,
-                              shift)
+                              Track, shift)
 from apspectra.spectral import fourier_bohr
 
 
@@ -114,7 +114,7 @@ def test_lag_window_sums_match_per_lag_oracle(schedule, k_max, seed, zero_one):
         w = rng.integers(0, 2, n).astype(complex)
     else:
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = lag_window_sums(w, lo - k_max, schedule.windows, k_max)
+    got = lag_window_sums(Track(lo - k_max, w).read, schedule.windows, k_max)
     want = per_lag_oracle(w, lo, schedule.windows, k_max)
     if zero_one:
         assert np.array_equal(got, want)
@@ -148,14 +148,18 @@ WEIGHT = st.builds(complex, st.floats(-2, 2, allow_subnormal=False),
 @settings(max_examples=60, deadline=None)
 @given(schedule=chained_windows(), k_max=st.integers(0, 8),
        seed=st.integers(0, 2 ** 31 - 1), weights=st.tuples(WEIGHT, WEIGHT))
+# the largest weight sits just left of the span, where only the lag sums read
+@example(schedule=FolnerSchedule.custom([(24, 1)]), k_max=1, seed=1,
+         weights=(1j, 0.25j))
 def test_autocorrelation_is_hermitian(schedule, k_max, seed, weights):
     # conj(eta_n(k)) sums w(u) conj(w(u + k)) over B_n - k, which differs
-    # from B_n in at most 2k sites; the rest of the gap is rounding
+    # from B_n in at most 2k sites, each at most the sup of |w|^2 over
+    # every site either sum reads; the rest of the gap is rounding
     comb = WeightedComb(BernoulliPoint(0.5, seed), dict(zip("01", weights)))
     eta = autocorrelation(comb, k_max, schedule)
     lo, hi = schedule.span()
     w = np.asarray(comb.values(lo, hi + k_max), dtype=complex)
-    sup2 = float(np.max(np.abs(w))) ** 2
+    sup2 = float(np.max(np.abs(comb.values(lo - k_max, hi + k_max)))) ** 2
     for n, (s, l) in enumerate(schedule.windows):
         cur = w[s - lo:s - lo + l]
         for k in range(k_max + 1):
@@ -196,15 +200,18 @@ def test_atom_equals_squared_fourier_average():
 
 
 def test_atom_from_autocorrelation_samples_is_bit_identical():
-    # a weight that is complex only left of the span: the long read is
-    # complex, the atom's own read real, and the atoms still agree
+    # a weight that is complex only left of the span: the autocorrelation
+    # reads the weights from 8 before the span, complex, the atom on its
+    # own reads them from the span on, real, and the atoms still agree
     comb = WeightedComb(shift(StepPoint(), 4), {"0": 0.5j, "1": -0.7})
     sched = intervals(base=50, n_max=4)
-    eta = autocorrelation(comb, 8, sched)
-    assert eta.samples.start == -8 and np.iscomplexobj(eta.samples.values)
-    for theta in (0.0, 0.25, 0.5, 0.3):
+    assert np.iscomplexobj(comb.values(-8, 200))
+    assert not np.iscomplexobj(comb.values(0, 200))
+    thetas = (0.0, 0.25, 0.5, 0.3)
+    eta = autocorrelation(comb, 8, sched, atom_thetas=thetas)
+    assert len(eta.atoms) == len(thetas)
+    for theta, reused in zip(thetas, eta.atoms):
         own = bombieri_taylor_atom(comb, theta, sched)
-        reused = bombieri_taylor_atom(comb, theta, sched, samples=eta.samples)
         assert own.describe() == reused.describe()
 
 

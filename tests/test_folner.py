@@ -1,24 +1,29 @@
 """Window schedules, partial means, seminorms, stabilization."""
 
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apspectra import folner
+from apspectra import folner, spectral
 from apspectra.errors import EmptyShiftRange, MissingSamples, NeverBelow
 from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
-                              Undecided, WindowSegments, max_sliding_sums,
+                              Undecided, WindowSegments, estimate,
+                              max_sliding_sums,
                               lag_window_sums, partial_means,
                               seminorm_eval, sliding_sums,
                               stabilization_check, uniform_mean,
                               upper_mean)
-from apspectra.points import (Observable, StepPoint, SubstitutionPoint,
-                              THUE_MORSE_RULES, Track, observable_track)
+from apspectra.points import (FIBONACCI_RULES, THUE_MORSE_RULES,
+                              BernoulliPoint, BlockPoint, Observable,
+                              PeriodicPoint, StepPoint, SturmianPoint,
+                              SubstitutionPoint, Track, observable_source,
+                              observable_track, shift, sup_norm)
 
 
 def dict_track(lo, hi, fn):
@@ -361,11 +366,11 @@ def test_window_sums_equal_brute_sums(values, start, dtype, data):
         min_size=1, max_size=8))
     windows = [(start + a, l) for a, l in windows]
     segments = WindowSegments(windows)
-    sums = segments.sums(np.array(values, dtype=dtype), start)
+    sums = segments.sums(Track(start, np.array(values, dtype=dtype)).read)
     brute = [sum(values[s - start:s - start + l]) for s, l in windows]
     assert sums.tolist() == brute
     if dtype is np.int64:
-        exact = segments.sums(np.array(values, dtype=np.int32), start)
+        exact = segments.sums(Track(start, np.array(values, dtype=np.int32)).read)
         assert exact.dtype == np.int64 and exact.tolist() == brute
 
 
@@ -384,7 +389,8 @@ def test_long_window_sums_exact_or_near_fsum(dtype):
                (edges[0], edges[1] - edges[0]), (edges[0] - 1, 2),
                (edges[1] + 5, n - edges[1] - 5), (edges[2], n - edges[2]),
                (7, edges[2] - 7), (n - 1, 1)]
-    got = WindowSegments([(s + start, l) for s, l in windows]).sums(values, start)
+    got = WindowSegments([(s + start, l) for s, l in windows]).sums(
+        Track(start, values).read)
     if dtype is np.int32:
         brute = [int(values[s:s + l].sum(dtype=np.int64)) for s, l in windows]
         assert got.dtype == np.int64 and got.tolist() == brute
@@ -414,6 +420,10 @@ def bits(values: np.ndarray) -> list[int]:
                        st.floats(0.0, 1.0, exclude_max=True)),
        run_block=st.sampled_from([1, 5, 64, folner.RUN_BLOCK]),
        seed=st.integers(0, 2 ** 31 - 1))
+# a one-value run: numpy rounds an in-place complex product of one value
+# otherwise than a product over the span
+@example(schedule=FolnerSchedule.alternating(1), before=0, after=0,
+         max_lag=5, real=False, theta=0.625, run_block=1, seed=1)
 def test_segment_sums_equal_span_wide_sums_bit_for_bit(
         schedule, before, after, max_lag, real, theta, run_block, seed):
     # the span-wide reference is the sum the segment runs replaced: one
@@ -440,13 +450,14 @@ def check_segment_sums(schedule, before, after, max_lag, real, theta, seed):
     span = values[lo - start:hi - start]
 
     want = segments.totals(np.add.reduceat(span.astype(complex), cuts))
-    assert bits(segments.sums(values, start)) == bits(want)
+    read = Track(start, values).read
+    assert bits(segments.sums(read)) == bits(want)
 
     table = Character(theta).conj_values(lo, hi)
     want = segments.totals(np.add.reduceat(span * table, cuts))
-    got = segments.sums(values, start, Character(theta).conj_values)
+    got = segments.sums(read, Character(theta).conj_values)
     assert bits(got) == bits(want)
-    shared = segments.sums(values, start, lambda a, b: table[a - lo:b - lo])
+    shared = segments.sums(read, lambda a, b: table[a - lo:b - lo])
     assert bits(shared) == bits(want)
 
     w = values.astype(complex)
@@ -455,8 +466,103 @@ def check_segment_sums(schedule, before, after, max_lag, real, theta, seed):
         for k in range(max_lag + 1):
             seg[i, k] = np.vdot(w[a - k - start:b - k - start],
                                 w[a - start:b - start])
-    got = lag_window_sums(values, start, schedule.windows, max_lag)
+    got = lag_window_sums(read, schedule.windows, max_lag)
     assert bits(got) == bits(segments.totals(seg))
+
+
+@pytest.mark.parametrize("run_block", [1, 64, 100])
+def test_long_segment_sums_keep_signed_zeros(run_block):
+    # every block of the long segments sums to -0.0, so the zero that
+    # heads a block must add nothing to it
+    windows = [(0, 1), (0, 1000), (0, 5000)]
+    read = Track(0, np.full(5000, complex(-0.0, -0.0))).read
+    table = Character(0.25).conj_values(0, 5000)
+    with mock.patch.object(folner, "RUN_BLOCK", run_block):
+        segments = WindowSegments(windows)
+        assert len(segments.runs[1][2]) > 2
+        for phase, values in ((None, read(0, 5000)),
+                              (Character(0.25).conj_values, read(0, 5000) * table)):
+            want = segments.totals(np.add.reduceat(values, [0, 1, 1000]))
+            assert bits(segments.sums(read, phase)) == bits(want)
+
+
+GOLDEN = (5 ** 0.5 - 1) / 2
+
+STREAM_POINTS = st.one_of(
+    st.sampled_from([PeriodicPoint("ABC"), SubstitutionPoint(FIBONACCI_RULES),
+                     SubstitutionPoint(THUE_MORSE_RULES),
+                     SturmianPoint(GOLDEN, 0.3), StepPoint(), BlockPoint()]),
+    st.builds(BernoulliPoint, st.just(0.4), st.integers(0, 2 ** 32)),
+).flatmap(lambda x: st.integers(-300, 300).map(lambda s: shift(x, s)))
+
+# table entries with signed zeros in both parts; the entries with an
+# imaginary part make some pieces of a track complex and others real
+ENTRIES = st.sampled_from([0.0, -0.0, 1.5, -2.25, complex(0.0, -0.0),
+                           complex(-0.0, -0.0), complex(0.5, -0.0), 1j,
+                           complex(-1.0, 2.0)])
+
+
+@st.composite
+def table_observables(draw, alphabet):
+    window = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3,
+                           unique=True))
+    patterns = ["".join(p) for p in itertools.product(alphabet,
+                                                      repeat=len(window))]
+    entries = draw(st.lists(ENTRIES, min_size=len(patterns),
+                            max_size=len(patterns)))
+    return Observable(tuple(window), dict(zip(patterns, map(complex, entries))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=STREAM_POINTS, schedule=SCHEDULES, data=st.data(),
+       theta=st.sampled_from([0.0, 0.5, GOLDEN]),
+       probes=st.lists(st.integers(-6, 6), max_size=3),
+       max_lag=st.integers(0, 5),
+       run_block=st.sampled_from([1, 5, 64, folner.RUN_BLOCK]))
+def test_streamed_sums_equal_span_long_track_sums(x, schedule, data, theta,
+                                                  probes, max_lag, run_block):
+    # read from the point a piece at a time, the sums keep the bits of the
+    # same sums over one span-long track, whichever pieces are complex
+    f = data.draw(table_observables(x.alphabet))
+    with mock.patch.object(folner, "RUN_BLOCK", run_block):
+        check_streamed_sums(x, f, schedule, theta, (0, *probes), max_lag)
+
+
+def check_streamed_sums(x, f, schedule, theta, shifts, max_lag):
+    lo, hi = schedule.span()
+    first = min(min(shifts), -max_lag)
+    track = observable_track(f, x, lo + first, hi + max(shifts) - 1)
+    source = observable_source(f, x)
+    segments = WindowSegments(schedule.windows)
+    lengths = schedule.lengths()
+
+    assert (bits(segments.sums(source) / lengths)
+            == bits(partial_means(track, schedule).values))
+    assert (bits(lag_window_sums(source, schedule.windows, max_lag))
+            == bits(lag_window_sums(track.read, schedule.windows, max_lag)))
+
+    rows, sups, energy = spectral._sweep([source], schedule, (theta,), shifts,
+                                         energy=True)
+    square = np.abs(track.values) ** 2
+    assert bits(energy) == bits(partial_means(Track(track.start, square),
+                                              schedule).values)
+    found = []
+    for (means,), sup, s in zip(rows, sups, shifts):
+        moved = Track(track.start - s, track.values)      # t -> v(t + s)
+        want = segments.sums(moved.read, Character(theta).conj_values)
+        assert bits(means) == bits(want / lengths)
+        assert sup == sup_norm(moved.read(lo, hi))
+        found.append(spectral._eigen_value(estimate(want / lengths, sup,
+                                                    EstimatorConfig())))
+    (e_x, flag), *moved_values = found
+    residual = max([abs(e - complex(Character(theta)(t)) * e_x)
+                    for t, (e, moved_flag) in zip(shifts[1:], moved_values)
+                    if flag != "undecided" and moved_flag != "undecided"],
+                   default=0.0)
+    sample = spectral.eigenfunction_sample(f, theta, [x], schedule, shifts[1:])
+    assert sample.flags == (flag,)
+    assert bits(np.array(sample.values)) == bits(np.array([e_x]))
+    assert bits(np.array(sample.eigen_residual)) == bits(np.array(residual))
 
 
 @settings(max_examples=60, deadline=None)

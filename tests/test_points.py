@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from apspectra import points
 from apspectra.points import (FIBONACCI_RULES, MAX_RADIUS,
                               PERIOD_DOUBLING_RULES, THUE_MORSE_RULES,
                               BernoulliPoint, BlockPoint, Observable,
@@ -225,6 +226,28 @@ def test_bernoulli_reproducible_and_order_independent():
     assert np.array_equal(np.concatenate([b.codes(-70_000, 123),
                                           b.codes(123, 65_659),
                                           b.codes(65_659, 140_000)]), long)
+
+
+def sturmian_one_shot(x: SturmianPoint, start: int, stop: int) -> np.ndarray:
+    """The rotation coding computed over the whole window at once."""
+    frac = np.mod(np.arange(start, stop, dtype=float) * x.alpha + x.rho, 1.0)
+    return (frac >= 1.0 - x.alpha).astype(np.int64)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, points.HASH_BLOCK])
+def test_sturmian_blocks_match_one_shot_codes(block, monkeypatch):
+    # computed a block at a time, the codes keep the bits of the one-shot
+    # formula, in windows that start, end and cross block edges anywhere
+    monkeypatch.setattr(points, "HASH_BLOCK", block)
+    edge = points.HASH_BLOCK
+    for x in (SturmianPoint(GOLDEN, 0.0), SturmianPoint(0.3183, 0.77)):
+        for start, stop in [(-3 * edge - 2, 2 * edge + 3), (edge - 1, edge + 1),
+                            (-edge, 0), (5, 5), (2 ** 22 - 7, 2 ** 22 + 3 * edge),
+                            (-2 ** 22 - edge, -2 ** 22 + 1)]:
+            got = x.codes(start, stop)
+            assert got.dtype == np.int64
+            assert (got.view(np.uint64).tolist()
+                    == sturmian_one_shot(x, start, stop).view(np.uint64).tolist())
 
 
 def test_bernoulli_density_tracks_p():

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apspectra import spectral
+from apspectra import folner, spectral
 from apspectra.folner import (Character, Converged, EstimatorConfig,
                               FolnerSchedule)
 from apspectra.points import (FIBONACCI_RULES, THUE_MORSE_RULES,
                               BernoulliPoint, Observable, PeriodicPoint,
                               StepPoint, SturmianPoint, SubstitutionPoint,
-                              Track, observable_track, shift)
+                              Track, observable_source, observable_track,
+                              shift)
 from apspectra.spectral import (detect_frequencies, eigenfunction_sample,
                                 fourier_bohr, fourier_bohr_grid,
                                 fourier_bohr_grids, parseval_defect,
@@ -651,6 +652,47 @@ def test_report_periodic_is_pure_point():
     assert rep.purity == "evidence-pure-point"
     assert len(rep.frequencies) == 2
     assert all(r is not None and r < 1e-10 for r in rep.cross_residuals)
+
+
+def test_far_probe_shifts_are_read_apart():
+    # a piece is read once for every shift unless the shifts spread wider
+    # than the piece: then each shift is read on its own, so the samples
+    # read stay twice the span instead of growing with the spread
+    x = SturmianPoint(GOLDEN, 0.1)
+    source = observable_source(Observable.indicator("0", x.alphabet), x)
+    lengths = []
+
+    def counting(a, b):
+        lengths.append(b - a)
+        return source(a, b)
+    schedule = intervals(base=2 ** 16, n_max=4)
+    for shifts, read in (((0, 3), 2 ** 18 + 4 * 3), ((0, 10 ** 6), 2 ** 19)):
+        lengths.clear()
+        spectral._sweep([counting], schedule, (GOLDEN,), shifts)
+        assert sum(lengths) == read
+
+
+@pytest.mark.parametrize("schedule", [
+    FolnerSchedule.alternating(600),                    # left of the grids
+    FolnerSchedule.intervals(base=300, n_max=4),        # past the largest grid
+    FolnerSchedule.dyadic(8)])                          # inside the grids
+def test_report_averages_equal_parseval_read_from_the_point(schedule,
+                                                            monkeypatch):
+    # the report reads its averages from its grid track where that covers
+    # a piece, else from the point: either way they keep the bits of
+    # parseval_defect, which reads every piece from the point; short run
+    # blocks make pieces of both kinds
+    monkeypatch.setattr(folner, "RUN_BLOCK", 64)
+    x = shift(SubstitutionPoint(FIBONACCI_RULES), 17)
+    f = Observable((0, 2), {"00": 1.0, "01": 0.5j, "10": -0.0, "11": 2.0})
+    rep = spectral_report(f, x, schedule, [256, 512], max_frequencies=5)
+    thetas = tuple(fr.theta for fr in rep.frequencies)
+    assert len(thetas) > 1
+    traj = parseval_defect(f, x, thetas, schedule)
+    assert rep.parseval.describe() == traj.describe()
+    for theta in thetas:
+        assert (rep.trajectories[theta].describe()
+                == fourier_bohr(f, x, theta, schedule).describe())
 
 
 def test_report_thue_morse_not_pure_point():
