@@ -196,7 +196,6 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
         # one workspace per worker, reused for each of its units
         size = n + max((lead for _, lead in block), default=0)
         cyl = CylinderSums(size)
-        prefix = np.empty((2, size), dtype=np.int64)
         rows = {}
         for t, lead in block:
             lo, run = a - lead, n + lead
@@ -210,12 +209,12 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
                 last = w.stop - w.start - w_len
                 tops = max_sliding_sums(
                     sums_all[w.start:w.stop + lead], w_len,
-                    [(offset, offset + last) for _, offset in unit], prefix)
+                    [(offset, offset + last) for _, offset in unit])
             for i, (u, offset) in enumerate(unit):
                 s = sums_all[offset:offset + n - 2 * radius]
                 row = [np.nan, False, np.nan, np.nan]
                 if "mean" in part:
-                    sums = segments.sums(Track(lo_needed, s).read)[-k:]
+                    sums = segments.sums(s[part["mean"]])[-k:]
                     q = [p * f for p, f in zip(sums.tolist(), scales)]
                     top = int(np.max(s[part["mean"]]))
                     row[0] = float(np.max(sums / (c * tail_lengths)))

@@ -14,9 +14,16 @@ are byte-identical.  Validating an expanded config changes nothing.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
+
+try:    # the builtin SHA-256: hashlib loads OpenSSL's libcrypto, ~3.5 MiB
+    from _sha2 import sha256                # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256          # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .almost import KINDS, ScanBudget
 from .errors import ConfigError
@@ -476,7 +483,7 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(expanded: dict) -> str:
-    return hashlib.sha256(canonical_json(expanded).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(expanded).encode("utf-8")).hexdigest()
 
 
 def load_config(path: str) -> dict:

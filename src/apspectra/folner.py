@@ -395,7 +395,12 @@ class WindowSegments:
 
     def sums(self, source, phase=None) -> np.ndarray:
         """Sums of the source's values over each window, times the
-        conjugate character ``phase(a, b)`` on [a, b) when given."""
+        conjugate character ``phase(a, b)`` on [a, b) when given.  The
+        integer samples on [ends[0], ends[-1]), given as an array in place
+        of a source, sum exactly in int64 by one ``reduceat``."""
+        if isinstance(source, np.ndarray):
+            return self.totals(np.add.reduceat(
+                source, self.ends[:-1] - self.ends[0], dtype=np.int64))
         return self.totals(self.combine(
             self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2]))
             for p in self.pieces))
@@ -441,60 +446,66 @@ def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:
     return sums
 
 
-def max_sliding_sums(values: np.ndarray, length: int, spans,
-                     out: np.ndarray) -> list[int]:
+# the steps max_sliding_sums takes at once: its scratch is two int64 rows
+# of this many entries
+SLIDE_CHUNK = 1 << 14
+
+
+def max_sliding_sums(values: np.ndarray, length: int, spans) -> list[int]:
     """For each span ``(p, q)``, the largest sum of ``length``
     consecutive entries of the nonnegative int32 array ``values`` that
     start at p..q: ``max(sliding_sums(values, length)[p:q + 1])``,
     exactly, for 0 <= p <= q <= len(values) - length.
 
-    Run i sums to run 0 plus the steps values[length + j] - values[j]
-    for j < i.  ``out`` is two int64 rows at least as long as
-    ``values``.  The steps go into row 0 in blocks of eight: row r of an
-    (8, blocks) view holds step r of every block, so seven vector adds
-    give the running sums inside all blocks at once, and only the block
-    totals go through a serial prefix sum.  The spans share that one
-    pass: a span reads the maxima of the blocks it covers whole and the
-    rows of the two blocks its ends cut.
+    Run i + 1 sums to run i plus the step values[length + i] - values[i].
+    The steps are taken ``SLIDE_CHUNK`` at a time, padded with zero steps
+    to fill the chunk's blocks of eight, into row 0: row r of an
+    (8, blocks) view holds step r of every block, so seven vector adds,
+    from the run before the chunk, give the runs inside all blocks at
+    once, and only the block totals go through a serial prefix sum.  The
+    spans share that one pass: a span reads the maxima of the blocks it
+    covers whole and the rows of the two blocks its ends cut.
     """
     m = len(values) - length
-    full = m // 8
+    full = -(-min(m, SLIDE_CHUNK) // 8)         # blocks in a chunk
+    out = np.empty((2, 8 * full), dtype=np.int64)
     # the steps fit int32; they pass through row 1 on their way to row 0
     flat = out[1].view(np.int32)[:8 * full]
-    np.subtract(values[length:length + 8 * full], values[:8 * full], out=flat)
-    steps = out[0, :8 * full].reshape(8, full)
-    np.copyto(steps, flat.reshape(full, 8).T)
-    for r in range(1, 8):
-        np.add(steps[r - 1], steps[r], out=steps[r])
-    best, before = out[1, :full], out[1, full:2 * full]
-    np.max(steps, axis=0, out=best)
-    np.cumsum(steps[7], out=before)
-    before -= steps[7]                # the totals of the blocks on the left
-    best += before
-    total = int(before[-1] + steps[7, -1]) if full else 0
-    # the last m % 8 steps run on from the end of the blocks
-    tail = np.cumsum(values[length + 8 * full:] - values[8 * full:m],
-                     dtype=np.int64)
-    first = int(values[:length].sum(dtype=np.int64))
-    tops = []
-    for p, q in spans:
-        # run i >= 1 is entry i - 1 of the blocks, or of the tail after them
-        found = [0] if p == 0 else []
-        k0, k1 = max(p, 1) - 1, min(q, 8 * full) - 1
-        if k0 <= k1:
-            (b0, r0), (b1, r1) = divmod(k0, 8), divmod(k1, 8)
-            if b0 == b1:
-                found.append(steps[r0:r1 + 1, b0].max() + before[b0])
-            else:
-                found += [steps[r0:, b0].max() + before[b0],
-                          steps[:r1 + 1, b1].max() + before[b1]]
-                if b0 + 1 < b1:
-                    found.append(best[b0 + 1:b1].max())
-        j0, j1 = max(p - 1, 8 * full) - 8 * full, q - 1 - 8 * full
-        if j0 <= j1:
-            found.append(total + tail[j0:j1 + 1].max())
-        tops.append(first + int(max(found)))
-    return tops
+    steps = out[0].reshape(8, full)
+    rows, blocks = list(steps), flat.reshape(full, 8).T
+    best, before = out[1, 4 * full:5 * full], out[1, 5 * full:6 * full]
+    before[:1] = 0                    # the totals of the blocks on the left
+    run = int(values[:length].sum(dtype=np.int64))     # the run before a chunk
+    found = [[run] if p == 0 else [] for p, _ in spans]
+    for j in range(0, m, SLIDE_CHUNK):
+        size = min(SLIDE_CHUNK, m - j)
+        np.subtract(values[j + length:j + length + size], values[j:j + size],
+                    out=flat[:size])
+        flat[size:] = 0
+        np.copyto(steps, blocks)
+        steps[0, 0] += run
+        for lo, hi in zip(rows, rows[1:]):
+            np.add(lo, hi, out=hi)
+        np.maximum.reduce(steps, out=best)
+        np.add.accumulate(rows[7][:-1], out=before[1:])
+        best += before
+        whole = np.maximum.reduce(best)     # the padding repeats the last run
+        for (p, q), tops in zip(spans, found):
+            # run j + 1 + k is entry k of the blocks
+            k0, k1 = max(p - j, 1) - 1, min(q - j, size) - 1
+            if k0 == 0 and k1 == size - 1:
+                tops.append(whole)
+            elif k0 <= k1:
+                (b0, r0), (b1, r1) = divmod(k0, 8), divmod(k1, 8)
+                if b0 == b1:
+                    tops.append(steps[r0:r1 + 1, b0].max() + before[b0])
+                else:
+                    tops += [steps[r0:, b0].max() + before[b0],
+                             steps[:r1 + 1, b1].max() + before[b1]]
+                    if b0 + 1 < b1:
+                        tops.append(best[b0 + 1:b1].max())
+        run = int(before[-1] + rows[7][-1])
+    return [int(max(tops)) for tops in found]
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,9 @@ class PeriodicPoint(PointGen):
         self._codes = np.array([index[c] for c in pattern], dtype=np.int64)
 
     def codes(self, start: int, stop: int) -> np.ndarray:
-        t = np.arange(start, stop, dtype=np.int64)
-        return self._codes[t % len(self.pattern)]
+        # the pattern turned to start's phase, tiled: no array of coordinates
+        return np.resize(np.roll(self._codes, -(start % len(self.pattern))),
+                         max(stop - start, 0))
 
 
 FIBONACCI_RULES = {"0": "01", "1": "0"}
@@ -244,8 +245,9 @@ class SubstitutionPoint(PointGen):
         return np.concatenate((left[::-1], self._descend(1, max(start, 0), stop)))
 
 
-# coordinates computed at once by SturmianPoint.codes and BernoulliPoint.codes
-HASH_BLOCK = 1 << 16
+# coordinates computed at once by SturmianPoint.codes and BernoulliPoint.codes:
+# each float or hash temporary holds 64 KiB
+HASH_BLOCK = 1 << 13
 
 
 class SturmianPoint(PointGen):
@@ -311,8 +313,9 @@ class StepPoint(PointGen):
     alphabet = ("0", "1")
 
     def codes(self, start: int, stop: int) -> np.ndarray:
-        t = np.arange(start, stop, dtype=np.int64)
-        return (t >= 0).astype(np.int64)
+        out = np.zeros(max(stop - start, 0), dtype=np.int64)
+        out[max(-start, 0):] = 1
+        return out
 
 
 class BlockPoint(PointGen):
@@ -329,19 +332,13 @@ class BlockPoint(PointGen):
         self.fill = fill
 
     def codes(self, start: int, stop: int) -> np.ndarray:
-        t = np.arange(start, stop, dtype=np.int64)
-        pos = t >= 2
-        tp = t[pos].astype(np.float64)
-        n = np.floor(np.log2(tp)).astype(np.int64)
-        # guard against log2 rounding at exact powers of two
-        n = np.where(2 ** (n + 1) <= t[pos], n + 1, n)
-        n = np.where(2 ** n > t[pos], n - 1, n)
-        inside = (t[pos] - 2 ** n) < 2 ** (n - 1)
-        vals = np.zeros(len(t), dtype=np.int64)
-        vals[pos] = inside.astype(np.int64)
+        # one slice fill per block (and for the fill): slices clipped at 0
+        out = np.zeros(max(stop - start, 0), dtype=np.int64)
         if self.fill == "1":
-            vals[t <= 0] = 1
-        return vals
+            out[:max(1 - start, 0)] = 1
+        for n in range(1, max(stop, 1).bit_length()):
+            out[max(2 ** n - start, 0):max(2 ** n + 2 ** (n - 1) - start, 0)] = 1
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The config table: invalid leaves exit 2 naming their path, every
 accepted key reaches the config hash, and expanded configs round-trip."""
 
+import hashlib
+import importlib.util
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -196,3 +200,20 @@ def test_expanded_config_round_trips(command, cfg):
                                       if k != "command"})
     assert again == expanded
     assert config.config_hash(again) == config.config_hash(expanded)
+    # the builtin SHA-256 gives hashlib's digest
+    assert config.config_hash(expanded) == hashlib.sha256(
+        config.canonical_json(expanded).encode()).hexdigest()
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # a fresh copy of the module, loaded where neither builtin SHA-256
+    # module imports, hashes with hashlib, to the same digests
+    spec = importlib.util.spec_from_file_location("apspectra._config_copy",
+                                                  config.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None}):
+        spec.loader.exec_module(fallback)
+    assert fallback.sha256 is hashlib.sha256
+    for command, cfg in DETERMINISM_CONFIGS:
+        expanded = config.validate(command, cfg)
+        assert fallback.config_hash(expanded) == config.config_hash(expanded)

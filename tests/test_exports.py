@@ -2,8 +2,9 @@
 fails here instead of breaking ``from apspectra.<module> import *``; the
 package root imports no submodule, the command line needs nothing but
 the standard library and numpy, and an orbit command loads neither the
-thread pool nor the traceback module it does not use, and no command
-builds dataclasses."""
+thread pool nor the traceback module it does not use, nor OpenSSL, and
+no command builds dataclasses; an orbit command peaks close to its own
+import."""
 
 import importlib
 import json
@@ -13,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import apspectra
+from test_acceptance import DETERMINISM_CONFIGS
 
 
 def test_every_exported_name_resolves():
@@ -48,24 +52,31 @@ def test_imports_stay_lazy_and_need_only_numpy():
 SCAN_PROBE = """
 import sys
 import apspectra.cli
+UNUSED = ("concurrent.futures", "traceback", "dataclasses", "_hashlib", "_ssl")
+print(sorted(m for m in UNUSED if m in sys.modules))
 try:
     apspectra.cli.main(["scan", "--config", sys.argv[1], "--out", sys.argv[2]])
 except SystemExit as exc:
     print(exc.code)
-print(sorted(m for m in ("concurrent.futures", "traceback", "dataclasses")
-             if m in sys.modules))
+print(sorted(m for m in UNUSED if m in sys.modules))
 """
 
 
-def test_serial_scan_skips_the_thread_pool_and_traceback(tmp_path):
-    # a serial orbit command opens no thread pool, and only a crash
-    # prints a traceback, so neither module is imported; records are not
-    # dataclasses, whose per-class code generation would lengthen the start
+def child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("APSPECTRA_THREADS", None)
+    return env
+
+
+def test_serial_scan_skips_the_thread_pool_and_traceback(tmp_path):
+    # a serial orbit command opens no thread pool, and only a crash
+    # prints a traceback, so neither module is imported; records are not
+    # dataclasses, whose per-class code generation would lengthen the
+    # start; the config hash takes the builtin SHA-256, not OpenSSL's
+    env = child_env()
     cfg = tmp_path / "scan.json"
     cfg.write_text(json.dumps({
         "point": "periodic:AB", "range": [-4, 4], "bohr_horizon": 8,
@@ -74,5 +85,43 @@ def test_serial_scan_skips_the_thread_pool_and_traceback(tmp_path):
                           str(tmp_path / "out")], capture_output=True,
                          text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-2:] == ["0", "[]"]
+    lines = res.stdout.splitlines()
+    assert [lines[0]] + lines[-2:] == ["[]", "0", "[]"]
     assert (tmp_path / "out" / "scan.csv").exists()
+
+
+FOOTPRINT_PROBE = """
+import sys
+import apspectra.cli
+if len(sys.argv) > 1:
+    try:
+        apspectra.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak from /proc")
+def test_orbit_commands_peak_within_2_5_mib_of_the_import(tmp_path):
+    # each scan and classify determinism config, in a fresh interpreter,
+    # against one that only imports the command line; VmHWM, not
+    # ru_maxrss, which a child takes over from its parent at exec
+    def peak_kib(*args):
+        res = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, *args],
+                             capture_output=True, text=True, env=child_env(),
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        return int(res.stdout.split()[-1])
+
+    base = peak_kib()
+    over = {}
+    for i in (0, 3, 4, 9, 10):
+        command, cfg = DETERMINISM_CONFIGS[i]
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        over[i] = peak_kib(command, "--config", str(path), "--out",
+                           str(tmp_path / f"out{i}"), "--threads", "1") - base
+    assert max(over.values()) <= 2.5 * 1024, over

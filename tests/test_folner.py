@@ -579,15 +579,35 @@ def test_sliding_sums_equal_brute_sums(values, dtype, data):
 @given(values=st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=90),
        data=st.data())
 def test_max_sliding_sum_equals_max_of_sliding_sums(values, data):
-    # lengths leave 0 to 89 steps: no block, whole blocks and a ragged
-    # tail; spans start and end anywhere, inside one block or across many
+    # lengths leave 0 to 89 steps: no block, whole blocks and a padded
+    # last block; spans start and end anywhere, in one block or across many
     length = data.draw(st.integers(1, len(values)))
     arr = np.array(values, dtype=np.int32)
-    out = np.full((2, len(values)), -1, dtype=np.int64)
     sums = sliding_sums(arr.astype(np.int64), length)
     last = len(sums) - 1
     spans = [(0, last)] + data.draw(st.lists(
         st.tuples(st.integers(0, last), st.integers(0, last)).map(
             lambda pq: tuple(sorted(pq))), max_size=4))
     want = [int(np.max(sums[p:q + 1])) for p, q in spans]
-    assert max_sliding_sums(arr, length, spans, out) == want
+    assert max_sliding_sums(arr, length, spans) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8, 64])
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=200),
+       data=st.data())
+def test_chunked_max_sliding_sums_equal_brute_maxima(chunk, values, data):
+    # taken a chunk of steps at a time, the maxima stay exact, for spans
+    # that start or end on a chunk edge, next to one, or anywhere
+    length = data.draw(st.integers(1, len(values)))
+    arr = np.array(values, dtype=np.int32)
+    sums = sliding_sums(arr.astype(np.int64), length)
+    m = len(sums) - 1
+    edges = sorted({min(max(e + d, 0), m) for e in range(0, m + chunk, chunk)
+                    for d in (-1, 0, 1)})
+    ends = st.sampled_from(edges) | st.integers(0, m)
+    spans = [(0, m)] + data.draw(st.lists(st.tuples(ends, ends).map(
+        lambda pq: tuple(sorted(pq))), max_size=5))
+    with mock.patch.object(folner, "SLIDE_CHUNK", chunk):
+        got = max_sliding_sums(arr, length, spans)
+    assert got == [int(sums[p:q + 1].max()) for p, q in spans]

@@ -234,7 +234,7 @@ def sturmian_one_shot(x: SturmianPoint, start: int, stop: int) -> np.ndarray:
     return (frac >= 1.0 - x.alpha).astype(np.int64)
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, points.HASH_BLOCK])
+@pytest.mark.parametrize("block", [1, 5, 64, points.HASH_BLOCK, 1 << 16])
 def test_sturmian_blocks_match_one_shot_codes(block, monkeypatch):
     # computed a block at a time, the codes keep the bits of the one-shot
     # formula, in windows that start, end and cross block edges anywhere
@@ -248,6 +248,43 @@ def test_sturmian_blocks_match_one_shot_codes(block, monkeypatch):
             assert got.dtype == np.int64
             assert (got.view(np.uint64).tolist()
                     == sturmian_one_shot(x, start, stop).view(np.uint64).tolist())
+
+
+def block_letter(t: int, fill: str) -> int:
+    """BlockPoint's docstring: 1 on [2^n, 2^n + 2^(n-1)) for n >= 1, the
+    fill letter at t <= 0."""
+    if t <= 0:
+        return int(fill)
+    return int(any(2 ** n <= t < 2 ** n + 2 ** (n - 1) for n in range(1, 64)))
+
+
+CODED = [
+    (PeriodicPoint("AB"), lambda t: t % 2),
+    (PeriodicPoint("cabca"), lambda t: "abc".index("cabca"[t % 5])),
+    (StepPoint(), lambda t: int(t >= 0)),
+    (BlockPoint("0"), lambda t: block_letter(t, "0")),
+    (BlockPoint("1"), lambda t: block_letter(t, "1")),
+]
+# 0, and the block ends 2^n and 2^n + 2^(n-1) of either sign up to 2^22
+ANCHORS = [0] + [sign * (2 ** n + half * 2 ** (n - 1)) for n in range(1, 23)
+                 for half in (0, 1) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("x,letter", CODED, ids=["AB", "cabca", "step",
+                                                 "block0", "block1"])
+@settings(max_examples=150, deadline=None)
+@given(anchor=st.sampled_from(ANCHORS), offset=st.integers(-40, 40),
+       length=st.integers(-8, 80))
+@example(anchor=2 ** 22, offset=-40, length=80)
+@example(anchor=-2 ** 22, offset=-3, length=0)
+def test_slice_filled_codes_match_their_definition(x, letter, anchor, offset,
+                                                   length):
+    # windows of any sign, empty or reversed, across block ends and near
+    # the budget, against the letter of each coordinate
+    start = anchor + offset
+    got = x.codes(start, start + length)
+    assert got.dtype == np.int64
+    assert got.tolist() == [letter(t) for t in range(start, start + length)]
 
 
 def test_bernoulli_density_tracks_p():
