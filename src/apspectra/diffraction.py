@@ -107,24 +107,24 @@ def autocorrelation(comb: WeightedComb, k_max: int,
     Stage n, lag k >= 0: (1/|B_n|) sum_{t in B_n} w(t) conj(w(t-k)),
     with w read off the comb wherever the lag reaches.  Negative lags
     are filled in by conjugation, which enforces Hermitian symmetry
-    exactly.  The same read of the weights, one run of window segments
-    at a time, gives the atom estimate (:func:`bombieri_taylor_atom`) at
-    each of ``atom_thetas``.
+    exactly.  The same read of the weights, one piece of the window
+    segments at a time, gives the atom estimate
+    (:func:`bombieri_taylor_atom`) at each of ``atom_thetas``.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     segments = WindowSegments(schedule.windows)
     lags, atoms, sup = [], [[] for _ in atom_thetas], 0.0
-    for i, j, pieces, values in segments.whole_runs(comb.values, k_max):
+    for piece in segments.pieces:
+        a, b = piece[:2]
+        values = np.asarray(comb.values(a - k_max, b), dtype=complex)
         sup = max(sup, sup_norm(values))
-        lags.append(segments.lag_reduce(i, j, values, k_max))
-        origin = pieces[0][0] - k_max
+        lags.append(segments.lag_reduce(piece, values, k_max))
         for seg, theta in zip(atoms, atom_thetas):
-            xi = Character(theta)
-            seg += [segments.reduce(p, values[p[0] - origin:],
-                                    xi.conj_values(*p[:2])) for p in pieces]
+            seg.append(segments.reduce(piece, values[k_max:],
+                                       Character(theta).conj_values(a, b)))
     lengths = schedule.lengths()
-    table = segments.totals(np.concatenate(lags)) / lengths[:, None]
+    table = segments.totals(segments.combine(lags)) / lengths[:, None]
     verdicts = tuple(estimate(table[:, k], sup ** 2, config)
                      for k in range(k_max + 1))
     atoms = tuple(estimate((np.abs(segments.totals(segments.combine(seg))

@@ -9,7 +9,6 @@ artifacts stay distinguishable from genuine convergence.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -287,21 +286,12 @@ def estimate(avgs: np.ndarray, sup: float, config: EstimatorConfig) -> MeanEstim
 # ---------------------------------------------------------------------------
 
 
-# segments that start in one block of this many coordinates form a run,
-# read and summed together, so many short windows cost no Python step per
-# segment; a longer segment is read in blocks of at most this many
+# the order of every window sum: a segment of more than this many values
+# is read in consecutive blocks of this many, counted from its own start,
+# and sums to the left-to-right sum of its blocks; shorter segments that
+# start in one block of this many coordinates form a run, read and summed
+# together, so many short windows cost no Python step per segment
 RUN_BLOCK = 1 << 16
-
-
-def _tree(m: int, block):
-    """numpy's pairwise sum of m complex values, ``block(n)`` standing for
-    the sum of each part of n values, in order, that it splits them into
-    until at most ``RUN_BLOCK`` (or 64, which it sums unsplit) are left.
-    With ``block = lambda n: [n]`` it lists the parts' lengths."""
-    if m <= max(RUN_BLOCK, 64):
-        return block(m)
-    left = (m - m % 8) // 2
-    return _tree(left, block) + _tree(m - left, block)
 
 
 class WindowSegments:
@@ -311,9 +301,14 @@ class WindowSegments:
     segments from ``ends[first[n]]`` to ``ends[last[n]]``, so a window
     sum is a difference of cumulative segment sums.  They are read from a
     sample source, a function ``source(a, b)`` giving the values on
-    [a, b) (:meth:`Track.read`, :func:`observable_source`), a piece
-    ``(a, b, index)`` at a time (see :meth:`reduce`), so no array of the
-    span's length is formed.
+    [a, b) (:meth:`Track.read`, :func:`observable_source`), a piece at a
+    time, so no array of the span's length is formed.  A piece
+    ``[a, b, index, joins]`` is a run of short segments, starting at the
+    offsets ``index`` of [a, b), or one block of a long segment, which
+    ``joins`` the piece before it unless it is the segment's first
+    (:data:`RUN_BLOCK`).  Each piece is summed by one ``reduceat``, or one
+    ``np.vdot`` per segment and lag, and :meth:`combine` adds a long
+    segment's blocks left to right: that is the order of every sum.
     """
 
     def __init__(self, windows):
@@ -322,75 +317,42 @@ class WindowSegments:
         self.ends = np.array(ends)
         self.first = np.searchsorted(self.ends, [s for s, _ in windows])
         self.last = np.searchsorted(self.ends, [s + l for s, l in windows])
-        self.runs = []                  # [i, j, pieces]: segments i to j - 1
-        for m, (a, b) in enumerate(zip(ends, ends[1:])):
-            at = list(itertools.accumulate(_tree(b - a - 1, lambda n: [n]),
-                                           initial=a + 1))
-            if len(at) > 2:     # a long segment: its first value, its blocks
-                self.runs.append([m, m + 1, [(a, a + 1, [1])] + [
-                    (c, d, [0]) for c, d in zip(at, at[1:])]])
-            elif (self.runs and self.runs[-1][2] is None
-                  and (a - ends[0]) // RUN_BLOCK
-                  == (ends[self.runs[-1][0]] - ends[0]) // RUN_BLOCK):
-                self.runs[-1][1] = m + 1
+        self.pieces, run = [], None     # run: the open run of short segments
+        for a, b in zip(ends, ends[1:]):
+            if b - a > RUN_BLOCK:
+                self.pieces += [[c, min(c + RUN_BLOCK, b), [0], c > a]
+                                for c in range(a, b, RUN_BLOCK)]
+                run = None
+            elif run and ((a - ends[0]) // RUN_BLOCK
+                          == (run[0] - ends[0]) // RUN_BLOCK):
+                run[1] = b
+                run[2].append(a - run[0])
             else:
-                self.runs.append([m, m + 1, None])
-        for run in self.runs:
-            i, j = run[:2]
-            run[2] = run[2] or [(ends[i], ends[j],
-                                 [e - ends[i] + 1 for e in ends[i:j]])]
-        self.pieces = [piece for _, _, pieces in self.runs for piece in pieces]
-
-    def whole_runs(self, source, before: int = 0):
-        """Every run as ``(i, j, pieces, values)``: segments i to j - 1, and
-        a complex copy of the source on [ends[i] - before, ends[j]), read
-        a piece at a time into one buffer, which the next run overwrites."""
-        buf = np.empty(before + max(p[-1][1] - p[0][0] for _, _, p in self.runs),
-                       dtype=complex)
-        for i, j, pieces in self.runs:
-            origin = pieces[0][0] - before
-            for a, b, _ in pieces:
-                a = origin if a == pieces[0][0] else a
-                buf[a - origin:b - origin] = source(a, b)
-            yield i, j, pieces, buf[:pieces[-1][1] - origin]
+                run = [a, b, [0], False]
+                self.pieces.append(run)
 
     def reduce(self, piece, values: np.ndarray,
                phase: np.ndarray | None = None) -> np.ndarray:
-        """Partial sums of a piece by ``reduceat``, from ``values`` on it:
-        of a complex copy, or of the product with ``phase`` (the conjugate
-        character on the piece); integer values without a phase sum
-        exactly in int64.
-
-        The values sit from offset 1 of the buffer reduced at ``index``.
-        ``reduceat`` adds a segment's first value to numpy's pairwise sum
-        of the others, so a long segment's first value is a piece alone
-        and each block sums from offset 0, behind a -0.0 that adds
-        nothing; :meth:`combine` adds them as numpy would, and every sum
-        keeps the bits of one span-wide ``reduceat``.  The product is not
+        """The segment sums of a piece by one ``reduceat``, from
+        ``values`` on it: of the values as complex, or of their product
+        with ``phase`` (the conjugate character on the piece); integer
+        values without a phase sum exactly in int64.  The product is not
         taken in place: numpy rounds an in-place product of one value
         otherwise."""
-        a, b, index = piece
         if phase is None and values.dtype.kind not in "fc":
-            # exact: no copy, and no zero in front of a block
-            return np.add.reduceat(values[:b - a], [max(i - 1, 0) for i in index],
-                                   dtype=np.int64)
-        buf = np.empty(b - a + 1, dtype=complex)
-        if phase is None:
-            buf[1:] = values[:b - a]
-        else:
-            np.multiply(values[:b - a], phase, out=buf[1:])
-        buf[0] = complex(-0.0, -0.0)
-        return np.add.reduceat(buf, index)
+            return np.add.reduceat(values, piece[2], dtype=np.int64)
+        return np.add.reduceat(np.asarray(values, dtype=complex)
+                               if phase is None else values * phase, piece[2])
 
     def combine(self, partials) -> np.ndarray:
-        """Segment sums from the partial sums of every piece, in order."""
-        partials, sums = iter(partials), []
-        for i, j, pieces in self.runs:
-            sums.append(next(partials))
-            if len(pieces) > 1:
-                blocks = iter([next(partials)[0] for _ in pieces[1:]])
-                sums[-1] = sums[-1] + _tree(self.ends[j] - self.ends[i] - 1,
-                                            lambda n: next(blocks))
+        """Segment sums from the sums of every piece, in order: each block
+        that joins a long segment is added to the sum of those before it."""
+        sums = []
+        for piece, part in zip(self.pieces, partials):
+            if piece[3]:
+                sums[-1] = sums[-1] + part
+            else:
+                sums.append(part)
         return np.concatenate(sums)
 
     def sums(self, source, phase=None) -> np.ndarray:
@@ -405,18 +367,15 @@ class WindowSegments:
             self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2]))
             for p in self.pieces))
 
-    def lag_reduce(self, i: int, j: int, values: np.ndarray,
-                   max_lag: int) -> np.ndarray:
-        """Lag sums sum v(t) conj(v(t - k)), k = 0..max_lag, of segments i
-        to j - 1, a row each, from complex ``values`` on [ends[i] -
-        max_lag, ends[j]): a BLAS dot product per segment and lag, which
-        cannot be split, so a long segment is held whole."""
-        origin = self.ends[i] - max_lag     # the coordinate of values[0]
-        seg = np.empty((j - i, max_lag + 1), dtype=complex)
-        for m in range(i, j):
-            a, b = self.ends[m] - origin, self.ends[m + 1] - origin
+    def lag_reduce(self, piece, values: np.ndarray, max_lag: int) -> np.ndarray:
+        """Lag sums sum v(t) conj(v(t - k)), k = 0..max_lag, of the
+        segments of a piece [a, b), a row each, from complex ``values`` on
+        [a - max_lag, b): a BLAS dot product per segment and lag."""
+        cuts = [max_lag + i for i in piece[2]] + [len(values)]
+        seg = np.empty((len(piece[2]), max_lag + 1), dtype=complex)
+        for m, (a, b) in enumerate(zip(cuts, cuts[1:])):
             for k in range(max_lag + 1):
-                seg[m - i, k] = np.vdot(values[a - k:b - k], values[a:b])
+                seg[m, k] = np.vdot(values[a - k:b - k], values[a:b])
         return seg
 
     def totals(self, seg: np.ndarray) -> np.ndarray:
@@ -433,9 +392,10 @@ def lag_window_sums(source, windows, max_lag: int) -> np.ndarray:
     gives the values on every window and the ``max_lag`` coordinates
     before it."""
     segments = WindowSegments(windows)
-    return segments.totals(np.concatenate([
-        segments.lag_reduce(i, j, values, max_lag)
-        for i, j, _, values in segments.whole_runs(source, max_lag)]))
+    return segments.totals(segments.combine(
+        segments.lag_reduce(p, np.asarray(source(p[0] - max_lag, p[1]),
+                                          dtype=complex), max_lag)
+        for p in segments.pieces))
 
 
 def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:

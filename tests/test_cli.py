@@ -243,11 +243,10 @@ def test_spectrum_peak_memory_scales_with_the_grid(tmp_path):
 
 # how much the traced peak of a run may grow from a 2^18 to a 2^22
 # coordinate span: the sample layer reads and sums pieces of at most
-# about two RUN_BLOCKs, whatever the span, and about 0.1 MiB grows with
-# the windows; diffract also holds its longest segment whole, for its lag
-# sums, so its schedule here keeps segments at 2^16 coordinates.  Each
-# command grew by 16 to 49 B per span coordinate, 60 to 190 MiB here,
-# when it held a span-long track
+# about two RUN_BLOCKs, whatever the span (diffract's with its lag
+# look-back), and about 0.1 MiB grows with the windows.  Each command
+# grew by 16 to 49 B per span coordinate, 60 to 190 MiB here, when it
+# held a span-long track
 SPAN_GROWTH_BYTES = 2 << 20
 
 
@@ -259,11 +258,15 @@ def span_peaks(tmp_path, command, config):
 
 
 def test_diffract_peak_memory_does_not_grow_with_the_span(tmp_path):
-    small, large = span_peaks(tmp_path, "diffract", lambda n: {
-        "point": "bernoulli:0.5:42", "weights": {"0": 0.0, "1": 1.0},
-        "schedule": {"kind": "intervals", "base": 2 ** 16, "n_max": n >> 16},
-        "k_max": 32, "atom_thetas": [0.0, 0.25]})
-    assert large - small <= SPAN_GROWTH_BYTES, (small, large)
+    # windows of 2^16 coordinates, and of n/8, whose segments are read in
+    # blocks: diffract held them whole, 3.0 -> 10.0 MiB from 2^18 to 2^22
+    for base in (lambda n: 2 ** 16, lambda n: n // 8):
+        small, large = span_peaks(tmp_path, "diffract", lambda n: {
+            "point": "bernoulli:0.5:42", "weights": {"0": 0.0, "1": 1.0},
+            "schedule": {"kind": "intervals", "base": base(n),
+                         "n_max": n // base(n)},
+            "k_max": 32, "atom_thetas": [0.0, 0.25]})
+        assert large - small <= SPAN_GROWTH_BYTES, (small, large)
 
 
 def test_parseval_peak_memory_does_not_grow_with_the_span(tmp_path):

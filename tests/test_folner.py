@@ -376,6 +376,8 @@ def test_window_sums_equal_brute_sums(values, start, dtype, data):
 
 @pytest.mark.parametrize("dtype", [float, complex, np.int32])
 def test_long_window_sums_exact_or_near_fsum(dtype):
+    # long segments cut into many blocks of a patched RUN_BLOCK, or into a
+    # few of the default, stay within the fsum bound of their blocks' sum
     rng = np.random.default_rng(3)
     block = 1 << 16                                 # windows cross its multiples
     n = 3 * block + 1234 + 1
@@ -389,18 +391,22 @@ def test_long_window_sums_exact_or_near_fsum(dtype):
                (edges[0], edges[1] - edges[0]), (edges[0] - 1, 2),
                (edges[1] + 5, n - edges[1] - 5), (edges[2], n - edges[2]),
                (7, edges[2] - 7), (n - 1, 1)]
-    got = WindowSegments([(s + start, l) for s, l in windows]).sums(
-        Track(start, values).read)
-    if dtype is np.int32:
-        brute = [int(values[s:s + l].sum(dtype=np.int64)) for s, l in windows]
-        assert got.dtype == np.int64 and got.tolist() == brute
-        return
-    assert got.dtype == complex                     # float input is widened
-    for (s, l), total in zip(windows, got):
-        part = values[s:s + l]
-        bound = n * 2.0 ** -52 * float(np.sum(np.abs(part)))
-        want = complex(math.fsum(part.real.tolist()), math.fsum(part.imag.tolist()))
-        assert abs(total - want) <= bound
+    for run_block in (1, 64, folner.RUN_BLOCK):
+        with mock.patch.object(folner, "RUN_BLOCK", run_block):
+            got = WindowSegments([(s + start, l) for s, l in windows]).sums(
+                Track(start, values).read)
+        if dtype is np.int32:
+            brute = [int(values[s:s + l].sum(dtype=np.int64))
+                     for s, l in windows]
+            assert got.dtype == np.int64 and got.tolist() == brute
+            continue
+        assert got.dtype == complex                 # float input is widened
+        for (s, l), total in zip(windows, got):
+            part = values[s:s + l]
+            bound = n * 2.0 ** -52 * float(np.sum(np.abs(part)))
+            want = complex(math.fsum(part.real.tolist()),
+                           math.fsum(part.imag.tolist()))
+            assert abs(total - want) <= bound, run_block
 
 
 SCHEDULES = st.one_of(
@@ -411,6 +417,21 @@ SCHEDULES = st.one_of(
 
 def bits(values: np.ndarray) -> list[int]:
     return values.view(np.uint64).ravel().tolist()
+
+
+def in_defined_order(ends, block_sum) -> np.ndarray:
+    """Segment sums in the order the window sums define, built without
+    WindowSegments' pieces: each segment [a, b) between consecutive
+    ``ends`` is cut into blocks of RUN_BLOCK values from a, each summed by
+    ``block_sum(c, d)``, and the block sums are added left to right."""
+    sums = []
+    for a, b in zip(ends, ends[1:]):
+        cuts = [*range(a, b, folner.RUN_BLOCK), b]
+        total = block_sum(cuts[0], cuts[1])
+        for c, d in zip(cuts[1:], cuts[2:]):
+            total = total + block_sum(c, d)
+        sums.append(total)
+    return np.array(sums)
 
 
 @settings(max_examples=80, deadline=None)
@@ -424,12 +445,18 @@ def bits(values: np.ndarray) -> list[int]:
 # otherwise than a product over the span
 @example(schedule=FolnerSchedule.alternating(1), before=0, after=0,
          max_lag=5, real=False, theta=0.625, run_block=1, seed=1)
+# segments of exactly RUN_BLOCK values, one block each, and of RUN_BLOCK
+# + 1, a block and one value
+@example(schedule=FolnerSchedule.intervals(64, 3), before=3, after=2,
+         max_lag=4, real=False, theta=0.3, run_block=64, seed=2)
+@example(schedule=FolnerSchedule.intervals(65, 3), before=3, after=2,
+         max_lag=4, real=False, theta=0.3, run_block=64, seed=3)
 def test_segment_sums_equal_span_wide_sums_bit_for_bit(
         schedule, before, after, max_lag, real, theta, run_block, seed):
-    # the span-wide reference is the sum the segment runs replaced: one
-    # reduceat over span-long complex values, character products and
-    # lagged copies; values include exact and signed zeros, and short
-    # run blocks cut the spans into many runs
+    # the reference cuts span-wide complex values, character products
+    # and lagged copies into the blocks of the defined order itself;
+    # values include exact and signed zeros, and short run blocks cut the
+    # spans into many runs and long segments into many blocks
     with mock.patch.object(folner, "RUN_BLOCK", run_block):
         check_segment_sums(schedule, before, after, max_lag, real, theta,
                            seed)
@@ -446,40 +473,41 @@ def check_segment_sums(schedule, before, after, max_lag, real, theta, seed):
     if not real:
         values = values + 1j * rng.standard_normal(n)
     segments = WindowSegments(schedule.windows)
-    cuts = segments.ends[:-1] - lo
-    span = values[lo - start:hi - start]
+    ends = segments.ends.tolist()
+    w = values.astype(complex)
 
-    want = segments.totals(np.add.reduceat(span.astype(complex), cuts))
+    def reduceat(span):
+        return lambda c, d: np.add.reduceat(span[c - lo:d - lo], [0])[0]
+
+    want = segments.totals(in_defined_order(ends, reduceat(w[lo - start:])))
     read = Track(start, values).read
     assert bits(segments.sums(read)) == bits(want)
 
     table = Character(theta).conj_values(lo, hi)
-    want = segments.totals(np.add.reduceat(span * table, cuts))
+    want = segments.totals(in_defined_order(
+        ends, reduceat(values[lo - start:hi - start] * table)))
     got = segments.sums(read, Character(theta).conj_values)
     assert bits(got) == bits(want)
     shared = segments.sums(read, lambda a, b: table[a - lo:b - lo])
     assert bits(shared) == bits(want)
 
-    w = values.astype(complex)
-    seg = np.empty((len(cuts), max_lag + 1), dtype=complex)
-    for i, (a, b) in enumerate(zip(segments.ends[:-1], segments.ends[1:])):
-        for k in range(max_lag + 1):
-            seg[i, k] = np.vdot(w[a - k - start:b - k - start],
-                                w[a - start:b - start])
+    want = segments.totals(in_defined_order(ends, lambda c, d: np.array([
+        np.vdot(w[c - k - start:d - k - start], w[c - start:d - start])
+        for k in range(max_lag + 1)])))
     got = lag_window_sums(read, schedule.windows, max_lag)
-    assert bits(got) == bits(segments.totals(seg))
+    assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize("run_block", [1, 64, 100])
 def test_long_segment_sums_keep_signed_zeros(run_block):
-    # every block of the long segments sums to -0.0, so the zero that
-    # heads a block must add nothing to it
+    # the long segments are cut into blocks that each sum to -0.0, and
+    # their sums, added left to right, must stay -0.0
     windows = [(0, 1), (0, 1000), (0, 5000)]
     read = Track(0, np.full(5000, complex(-0.0, -0.0))).read
     table = Character(0.25).conj_values(0, 5000)
     with mock.patch.object(folner, "RUN_BLOCK", run_block):
         segments = WindowSegments(windows)
-        assert len(segments.runs[1][2]) > 2
+        assert sum(joins for *_, joins in segments.pieces) > 2
         for phase, values in ((None, read(0, 5000)),
                               (Character(0.25).conj_values, read(0, 5000) * table)):
             want = segments.totals(np.add.reduceat(values, [0, 1, 1000]))
