@@ -384,6 +384,9 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
         _check_budget("schedule.windows", max(ends) - min(starts))
     if command == "diffract":       # the lag table: one row per window
         _check_budget("k_max", _stages(schedule) * (out["k_max"] + 1))
+        m = out["grid_size"] or max(2 * out["k_max"], 16)   # the density
+        _check_budget("grid_size" if out["grid_size"] else "k_max",
+                      m * (2 * out["k_max"] + 1))
     kinds = out.get("kinds", ())
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FractionExceedsOne
 from .folner import (Character, EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     WindowSegments, estimate)
+                     WindowSegments, estimate, phase_sums)
 from .points import (Observable, PointGen, Record, Track, observable_track,
                      sup_norm)
 
@@ -171,8 +171,7 @@ def diffraction_density(eta: AutocorrEstimate, taper: str = "triangular",
     if taper == "triangular":
         row = row * (1.0 - np.abs(k) / (k_max + 1.0))
     thetas = np.arange(m) / m
-    phases = np.exp(-2j * np.pi * np.outer(thetas, k))
-    values = (phases @ row).real
+    values = phase_sums(thetas, -k_max, row).real
     flag = bool(np.min(values) < -0.05 * max(eta.eta0, 1e-30)) if taper == "none" else False
     return DiffractionDensity(thetas, values, taper, flag)
 

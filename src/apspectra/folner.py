@@ -19,6 +19,8 @@ from .points import Record, Track, sup_norm
 __all__ = [
     "FolnerSchedule",
     "Character",
+    "phases",
+    "phase_sums",
     "EstimatorConfig",
     "Converged",
     "Oscillating",
@@ -128,21 +130,55 @@ class FolnerSchedule(Record):
         }
 
 
+# the length of the exponential kernel's short table: e(-theta t) is
+# e(-theta (t - r)) e(-theta r), r = t mod PHASE_TABLE
+PHASE_TABLE = 256
+
+
+def phases(theta, t0: int, n: int) -> np.ndarray:
+    """e(-theta t) for t in [t0, t0 + n), a row per theta of an array:
+    the program's one exponential.  The outer product of e(-theta r),
+    r < ``PHASE_TABLE``, and e(-theta a) at the multiples a of it that
+    cover the window, each with theta x reduced modulo 1 exactly first
+    (theta's leading 24 bits times an integer |x| < 2^29 is exact), so the
+    value at t depends on theta and t alone, never on the window that
+    reads it, and is good to a few ulp however large |t|."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    lo, hi = t0 // PHASE_TABLE, -(-(t0 + n) // PHASE_TABLE)
+    x = np.concatenate((np.arange(PHASE_TABLE),
+                        np.arange(lo, hi) * PHASE_TABLE)).astype(float)
+    lead = theta.astype(np.float32).astype(float)
+    table = np.exp(-2j * np.pi * (np.fmod(lead * x, 1.0) + (theta - lead) * x))
+    rows = table[..., PHASE_TABLE:, None] * table[..., None, :PHASE_TABLE]
+    skip = t0 - lo * PHASE_TABLE
+    return rows.reshape(theta.shape[:-1] + (-1,))[..., skip:skip + n]
+
+
+def phase_sums(thetas: np.ndarray, t0: int, values: np.ndarray) -> np.ndarray:
+    """sum_t values[t - t0] e(-theta t), t in [t0, t0 + len(values)), for
+    each of ``thetas``, from rows of the kernel: 2^16 entries at a time."""
+    block = max(1, (1 << 16) // (len(values) + 2 * PHASE_TABLE))
+    return np.concatenate([phases(thetas[j:j + block], t0, len(values))
+                           @ values for j in range(0, len(thetas), block)])
+
+
 class Character(Record):
-    """A character of the integers, t -> exp(2*pi*i*theta*t)."""
+    """A character of the integers, t -> e(theta t) = exp(2*pi*i*theta*t),
+    theta in [0, 1): one that rounds to 1.0 modulo 1 is that of 0.0."""
 
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % 1.0)
+        theta = float(self.theta) % 1.0
+        object.__setattr__(self, "theta", 0.0 if theta == 1.0 else theta)
 
-    def __call__(self, t):
-        return np.exp(2j * np.pi * self.theta * np.asarray(t, dtype=float))
+    def __call__(self, t: int) -> complex:
+        """xi(t) at an integer t."""
+        return complex(phases(self.theta, t, 1)[0]).conjugate()
 
     def conj_values(self, t0: int, t1: int) -> np.ndarray:
         """conj(xi(t)) for t in [t0, t1)."""
-        z = -2j * np.pi * self.theta * np.arange(t0, t1, dtype=float)
-        return np.exp(z, out=z)
+        return phases(self.theta, t0, t1 - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +366,8 @@ class WindowSegments:
             else:
                 run = [a, b, [0], False]
                 self.pieces.append(run)
+        for piece in self.pieces:       # reduceat would convert a list per call
+            piece[2] = np.array(piece[2])
 
     def reduce(self, piece, values: np.ndarray,
                phase: np.ndarray | None = None) -> np.ndarray:
@@ -353,16 +391,17 @@ class WindowSegments:
                 sums[-1] = sums[-1] + part
             else:
                 sums.append(part)
-        return np.concatenate(sums)
+        return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
     def sums(self, source, phase=None) -> np.ndarray:
         """Sums of the source's values over each window, times the
         conjugate character ``phase(a, b)`` on [a, b) when given.  The
         integer samples on [ends[0], ends[-1]), given as an array in place
-        of a source, sum exactly in int64 by one ``reduceat``."""
+        of a source, sum exactly in int64 a piece at a time."""
         if isinstance(source, np.ndarray):
-            return self.totals(np.add.reduceat(
-                source, self.ends[:-1] - self.ends[0], dtype=np.int64))
+            e0 = int(self.ends[0])
+            return self.totals(self.combine(
+                [self.reduce(p, source[p[0] - e0:p[1] - e0]) for p in self.pieces]))
         return self.totals(self.combine(
             self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2]))
             for p in self.pieces))
@@ -371,7 +410,7 @@ class WindowSegments:
         """Lag sums sum v(t) conj(v(t - k)), k = 0..max_lag, of the
         segments of a piece [a, b), a row each, from complex ``values`` on
         [a - max_lag, b): a BLAS dot product per segment and lag."""
-        cuts = [max_lag + i for i in piece[2]] + [len(values)]
+        cuts = (max_lag + piece[2]).tolist() + [len(values)]
         seg = np.empty((len(piece[2]), max_lag + 1), dtype=complex)
         for m, (a, b) in enumerate(zip(cuts, cuts[1:])):
             for k in range(max_lag + 1):

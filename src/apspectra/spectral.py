@@ -16,7 +16,7 @@ import numpy as np
 
 from .folner import (Character, Converged, EstimatorConfig, FolnerSchedule,
                      MeanEstimate, Oscillating, WindowSegments, estimate,
-                     sliding_sums)
+                     phase_sums, phases, sliding_sums)
 from .points import (Observable, PointGen, Record, Track, observable_source,
                      observable_track, sup_norm)
 
@@ -47,8 +47,8 @@ def _sweep(sources, schedule: FolnerSchedule, thetas, shifts=(0,),
     the sup of |v| over the span moved by s.  With ``energy``, also the
     window means of |v|^2 of the first source (shift 0 must come first).
     One piece of one source is held at a time, read once for all of them
-    (once a shift when the shifts spread wider than the piece), and each
-    piece of a character is formed once.
+    (once a shift when the shifts spread wider than the piece), with one
+    piece of each character.
     """
     segments = WindowSegments(schedule.windows)
     first, last = min(shifts), max(shifts)
@@ -56,7 +56,6 @@ def _sweep(sources, schedule: FolnerSchedule, thetas, shifts=(0,),
     sups, squares = [0.0] * len(means), []
     for piece in segments.pieces:
         a, b = piece[:2]
-        phases = {}         # held for the next source, if there is one
         for n, source in enumerate(sources):
             if last - first > b - a:
                 vs = [source(a + s, b + s) for s in shifts]
@@ -72,11 +71,8 @@ def _sweep(sources, schedule: FolnerSchedule, thetas, shifts=(0,),
                                                if np.iscomplexobj(vs[0])
                                                else vs[0] ** 2))
             for m, theta in enumerate(thetas):
-                phase = phases.pop(m, None)
-                if phase is None:
-                    phase = Character(theta).conj_values(a, b)
-                if n + 1 < len(sources):
-                    phases[m] = phase
+                phase = None        # frees the last piece of a character first
+                phase = Character(theta).conj_values(a, b)
                 for k, v in zip(rows, vs):
                     means[k][m].append(segments.reduce(piece, v, phase))
 
@@ -112,28 +108,6 @@ class FourierBohrGrid(Record):
     @property
     def thetas(self) -> np.ndarray:
         return np.arange(self.n) / self.n
-
-
-def _grid_direct(values: np.ndarray) -> np.ndarray:
-    # e(-jt/n) is the table entry e(-k/n) at k = jt mod n, computed once
-    n = len(values)
-    t = np.arange(n, dtype=np.int64)
-    table = np.exp(-2j * np.pi * t / n)
-    out = np.empty(n, dtype=complex)
-    # at most 2^19 gathered entries a block, in two buffers reused by
-    # every block: 12 MiB, where 2^22 fresh ones cost 96 MiB
-    block = max(1, (1 << 19) // max(n, 1))
-    index = np.empty((min(block, n), n), dtype=np.int64)
-    gathered = np.empty(index.shape, dtype=complex)
-    for j0 in range(0, n, block):
-        j = t[j0:j0 + block]
-        k, rows = index[:len(j)], gathered[:len(j)]
-        np.multiply.outer(j, t, out=k)
-        np.remainder(k, n, out=k)
-        # "clip" never clips (0 <= k < n); "raise" would buffer a copy
-        np.take(table, k, out=rows, mode="clip")
-        out[j] = rows @ values / n
-    return out
 
 
 def fourier_bohr_grid(f: Observable, x: PointGen, n: int,
@@ -179,7 +153,7 @@ def _grid(values: np.ndarray, method: str = "fast",
         fast[len(half):] = half[(n + 1) // 2 - 1:0:-1].conj()
     residual = None
     if method == "direct" or n <= direct_check_limit:
-        direct = _grid_direct(values)
+        direct = phase_sums(np.arange(n) / n, 0, values) / n
         scale = max(float(np.max(np.abs(direct))), 1e-30)
         residual = float(np.max(np.abs(fast - direct)) / scale)
         amps = direct if method == "direct" else fast
@@ -222,23 +196,12 @@ def _peak_offset(amps: np.ndarray, j: int) -> float:
     return min(max(offset, -1.0), 1.0)
 
 
-def _e_neg(theta: float, x) -> np.ndarray:
-    """e(-theta x) at half-integers x, |x| < 2^28, with theta x reduced
-    modulo 1 first: theta's leading 24 bits times x is exact in float64,
-    so the phase is good to a few ulp of one turn, however large x."""
-    lead = float(np.float32(theta))
-    return np.exp(-2j * np.pi * (np.fmod(lead * x, 1.0) + (theta - lead) * x))
-
-
 class _Moments:
-    """The centred moments sum_t s^k track[t] e(-theta s), k = 0, 1, 2, where
-    s = t - (n - 1)/2, from two short exponential tables per theta.
-
-    With t = q a + b and q near sqrt(n), e(-theta s) is the outer product
-    of e(-theta b) over the q columns and e(-theta (q a - (n - 1)/2)) over
-    the r = ceil(n / q) rows of the zero-padded track, so each theta
-    costs q + r exponentials and one product with the (3 r, q) matrix of
-    track, s * track and s^2 * track.
+    """The moments sum_t s^k track[t] e(-theta t), k = 0, 1, 2, s = t -
+    (n - 1)/2.  With t = q a + b, q a power of two near sqrt(n), each theta
+    costs the kernel's e(-theta b) over the q columns and e(-(q theta) a)
+    over the r = ceil(n / q) rows of the zero-padded track, and a product
+    with the (3 r, q) matrix of track, s * track and s^2 * track.
     """
 
     def __init__(self, track: np.ndarray):
@@ -250,23 +213,21 @@ class _Moments:
         weights[0, :n] = track
         np.multiply(weights[0], s, out=weights[1])
         np.multiply(weights[0], s * s, out=weights[2])
-        self.n = n
+        self.n, self.q, self.r = n, q, r
         self.weights = weights.reshape(3 * r, q)
-        self.cols = np.arange(q, dtype=float)
-        self.rows = s[::q]
 
     def __call__(self, theta: float) -> np.ndarray:
-        return ((self.weights @ _e_neg(theta, self.cols)).reshape(3, -1)
-                @ _e_neg(theta, self.rows))
+        return ((self.weights @ phases(theta, 0, self.q)).reshape(3, -1)
+                @ phases(self.q * theta, 0, self.r))
 
     def amplitude(self, theta: float) -> complex:
-        """(1/n) sum_t track[t] e(-theta t), the 0th moment uncentred."""
-        return complex(self(theta)[0] * _e_neg(theta, 0.5 * (self.n - 1)) / self.n)
+        """(1/n) sum_t track[t] e(-theta t), the 0th moment."""
+        return complex(self(theta)[0] / self.n)
 
 
 def _slopes(moments: _Moments, theta: float) -> tuple[float, float]:
     """|A|^2' and |A|^2'' at theta up to one positive factor, where
-    A = sum track * e(-theta s) over the centred times s."""
+    A = sum track * e(-theta t), from the moments over the centred s."""
     a, b, c = moments(theta)
     return ((a.conjugate() * b).imag,
             2.0 * np.pi * (abs(b) ** 2 - (a.conjugate() * c).real))
@@ -388,14 +349,12 @@ def detect_frequencies(grids: list[FourierBohrGrid],
             start, half = theta0, 0.0
         else:
             start, half = theta0 + _peak_offset(base.amplitudes, j) / n, 1.0 / n
-        theta = float(_newton_refine(moments, start, theta0 - half,
-                                     theta0 + half, refine_steps)) % 1.0
-        if theta == 1.0:       # a tiny negative theta rounds up to 1.0
-            theta = 0.0
+        theta = Character(_newton_refine(moments, start, theta0 - half,
+                                         theta0 + half, refine_steps)).theta
         amp = moments.amplitude(theta)
         found.append(DetectedFrequency(theta0, theta, amp, float(amps[j])))
         if real and 0 < 2 * j < n:
-            found.append(DetectedFrequency((n - j) / n, (1.0 - theta) % 1.0,
+            found.append(DetectedFrequency((n - j) / n, Character(1.0 - theta).theta,
                                            amp.conjugate(), float(amps[j])))
 
     found.sort(key=lambda fr: (-abs(fr.amplitude), -fr.theta))
@@ -523,7 +482,7 @@ def eigenfunction_sample(f: Observable, theta: float, points,
 
     mods = [abs(v) for v, flag in zip(values, flags) if flag != "undecided"]
     spread = (max(mods) - min(mods)) if mods else 0.0
-    return EigenfunctionSample(float(theta) % 1.0, tuple(values), tuple(flags),
+    return EigenfunctionSample(xi.theta, tuple(values), tuple(flags),
                                float(residual), float(spread))
 
 

@@ -396,6 +396,17 @@ def test_eigen_command(tmp_path):
     assert abs(values[1][0] + 0.5) < 1e-9
 
 
+def test_eigen_theta_just_below_zero_is_written_as_zero(tmp_path):
+    # -1e-17 modulo 1 rounds to 1.0, the same character as 0.0
+    cfg = write_config(tmp_path / "e.json", {
+        "point": "periodic:AB", "observable": "indicator:A",
+        "schedule": {"kind": "intervals", "base": 100, "n_max": 4},
+        "theta": -1e-17, "point_shifts": [0, 1], "shift_probes": [1]})
+    out = tmp_path / "out"
+    assert run_cli(["eigen", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert json.loads((out / "eigen.json").read_text())["eigen"]["theta"] == 0.0
+
+
 def test_diffract_command(tmp_path):
     cfg = write_config(tmp_path / "d.json", {
         "point": "periodic:AB",
@@ -637,6 +648,12 @@ SMALL_AB = {"point": "periodic:AB",
         "kind": "substitution", "rules": {"a": "ba", "b": "b", "c": "cb",
                                           "d": "ac"},
         "seed": ["a", "c"]}}, "point"),
+    # the diffract density takes a phase per grid point and lag: here
+    # 2^19 x (2^19 + 1), rejected before any sample is read
+    ("diffract", {**SMALL_AB, "weights": {"A": 1, "B": 0}, "k_max": 262144,
+                  "grid_size": 524288,
+                  "schedule": {"kind": "custom", "windows": [[0, 1]]}},
+     "grid_size"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)

@@ -274,6 +274,29 @@ def test_density_bernoulli_flat_background_plus_atom():
     assert np.min(dens.values) >= -1e-9
 
 
+@pytest.mark.parametrize("taper", ["triangular", "none"])
+@pytest.mark.parametrize("k_max,extra", [(8, 0), (8, 5), (48, 0), (48, 41),
+                                         (5, 90)])
+def test_density_matches_the_fft_of_the_wrapped_lag_row(taper, k_max, extra):
+    # on the grid j/m, sum_k w_k eta_k e(-jk/m) is the FFT of the tapered
+    # row with lag k stored at k mod m: a route that shares no code with
+    # the exponential kernel; m = 2K wraps lag -K onto lag K
+    comb = WeightedComb(BernoulliPoint(0.4, 17), {"0": -0.5, "1": 1.0 + 2j})
+    eta = autocorrelation(comb, k_max, intervals(base=300, n_max=4))
+    m = 2 * k_max + extra
+    dens = diffraction_density(eta, taper, m)
+    k = eta.lags()
+    row = eta.eta_row()
+    if taper == "triangular":
+        row = row * (1.0 - np.abs(k) / (k_max + 1.0))
+    wrapped = np.zeros(m, dtype=complex)
+    np.add.at(wrapped, k % m, row)
+    assert len(dens.values) == m
+    assert np.array_equal(dens.thetas, np.arange(m) / m)
+    assert (np.max(np.abs(dens.values - np.fft.fft(wrapped).real))
+            <= 1e-12 * np.sum(np.abs(row)))
+
+
 def test_density_grid_too_small():
     eta = autocorrelation(ab_comb(), 8, intervals(10, 3))
     with pytest.raises(ValueError):

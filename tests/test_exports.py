@@ -4,8 +4,10 @@ package root imports no submodule, the command line needs nothing but
 the standard library and numpy, and an orbit command loads neither the
 thread pool nor the traceback module it does not use, nor OpenSSL, and
 no command builds dataclasses; an orbit command peaks close to its own
-import."""
+import; and one function of the package, the exponential kernel, calls
+``np.exp``."""
 
+import ast
 import importlib
 import json
 import os
@@ -30,6 +32,35 @@ def test_every_exported_name_resolves():
         stale += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                   if not hasattr(module, export)]
     assert not stale
+
+
+def exp_owners(path: Path) -> list[str]:
+    """The innermost function around each ``np.exp`` (or ``numpy.exp``)
+    of a module, or ``<module>`` for one outside every function."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{path.stem}.{node.name}"
+        elif isinstance(node, ast.Lambda):
+            owner = f"{path.stem}.<lambda>"
+        if (isinstance(node, ast.Attribute) and node.attr == "exp"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+    return owners
+
+
+def test_the_exponential_kernel_is_the_one_caller_of_exp():
+    # every character, direct grid row and density phase comes from
+    # folner.phases, so its phase reduction holds for all of them
+    package = Path(apspectra.__file__).parent
+    owners = [owner for path in sorted(package.glob("*.py"))
+              for owner in exp_owners(path)]
+    assert owners == ["folner.phases"]
 
 
 def test_imports_stay_lazy_and_need_only_numpy():

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,9 @@ from apspectra.points import (FIBONACCI_RULES, THUE_MORSE_RULES,
                               PeriodicPoint, StepPoint, SturmianPoint,
                               SubstitutionPoint, Track, observable_source,
                               observable_track, shift, sup_norm)
+
+
+GOLDEN = (5 ** 0.5 - 1) / 2
 
 
 def dict_track(lo, hi, fn):
@@ -66,6 +71,73 @@ def test_character_reduced_mod_one():
     assert abs(complex(xi(4)) - 1.0) < 1e-12
     vals = xi.conj_values(0, 4)
     assert np.allclose(vals, np.exp(-2j * np.pi * 0.25 * np.arange(4)))
+    # -1e-17 % 1.0 rounds to 1.0, which is the character of 0.0
+    for theta in (-1e-17, -0.0, 1.0, 2.0, -5e-324):
+        assert Character(theta).theta == 0.0
+        assert Character(theta) == Character(0.0)
+    assert 0.0 <= Character(-1e-16).theta < 1.0
+
+
+# the reach of the kernel's accuracy check: the schedule span's budget
+# and one RUN_BLOCK piece past it
+KERNEL_REACH = 2 ** 22 + 2 ** 16
+
+
+def exact_phase(theta: float, t: int) -> complex:
+    """e(-theta t) from the exact rational theta t: the nearest quarter
+    turn q / 4 is a power of -i, and cos and sin take the rest, a turn of
+    at most 1/8."""
+    turn = Fraction(theta) * t
+    q = round(4 * turn)
+    angle = 2 * math.pi * float(turn - Fraction(q, 4))
+    return complex(math.cos(angle), -math.sin(angle)) * (1, -1j, -1, 1j)[q % 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(-1.0, 1.0), t0=st.integers(-KERNEL_REACH, KERNEL_REACH),
+       n=st.integers(1, 3 * folner.PHASE_TABLE), data=st.data())
+@example(theta=0.6180339887498949, t0=KERNEL_REACH - 40, n=40, data=None)
+@example(theta=0.3, t0=-KERNEL_REACH, n=300, data=None)
+def test_phases_match_an_exact_rational_reference(theta, t0, n, data):
+    got = folner.phases(theta, t0, n)
+    ts = range(t0, t0 + n) if data is None else data.draw(
+        st.lists(st.integers(t0, t0 + n - 1), min_size=1, max_size=20))
+    for t in ts:
+        assert abs(got[t - t0] - exact_phase(theta, t)) <= 2e-15, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=st.floats(0.0, 1.0, exclude_max=True),
+       t0=st.integers(-KERNEL_REACH, KERNEL_REACH),
+       n=st.integers(1, 3 * folner.PHASE_TABLE), data=st.data())
+def test_phase_at_t_does_not_depend_on_the_window(theta, t0, n, data):
+    span = folner.phases(theta, t0, n)
+    a = data.draw(st.integers(t0, t0 + n - 1))
+    b = data.draw(st.integers(a + 1, t0 + n))
+    assert bits(folner.phases(theta, a, b - a)) == bits(span[a - t0:b - t0])
+    assert bits(folner.phases(theta, a, 1)) == bits(span[a - t0:a - t0 + 1])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, GOLDEN, 0.123456789, 1e-9])
+def test_phases_keep_their_bits_across_windows_and_pieces(theta):
+    # negative t, windows that start mid-table, and both ends of the
+    # RUN_BLOCK pieces of a long segment, read alone, by piece and span-long
+    lo, hi = -3 * folner.RUN_BLOCK - 37, folner.RUN_BLOCK + 11
+    span = folner.phases(theta, lo, hi - lo)
+    segments = WindowSegments([(lo, hi - lo)])
+    for a, b, *_ in segments.pieces:
+        piece = folner.phases(theta, a, b - a)
+        assert bits(piece) == bits(span[a - lo:b - lo])
+        for t in (a - 1, a, b - 1, b):
+            if lo <= t < hi:
+                one = folner.phases(theta, t, 1)
+                assert bits(one) == bits(span[t - lo:t - lo + 1])
+                assert Character(theta)(t) == complex(one[0]).conjugate()
+    for a in (lo + 1, -folner.PHASE_TABLE - 1, -5, 3, folner.PHASE_TABLE + 7):
+        assert bits(folner.phases(theta, a, 600)) == bits(span[a - lo:a - lo + 600])
+    # a row of an array of thetas is the kernel at that theta
+    rows = folner.phases(np.array([theta, 0.25, GOLDEN]), lo + 5, 1000)
+    assert bits(rows[0]) == bits(span[5:1005])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +446,26 @@ def test_window_sums_equal_brute_sums(values, start, dtype, data):
         assert exact.dtype == np.int64 and exact.tolist() == brute
 
 
+def test_integer_array_sums_are_exact_and_cast_a_piece_at_a_time():
+    # int32 samples given as an array sum in int64 one piece at a time,
+    # so the cast to int64 holds at most 1 B per value, not 8
+    n = 1 << 20
+    values = np.random.default_rng(5).integers(0, 1 << 31, n, dtype=np.int32)
+    windows = [*FolnerSchedule.intervals(1 << 17, 8).windows,
+               *((s, 3) for s in range(0, n - 3, 99_991)), (n - 1, 1)]
+    segments = WindowSegments(windows)
+    tracemalloc.start()
+    try:
+        sums = segments.sums(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n
+    assert sums.dtype == np.int64
+    assert sums.tolist() == [int(values[s:s + l].sum(dtype=np.int64))
+                             for s, l in windows]
+
+
 @pytest.mark.parametrize("dtype", [float, complex, np.int32])
 def test_long_window_sums_exact_or_near_fsum(dtype):
     # long segments cut into many blocks of a patched RUN_BLOCK, or into a
@@ -513,8 +605,6 @@ def test_long_segment_sums_keep_signed_zeros(run_block):
             want = segments.totals(np.add.reduceat(values, [0, 1, 1000]))
             assert bits(segments.sums(read, phase)) == bits(want)
 
-
-GOLDEN = (5 ** 0.5 - 1) / 2
 
 STREAM_POINTS = st.one_of(
     st.sampled_from([PeriodicPoint("ABC"), SubstitutionPoint(FIBONACCI_RULES),

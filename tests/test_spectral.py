@@ -349,12 +349,14 @@ def test_newton_stops_at_bracket_edge(side):
 
 
 def moments_ld(track, theta):
-    """sum_t s^k track[t] e(-theta s), k = 0, 1, 2, in np.clongdouble."""
+    """sum_t s^k track[t] e(-theta t), k = 0, 1, 2, s = t - (n - 1) / 2,
+    in np.clongdouble."""
     n = len(track)
-    s = np.arange(n, dtype=np.longdouble) - np.longdouble(n - 1) / 2
+    t = np.arange(n, dtype=np.longdouble)
+    s = t - np.longdouble(n - 1) / 2
     two_pi = 8 * np.arctan(np.longdouble(1))
     terms = track.astype(np.clongdouble) * np.exp(
-        (-two_pi * np.longdouble(theta) * s) * np.clongdouble(1j))
+        (-two_pi * np.longdouble(theta) * t) * np.clongdouble(1j))
     return [complex(np.sum(terms * s ** k)) for k in range(3)], s
 
 
@@ -371,18 +373,19 @@ def test_moment_kernel_matches_long_double(n, theta, seed, complex_track):
     track = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_track
                                   else 0.0)
     kernel = spectral._Moments(track)
-    q, r = len(kernel.cols), len(kernel.rows)
+    q, r = kernel.q, kernel.r
     assert q * r >= n and q * (r - 1) < n        # pads less than one row
     got = kernel(theta)
     want, s = moments_ld(track, theta)
-    # Error of one term relative to |s^k track[t]|: each of its two table
-    # entries has its turn theta x reduced modulo 1 to within 3 ulp of a
-    # turn, so 2 pi times it and exp are off by at most 8 pi ulp; the
-    # weight s^k track[t] and the two complex products add 7 ulp.  The
-    # sums run over q columns, then r rows.  The long double reference
-    # rounds its phase 2 pi theta s, |s| <= n / 2, and its n-term sum in
-    # ulp of 2^-64, together below n / 256 ulp of float64.
-    ulps = q + r + 16 * np.pi + 7 + n / 256
+    # Error of one term relative to |s^k track[t]|: its column and row
+    # entries are each a product of two kernel table entries, whose turns
+    # theta x are reduced modulo 1 to within 3 ulp of a turn, so 2 pi
+    # times them and exp are off by at most 16 pi ulp; the weight
+    # s^k track[t] and the four complex products add 9 ulp.  The sums
+    # run over q columns, then r rows.  The long double reference rounds
+    # its phase 2 pi theta t, t < n, and its n-term sum in ulp of 2^-64,
+    # together below n / 128 ulp of float64.
+    ulps = q + r + 32 * np.pi + 9 + n / 128
     eps = np.finfo(float).eps / 2
     for k in range(3):
         scale = float(np.sum(np.abs(track) * np.abs(s.astype(float)) ** k))
