@@ -214,7 +214,7 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
                 s = sums_all[offset:offset + n - 2 * radius]
                 row = [np.nan, False, np.nan, np.nan]
                 if "mean" in part:
-                    sums = segments.sums(s[part["mean"]])[-k:]
+                    sums = segments.sums(lambda a, b: s[a - lo_needed:b - lo_needed])[-k:]
                     q = [p * f for p, f in zip(sums.tolist(), scales)]
                     top = int(np.max(s[part["mean"]]))
                     row[0] = float(np.max(sums / (c * tail_lengths)))

@@ -171,7 +171,7 @@ def diffraction_density(eta: AutocorrEstimate, taper: str = "triangular",
     if taper == "triangular":
         row = row * (1.0 - np.abs(k) / (k_max + 1.0))
     thetas = np.arange(m) / m
-    values = phase_sums(thetas, -k_max, row).real
+    values = phase_sums(m, -k_max, row).real
     flag = bool(np.min(values) < -0.05 * max(eta.eta0, 1e-30)) if taper == "none" else False
     return DiffractionDensity(thetas, values, taper, flag)
 

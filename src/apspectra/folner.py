@@ -130,50 +130,53 @@ class FolnerSchedule(Record):
         }
 
 
-# the length of the exponential kernel's short table: e(-theta t) is
-# e(-theta (t - r)) e(-theta r), r = t mod PHASE_TABLE
-PHASE_TABLE = 256
+PHASE_TABLE = 256       # e(-theta t) = e(-theta (t - r)) e(-theta r), r = t mod 256
 
 
-def phases(theta, t0: int, n: int) -> np.ndarray:
+def phases(theta, t0: int, n: int, tail=0.0) -> np.ndarray:
     """e(-theta t) for t in [t0, t0 + n), a row per theta of an array:
     the program's one exponential.  The outer product of e(-theta r),
-    r < ``PHASE_TABLE``, and e(-theta a) at the multiples a of it that
-    cover the window, each with theta x reduced modulo 1 exactly first
-    (theta's leading 24 bits times an integer |x| < 2^29 is exact), so the
-    value at t depends on theta and t alone, never on the window that
-    reads it, and is good to a few ulp however large |t|."""
+    r < ``PHASE_TABLE``, and e(-theta a) at the multiples a of it, each
+    with theta x (plus ``tail`` x, the rest of a rounded theta such as
+    j / m) reduced mod 1 exactly first: theta's leading 24 bits times
+    |x| < 2^29 is exact.  The value at t is theta and t's alone, never
+    the window's, and good to a few ulp however large |t|."""
     theta = np.asarray(theta, dtype=float)[..., None]
     lo, hi = t0 // PHASE_TABLE, -(-(t0 + n) // PHASE_TABLE)
-    x = np.concatenate((np.arange(PHASE_TABLE),
-                        np.arange(lo, hi) * PHASE_TABLE)).astype(float)
+    x = np.concatenate((np.arange(PHASE_TABLE), np.arange(lo, hi) * PHASE_TABLE))
     lead = theta.astype(np.float32).astype(float)
-    table = np.exp(-2j * np.pi * (np.fmod(lead * x, 1.0) + (theta - lead) * x))
+    rest = theta - lead + np.asarray(tail, dtype=float)[..., None]
+    table = np.exp(-2j * np.pi * (np.fmod(lead * x, 1.0) + rest * x))
     rows = table[..., PHASE_TABLE:, None] * table[..., None, :PHASE_TABLE]
     skip = t0 - lo * PHASE_TABLE
     return rows.reshape(theta.shape[:-1] + (-1,))[..., skip:skip + n]
 
 
-def phase_sums(thetas: np.ndarray, t0: int, values: np.ndarray) -> np.ndarray:
-    """sum_t values[t - t0] e(-theta t), t in [t0, t0 + len(values)), for
-    each of ``thetas``, from rows of the kernel: 2^16 entries at a time."""
+def phase_sums(m: int, t0: int, values: np.ndarray) -> np.ndarray:
+    """sum_t values[t - t0] e(-jt/m), t in [t0, t0 + len(values)), for
+    each j < m, from kernel rows 2^16 entries at a time, each given j/m
+    rounded and its rest, exact for m < 2^26 (two 26-bit halves of the
+    rounded j/m times m are exact): as if jt mod m were reduced in ints."""
+    j = np.arange(m)
+    theta = j / m
+    split = theta * 134217729.0         # 2^27 + 1
+    head = split - (split - theta)
+    tail = ((j - head * m) - (theta - head) * m) / m
     block = max(1, (1 << 16) // (len(values) + 2 * PHASE_TABLE))
-    return np.concatenate([phases(thetas[j:j + block], t0, len(values))
-                           @ values for j in range(0, len(thetas), block)])
+    return np.concatenate([phases(theta[i:i + block], t0, len(values),
+                                  tail[i:i + block]) @ values
+                           for i in range(0, m, block)])
 
 
 class Character(Record):
-    """A character of the integers, t -> e(theta t) = exp(2*pi*i*theta*t),
-    theta in [0, 1): one that rounds to 1.0 modulo 1 is that of 0.0."""
+    """A character of the integers, t -> exp(2*pi*i*theta*t), 0 <= theta < 1."""
 
     theta: float
 
     def __post_init__(self):
-        theta = float(self.theta) % 1.0
-        object.__setattr__(self, "theta", 0.0 if theta == 1.0 else theta)
+        object.__setattr__(self, "theta", float(self.theta) % 1.0 % 1.0)  # -1e-17 % 1.0 is 1.0
 
     def __call__(self, t: int) -> complex:
-        """xi(t) at an integer t."""
         return complex(phases(self.theta, t, 1)[0]).conjugate()
 
     def conj_values(self, t0: int, t1: int) -> np.ndarray:
@@ -391,17 +394,14 @@ class WindowSegments:
                 sums[-1] = sums[-1] + part
             else:
                 sums.append(part)
-        return sums[0] if len(sums) == 1 else np.concatenate(sums)
+        return np.concatenate(sums)
 
     def sums(self, source, phase=None) -> np.ndarray:
         """Sums of the source's values over each window, times the
-        conjugate character ``phase(a, b)`` on [a, b) when given.  The
-        integer samples on [ends[0], ends[-1]), given as an array in place
-        of a source, sum exactly in int64 a piece at a time."""
-        if isinstance(source, np.ndarray):
-            e0 = int(self.ends[0])
-            return self.totals(self.combine(
-                [self.reduce(p, source[p[0] - e0:p[1] - e0]) for p in self.pieces]))
+        conjugate character ``phase(a, b)`` on [a, b) when given."""
+        if len(self.pieces) == 1:       # most schedules: no generator, no combine
+            p = self.pieces[0]
+            return self.totals(self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2])))
         return self.totals(self.combine(
             self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2]))
             for p in self.pieces))

@@ -153,7 +153,7 @@ def _grid(values: np.ndarray, method: str = "fast",
         fast[len(half):] = half[(n + 1) // 2 - 1:0:-1].conj()
     residual = None
     if method == "direct" or n <= direct_check_limit:
-        direct = phase_sums(np.arange(n) / n, 0, values) / n
+        direct = phase_sums(n, 0, values) / n
         scale = max(float(np.max(np.abs(direct))), 1e-30)
         residual = float(np.max(np.abs(fast - direct)) / scale)
         amps = direct if method == "direct" else fast

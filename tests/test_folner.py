@@ -83,10 +83,10 @@ def test_character_reduced_mod_one():
 KERNEL_REACH = 2 ** 22 + 2 ** 16
 
 
-def exact_phase(theta: float, t: int) -> complex:
-    """e(-theta t) from the exact rational theta t: the nearest quarter
-    turn q / 4 is a power of -i, and cos and sin take the rest, a turn of
-    at most 1/8."""
+def exact_phase(theta, t: int) -> complex:
+    """e(-theta t), theta a float or a Fraction, from the exact rational
+    theta t: the nearest quarter turn q / 4 is a power of -i, and cos and
+    sin take the rest, a turn of at most 1/8."""
     turn = Fraction(theta) * t
     q = round(4 * turn)
     angle = 2 * math.pi * float(turn - Fraction(q, 4))
@@ -104,6 +104,24 @@ def test_phases_match_an_exact_rational_reference(theta, t0, n, data):
         st.lists(st.integers(t0, t0 + n - 1), min_size=1, max_size=20))
     for t in ts:
         assert abs(got[t - t0] - exact_phase(theta, t)) <= 2e-15, t
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 5000), t0=st.integers(-KERNEL_REACH, KERNEL_REACH),
+       n=st.integers(1, 3 * folner.PHASE_TABLE), data=st.data())
+@example(m=3000, t0=KERNEL_REACH - 40, n=40, data=None)
+def test_grid_phase_sums_reduce_j_t_mod_m_exactly(m, t0, n, data):
+    # the sums of a unit value at t are e(-j t / m), j < m: given j / m
+    # rounded alone, the kernel would put them up to |t| 2^-54 of a turn
+    # off, 2e-9 at |t| = 2^22
+    t = t0 + n - 1 if data is None else data.draw(st.integers(t0, t0 + n - 1))
+    values = np.zeros(n)
+    values[t - t0] = 1.0
+    got = folner.phase_sums(m, t0, values)
+    js = range(m) if data is None else data.draw(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=20))
+    for j in js:
+        assert abs(got[j] - exact_phase(Fraction(j, m), t)) <= 2e-15, j
 
 
 @settings(max_examples=80, deadline=None)
@@ -446,9 +464,9 @@ def test_window_sums_equal_brute_sums(values, start, dtype, data):
         assert exact.dtype == np.int64 and exact.tolist() == brute
 
 
-def test_integer_array_sums_are_exact_and_cast_a_piece_at_a_time():
-    # int32 samples given as an array sum in int64 one piece at a time,
-    # so the cast to int64 holds at most 1 B per value, not 8
+def test_integer_sums_are_exact_and_cast_a_piece_at_a_time():
+    # int32 samples sum in int64 one piece at a time, so the cast to
+    # int64 holds at most 1 B per value, not 8 as a span-wide cast would
     n = 1 << 20
     values = np.random.default_rng(5).integers(0, 1 << 31, n, dtype=np.int32)
     windows = [*FolnerSchedule.intervals(1 << 17, 8).windows,
@@ -456,7 +474,7 @@ def test_integer_array_sums_are_exact_and_cast_a_piece_at_a_time():
     segments = WindowSegments(windows)
     tracemalloc.start()
     try:
-        sums = segments.sums(values)
+        sums = segments.sums(lambda a, b: values[a:b])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

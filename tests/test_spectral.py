@@ -136,6 +136,30 @@ def test_grid_fast_equals_direct(n, pattern, seed, re_, im):
     assert np.max(np.abs(fast.amplitudes - direct.amplitudes)) <= 1e-10 * scale
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_direct_grid_reduces_j_t_mod_n_exactly(n):
+    # the direct route against a long double sum with j t reduced mod n
+    # in integers: given j / n rounded alone, the kernel would put the
+    # phase at t near n up to n 2^-54 of a turn off (1e-13 of the largest
+    # amplitude at n = 3000); reduced exactly, the direct and FFT routes
+    # are both within 5e-16 here, and the bound leaves 4x
+    rng = np.random.default_rng(n)
+    values = rng.random(n) + 1j * rng.random(n)
+    grid = spectral._grid(values, "direct")
+    j = np.arange(n)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    want = np.empty(n, dtype=np.clongdouble)
+    for a in range(0, n, 128):
+        turns = (np.outer(j[a:a + 128], j) % n).astype(np.longdouble) / n
+        want[a:a + 128] = np.exp(-two_pi * turns * np.clongdouble(1j)) @ values
+    want /= n
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(grid.amplitudes - want))) <= 2e-15 * scale
+    assert grid.cross_residual <= 2e-15
+
+
 def test_grid_thue_morse_max_is_small_but_positive():
     # regression-pinned grid maximum near theta = 1/3
     tm = SubstitutionPoint(THUE_MORSE_RULES, ("0", "0"))
@@ -377,15 +401,16 @@ def test_moment_kernel_matches_long_double(n, theta, seed, complex_track):
     assert q * r >= n and q * (r - 1) < n        # pads less than one row
     got = kernel(theta)
     want, s = moments_ld(track, theta)
-    # Error of one term relative to |s^k track[t]|: its column and row
-    # entries are each a product of two kernel table entries, whose turns
-    # theta x are reduced modulo 1 to within 3 ulp of a turn, so 2 pi
-    # times them and exp are off by at most 16 pi ulp; the weight
-    # s^k track[t] and the four complex products add 9 ulp.  The sums
-    # run over q columns, then r rows.  The long double reference rounds
-    # its phase 2 pi theta t, t < n, and its n-term sum in ulp of 2^-64,
-    # together below n / 128 ulp of float64.
-    ulps = q + r + 32 * np.pi + 9 + n / 128
+    # Error of one term relative to |s^k track[t]|: for n <= 5000, q and
+    # r stay below PHASE_TABLE, so each column and row entry is one kernel
+    # table entry (times e(0) = 1 exactly), with its turn theta x reduced
+    # modulo 1 to within 3 ulp of a turn, and 2 pi times it and exp are
+    # off by at most 8 pi ulp; the weight s^k track[t] and the two complex
+    # products add 7 ulp.  The sums run over q columns, then r rows.  The
+    # long double reference rounds its phase 2 pi theta t, t < n, and its
+    # n-term sum in ulp of 2^-64, together below n / 256 ulp of float64.
+    assert max(q, r) < folner.PHASE_TABLE
+    ulps = q + r + 16 * np.pi + 7 + n / 256
     eps = np.finfo(float).eps / 2
     for k in range(3):
         scale = float(np.sum(np.abs(track) * np.abs(s.astype(float)) ** k))
