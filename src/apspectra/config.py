@@ -27,7 +27,7 @@ except ImportError:
 
 from .almost import KINDS, ScanBudget
 from .errors import ConfigError
-from .folner import EstimatorConfig, FolnerSchedule
+from .folner import Character, EstimatorConfig, FolnerSchedule
 from .points import (FIBONACCI_RULES, MAX_RADIUS, PERIOD_DOUBLING_RULES,
                      THUE_MORSE_RULES, BernoulliPoint, BlockPoint, Observable,
                      PeriodicPoint, PointGen, StepPoint, SturmianPoint,
@@ -343,7 +343,7 @@ COMMANDS = {
     "parseval": Block({**_AVERAGED, "observable": OBSERVABLE,
                        "thetas": THETAS, "detect": DETECT}),
     "eigen": Block({**_AVERAGED, "observable": OBSERVABLE, "theta": Num(),
-                    "point_shifts": List(COORD, [0, 1, 2, 3, 5]),
+                    "point_shifts": List(COORD, [0, 1, 2, 3, 5], least=1),
                     "shift_probes": List(COORD, [1, 2, 3, 5, 8])}),
     "diffract": Block({
         **_AVERAGED, "weights": Map(Complex()),
@@ -374,6 +374,8 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
     lo, hi = out.get("range", (0, 0))
     if hi < lo:
         raise ConfigError("range", f"range is empty: {lo} > {hi}")
+    if command == "classify" and hi == lo:  # its gap rule holds at width 0
+        raise ConfigError("range", "classify needs at least two translates")
     _check_budget("range", hi - lo + 1)
     schedule = out.get("schedule", {})
     if schedule.get("kind") == "intervals":
@@ -387,16 +389,33 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
         m = out["grid_size"] or max(2 * out["k_max"], 16)   # the density
         _check_budget("grid_size" if out["grid_size"] else "k_max",
                       m * (2 * out["k_max"] + 1))
-    kinds = out.get("kinds", ())
-    for i, kind in enumerate(kinds):
-        if kind in kinds[:i]:
-            raise ConfigError(f"kinds[{i}]", f"repeats {kind!r}")
+    # every stage holds its grid: a halving ladder up to the budget sums
+    # to under twice it
+    for path, sizes in (("grid_sizes", out.get("grid_sizes")),
+                        ("detect.grid_sizes",
+                         out.get("detect", {}).get("grid_sizes"))):
+        if sizes and sum(sizes) > 2 * SAMPLE_BUDGET:
+            raise ConfigError(path, f"sizes sum to {sum(sizes)}, more than "
+                                    f"twice the budget of {SAMPLE_BUDGET}")
+    # a kind scanned twice writes its column twice, and a theta met twice
+    # modulo 1 counts its mass twice
+    for key, same in (("kinds", str), ("thetas", _turn), ("atom_thetas", _turn)):
+        seen = set()
+        for i, value in enumerate(map(same, out.get(key) or ())):
+            if value in seen:
+                raise ConfigError(f"{key}[{i}]", f"repeats {value!r}")
+            seen.add(value)
     if command in ("scan", "classify"):
         (lo, hi), ranges = build_budget(out).ranges(out.get("kinds", KINDS))
         if hi - lo > SAMPLE_BUDGET:     # blame the key of the widest range
             widest = max(ranges, key=lambda k: ranges[k][1] - ranges[k][0])
             _check_budget(_RUN_KEYS[widest], hi - lo)
     return out
+
+
+def _turn(theta: float) -> float:
+    """theta reduced mod 1 as a character reduces it."""
+    return Character(theta).theta
 
 
 def _stages(schedule: dict) -> int:
@@ -440,7 +459,9 @@ def build_point(spec: dict) -> PointGen:
 
 
 def build_schedule(spec: dict) -> FolnerSchedule:
-    return _construct(getattr(FolnerSchedule, spec["kind"]), spec, "schedule")
+    # validated bounds leave a custom schedule's windows the one thing to blame
+    return _construct(getattr(FolnerSchedule, spec["kind"]), spec,
+                      "schedule.windows" if spec["kind"] == "custom" else "schedule")
 
 
 def build_budget(cfg: dict) -> ScanBudget:

@@ -20,6 +20,7 @@ __all__ = [
     "FolnerSchedule",
     "Character",
     "phases",
+    "grid_thetas",
     "phase_sums",
     "EstimatorConfig",
     "Converged",
@@ -152,16 +153,19 @@ def phases(theta, t0: int, n: int, tail=0.0) -> np.ndarray:
     return rows.reshape(theta.shape[:-1] + (-1,))[..., skip:skip + n]
 
 
-def phase_sums(m: int, t0: int, values: np.ndarray) -> np.ndarray:
-    """sum_t values[t - t0] e(-jt/m), t in [t0, t0 + len(values)), for
-    each j < m, from kernel rows 2^16 entries at a time, each given j/m
-    rounded and its rest, exact for m < 2^26 (two 26-bit halves of the
-    rounded j/m times m are exact): as if jt mod m were reduced in ints."""
-    j = np.arange(m)
-    theta = j / m
+def grid_thetas(j, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """j/m rounded and its rest, exact for integers j and m < 2^26 (two
+    26-bit halves of the rounded j/m times m are exact), for ``phases``."""
+    theta = np.asarray(j) / m
     split = theta * 134217729.0         # 2^27 + 1
     head = split - (split - theta)
-    tail = ((j - head * m) - (theta - head) * m) / m
+    return theta, ((j - head * m) - (theta - head) * m) / m
+
+
+def phase_sums(m: int, t0: int, values: np.ndarray) -> np.ndarray:
+    """sum_t values[t - t0] e(-jt/m), t in [t0, t0 + len(values)), for each
+    j < m, from kernel rows 2^16 entries at a time, given ``grid_thetas``."""
+    theta, tail = grid_thetas(np.arange(m), m)
     block = max(1, (1 << 16) // (len(values) + 2 * PHASE_TABLE))
     return np.concatenate([phases(theta[i:i + block], t0, len(values),
                                   tail[i:i + block]) @ values

@@ -1,7 +1,7 @@
 """Fourier coefficients along orbits, frequency detection and Parseval tests.
 
-The grid transform comes in two independently coded routes (a direct
-sum and a fast transform) that are cross-checked against each other;
+Every grid transform is an FFT checked against an independently coded
+direct sum at the bins frequency detection can read and at a stride;
 off-grid frequencies are recovered by persistence filtering over grids
 of increasing length, then refined by interpolating the peak between
 grid bins and polishing with a safeguarded Newton ascent, since the
@@ -16,7 +16,7 @@ import numpy as np
 
 from .folner import (Character, Converged, EstimatorConfig, FolnerSchedule,
                      MeanEstimate, Oscillating, WindowSegments, estimate,
-                     phase_sums, phases, sliding_sums)
+                     grid_thetas, phases, sliding_sums)
 from .points import (Observable, PointGen, Record, Track, observable_source,
                      observable_track, sup_norm)
 
@@ -101,8 +101,7 @@ class FourierBohrGrid(Record):
 
     n: int
     amplitudes: np.ndarray
-    method: str
-    cross_residual: float | None
+    cross_residual: float           # FFT against direct sums, see _grid
     track: np.ndarray               # float when the track is real
 
     @property
@@ -110,22 +109,9 @@ class FourierBohrGrid(Record):
         return np.arange(self.n) / self.n
 
 
-def fourier_bohr_grid(f: Observable, x: PointGen, n: int,
-                      method: str = "fast",
-                      direct_check_limit: int = 4096) -> FourierBohrGrid:
-    """Grid transform over the window [0, N); two routes cross-checked.
-
-    The fast route is an FFT, a real one for a real track, whose grid is
-    then conjugate-symmetric bit for bit; the direct route evaluates the
-    defining sum.  Whenever both are computed (always for the direct
-    method, and for the fast method up to ``direct_check_limit``) the
-    residual of the comparison is recorded and must stay at rounding
-    level.
-    """
-    if method not in ("fast", "direct"):
-        raise ValueError("method must be 'fast' or 'direct'")
-    return _grid(observable_track(f, x, 0, n - 1).values, method,
-                 direct_check_limit)
+def fourier_bohr_grid(f: Observable, x: PointGen, n: int) -> FourierBohrGrid:
+    """Grid transform over the window [0, N), checked as ``_grid`` says."""
+    return _grid(observable_track(f, x, 0, n - 1).values)
 
 
 def fourier_bohr_grids(track: Track, sizes) -> list[FourierBohrGrid]:
@@ -134,8 +120,11 @@ def fourier_bohr_grids(track: Track, sizes) -> list[FourierBohrGrid]:
     return [_grid(track.read(0, n)) for n in sorted(sizes)]
 
 
-def _grid(values: np.ndarray, method: str = "fast",
-          direct_check_limit: int = 4096) -> FourierBohrGrid:
+def _grid(values: np.ndarray) -> FourierBohrGrid:
+    """The FFT of ``values`` / n, a real one for a real track (its grid is
+    then conjugate-symmetric bit for bit), checked against the kernel's
+    direct sums (``_Moments``), O(n) a bin, at the peaks detection would
+    refine at threshold 0 and at every (n // 16 + 1)th bin."""
     # a real track stays real: the grid keeps a float view of it, no copy
     values = np.asarray(values)
     if not (np.iscomplexobj(values) and values.imag.any()):
@@ -151,15 +140,13 @@ def _grid(values: np.ndarray, method: str = "fast",
         fast = np.empty(n, dtype=complex)
         fast[:len(half)] = half
         fast[len(half):] = half[(n + 1) // 2 - 1:0:-1].conj()
-    residual = None
-    if method == "direct" or n <= direct_check_limit:
-        direct = phase_sums(n, 0, values) / n
-        scale = max(float(np.max(np.abs(direct))), 1e-30)
-        residual = float(np.max(np.abs(fast - direct)) / scale)
-        amps = direct if method == "direct" else fast
-    else:
-        amps = fast
-    return FourierBohrGrid(n, amps, method, residual, values)
+    # no np.union1d, which loads numpy.ma (20 ms); a bin checked twice is harmless
+    bins = np.concatenate((_peaks(np.abs(fast), 0.0, not np.iscomplexobj(values)),
+                           np.arange(0, n, n // 16 + 1)))
+    direct = _Moments(values, 1)(*grid_thetas(bins, n))[0] / n
+    scale = max(float(np.max(np.abs(direct))), 1e-30)
+    residual = float(np.max(np.abs(fast[bins] - direct)) / scale)
+    return FourierBohrGrid(n, fast, residual, values)
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +184,33 @@ def _peak_offset(amps: np.ndarray, j: int) -> float:
 
 
 class _Moments:
-    """The moments sum_t s^k track[t] e(-theta t), k = 0, 1, 2, s = t -
+    """The moments sum_t s^k track[t] e(-theta t), k < ``order``, s = t -
     (n - 1)/2.  With t = q a + b, q a power of two near sqrt(n), each theta
     costs the kernel's e(-theta b) over the q columns and e(-(q theta) a)
-    over the r = ceil(n / q) rows of the zero-padded track, and a product
-    with the (3 r, q) matrix of track, s * track and s^2 * track.
+    over the r = ceil(n / q) rows of the zero-padded track: the (order r, q)
+    matrix of track, s * track, ... times the (q, B) columns of B thetas.
     """
 
-    def __init__(self, track: np.ndarray):
+    def __init__(self, track: np.ndarray, order: int = 3):
         n = len(track)
         q = 1 << (n.bit_length() // 2)
         r = -(-n // q)
         s = np.arange(r * q) - 0.5 * (n - 1)
-        weights = np.zeros((3, r * q), dtype=complex)
+        weights = np.zeros((order, r * q), dtype=complex)
         weights[0, :n] = track
-        np.multiply(weights[0], s, out=weights[1])
-        np.multiply(weights[0], s * s, out=weights[2])
+        for k in range(1, order):
+            np.multiply(weights[0], s ** k, out=weights[k])
         self.n, self.q, self.r = n, q, r
-        self.weights = weights.reshape(3 * r, q)
+        self.weights = weights.reshape(order * r, q)
 
-    def __call__(self, theta: float) -> np.ndarray:
-        return ((self.weights @ phases(theta, 0, self.q)).reshape(3, -1)
-                @ phases(self.q * theta, 0, self.r))
+    def __call__(self, theta, tail=0.0) -> np.ndarray:
+        """The moments at theta plus ``tail`` (the rest of a rounded theta),
+        a column per theta of an array."""
+        inner = (self.weights @ phases(theta, 0, self.q, tail).T
+                 ).reshape(-1, self.r, np.size(theta))
+        outer = phases(self.q * theta, 0, self.r, self.q * tail)
+        sums = inner.transpose(2, 0, 1) @ outer.reshape(-1, self.r, 1)
+        return sums[..., 0].T.reshape((-1,) + np.shape(theta))
 
     def amplitude(self, theta: float) -> complex:
         """(1/n) sum_t track[t] e(-theta t), the 0th moment."""
@@ -292,6 +284,19 @@ def _exact(grids: list[FourierBohrGrid], j: int, tol: float) -> bool:
 MAX_CANDIDATES = 64
 
 
+def _peaks(amps: np.ndarray, thr: float, real: bool) -> np.ndarray:
+    """The local maxima of ``amps`` at or above ``thr``, bins up to n / 2 of
+    a real track, strongest first (the lower bin of a tie) while they fit
+    in ``MAX_CANDIDATES`` slots; a real bin off 0 and n / 2 takes two."""
+    n = len(amps)
+    is_peak = (amps >= thr) & (amps >= np.roll(amps, 1)) & (amps >= np.roll(amps, -1))
+    is_peak[n // 2 + 1 if real else n:] = False
+    j = np.nonzero(is_peak)[0]
+    j = j[np.argsort(-amps[j], kind="stable")]
+    slots = np.cumsum(np.where(real & (0 < 2 * j) & (2 * j < n), 2, 1))
+    return j[slots <= MAX_CANDIDATES]
+
+
 def detect_frequencies(grids: list[FourierBohrGrid],
                        threshold: float | None = None,
                        refine_steps: int = 48) -> list[DetectedFrequency]:
@@ -329,19 +334,9 @@ def detect_frequencies(grids: list[FourierBohrGrid],
     amps = np.abs(base.amplitudes)
     n = base.n
     real = not np.iscomplexobj(base.track)
-    is_peak = (amps >= thr) & (amps >= np.roll(amps, 1)) & (amps >= np.roll(amps, -1))
-    if real:
-        is_peak[n // 2 + 1:] = False
-    candidates, slots = [], 0
-    for j in sorted(np.nonzero(is_peak)[0], key=lambda j: -amps[j]):
-        slots += 2 if real and 0 < 2 * j < n else 1
-        if slots > MAX_CANDIDATES:
-            break
-        candidates.append(j)
-
     moments = _Moments(base.track)
     found: list[DetectedFrequency] = []
-    for j in candidates:
+    for j in _peaks(amps, thr, real).tolist():
         theta0 = j / n
         if not all(_persists(g, theta0, thr) for g in grids[:-1]):
             continue
@@ -540,7 +535,7 @@ class SpectralReport(Record):
         return tuple(g.n for g in self.grids)
 
     @property
-    def cross_residuals(self) -> tuple[float | None, ...]:
+    def cross_residuals(self) -> tuple[float, ...]:
         return tuple(g.cross_residual for g in self.grids)
 
     def describe(self) -> dict:

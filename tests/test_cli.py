@@ -654,6 +654,27 @@ SMALL_AB = {"point": "periodic:AB",
                   "grid_size": 524288,
                   "schedule": {"kind": "custom", "windows": [[0, 1]]}},
      "grid_size"),
+    # an eigenfunction sampled at no point
+    ("eigen", {"point": "fibonacci", "observable": "indicator:0",
+               "theta": 0.38, "point_shifts": [],
+               "schedule": {"kind": "intervals", "base": 100, "n_max": 5}},
+     "point_shifts"),
+    # a theta met twice modulo 1 would count its mass twice: a negative
+    # Parseval defect, atom masses above eta(0)
+    ("parseval", {"point": "periodic:AB", "observable": "indicator:A",
+                  "schedule": {"kind": "intervals", "base": 100, "n_max": 6},
+                  "thetas": [0.0, 0.0, 0.5]}, "thetas[1]"),
+    ("diffract", {"point": "periodic:AB", "weights": {"A": 1, "B": 0},
+                  "schedule": {"kind": "intervals", "base": 100, "n_max": 6},
+                  "k_max": 8, "grid_size": 32, "atom_thetas": [0.0, 1.0, 0.5]},
+     "atom_thetas[1]"),
+    # one translate: the gap rule would hold at width 0 for every kind
+    ("classify", {"point": "bernoulli:0.5:3", "range": [0, 0],
+                  "schedule": {"kind": "intervals", "base": 100, "n_max": 5}},
+     "range"),
+    # every stage holds its grid: eight of the largest size would not fit
+    ("spectrum", {**SMALL_AB, "observable": "indicator:A",
+                  "grid_sizes": [2 ** 22] * 8}, "grid_sizes"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
@@ -667,6 +688,65 @@ def test_validation_names_offending_field(tmp_path, command, cfg, field):
         res = run_cli(args)
     assert res.exit_code == 2
     assert field in res.output
+
+
+# one small config a command, each list key given, for the exit-code
+# contract: windows, a table window and a substitution seed included
+CONTRACT_CONFIGS = {
+    "generate": {"point": {"kind": "substitution",
+                           "rules": {"0": "01", "1": "10"}},
+                 "range": [-8, 8], "observable": "indicator:0"},
+    "scan": {**SMALL_AB, "kinds": ["mean", "bohr"], "range": [-4, 4],
+             "bohr_horizon": 16},
+    "classify": {**SMALL_AB, "eps_grid": [0.1, 0.2], "range": [-4, 4],
+                 "bohr_horizon": 16},
+    "spectrum": {**SMALL_AB, "grid_sizes": [64, 128], "observable": {
+        "kind": "table", "window": [0, 1],
+        "table": {"AA": 0, "AB": 1, "BA": [0, 1], "BB": 2}}},
+    "parseval": {**SMALL_AB, "observable": "indicator:A",
+                 "thetas": [0.0, 0.5], "detect": {"grid_sizes": [64, 128]}},
+    "eigen": {"point": "periodic:AB", "observable": "indicator:A",
+              "theta": 0.5, "point_shifts": [0, 1], "shift_probes": [1, 2],
+              "schedule": {"kind": "custom",
+                           "windows": [[0, 10], [0, 20], [-5, 40]]}},
+    "diffract": {**SMALL_AB, "weights": {"A": 1, "B": 0}, "k_max": 4,
+                 "atom_thetas": [0.0, 0.5], "detect": {"grid_sizes": [64, 128]}},
+}
+
+
+def _list_paths(value, path=()):
+    """The key paths of an expanded config whose values are lists."""
+    for key, item in value.items():
+        if isinstance(item, list):
+            yield path + (key,)
+        elif isinstance(item, dict):
+            yield from _list_paths(item, path + (key,))
+
+
+def test_every_list_key_empty_or_repeated_exits_zero_or_two(tmp_path):
+    # exit 0, or exit 2 naming the key, never a traceback or exit 1
+    cases = 0
+    for command, cfg in CONTRACT_CONFIGS.items():
+        expanded = config.validate(command, cfg)
+        del expanded["command"]
+        for path in _list_paths(expanded):
+            *parents, key = path
+            for variant in ("empty", "repeated"):
+                mutated = json.loads(json.dumps(expanded))
+                block = mutated
+                for parent in parents:
+                    block = block[parent]
+                block[key] = [] if variant == "empty" else [block[key][0]] * 2
+                name = f"{command}-{'.'.join(path)}-{variant}"
+                res = run_cli([command, "--config",
+                               write_config(tmp_path / f"{name}.json", mutated),
+                               "--out", str(tmp_path / name)])
+                assert res.exit_code in (0, 2), (name, res.output)
+                assert "Traceback" not in res.output, name
+                if res.exit_code == 2:
+                    assert ".".join(path) in res.output, (name, res.output)
+                cases += 1
+    assert cases >= 40
 
 
 P24 = "abcdefghijklmnopqrstuvwx"
@@ -743,7 +823,7 @@ def test_spectrum_csv_rows_match_cell_formatting():
     # numpy scalars wrote it, signed zeros too
     amps = np.array([0.0, -0.0, complex(-0.0, -0.0), -1.5 + 2j,
                      3e-17 - 0.25j, complex(-2.0, 0.0), 0.1 + 0.2j])
-    tiny = FourierBohrGrid(len(amps), amps, "fast", None, amps)
+    tiny = FourierBohrGrid(len(amps), amps, None, amps)
     x = BernoulliPoint(0.5, 3)
     noisy = fourier_bohr_grid(       # a complex track: the full FFT
         Observable.letter_values({"0": 0.3 - 0.7j, "1": -1.0}), x, 8192)
@@ -754,13 +834,12 @@ def test_spectrum_csv_rows_match_cell_formatting():
     # Hermitian but for the sign of one zero (bin 4 should hold -0.0), and
     # conjugate bit for bit with a nan, where repr(-nan) is "nan"
     track = np.array([1.0, 0.0, 2.0, 0.0, 0.0])
-    skew = FourierBohrGrid(5, np.array([1, 0.5j, 2, -2, 0.5j]), "fast",
-                           None, track)
-    zero = FourierBohrGrid(5, np.array([1, 0.5, 2 - 1j, 2 + 1j, 0.5]),
-                           "fast", None, track)
+    skew = FourierBohrGrid(5, np.array([1, 0.5j, 2, -2, 0.5j]), None, track)
+    zero = FourierBohrGrid(5, np.array([1, 0.5, 2 - 1j, 2 + 1j, 0.5]), None,
+                           track)
     nans = np.array([1, complex(1, np.nan), 0])
     nans[2] = np.conj(nans[1])
-    nan = FourierBohrGrid(3, nans, "fast", None, track[:3])
+    nan = FourierBohrGrid(3, nans, None, track[:3])
     for grid in (tiny, noisy, *mirrored, skew, zero, nan):
         cells = "".join(
             ",".join(_fmt(v) for v in (t, a.real, a.imag, abs(a))) + "\n"

@@ -114,12 +114,10 @@ def test_grid_periodic_two_atoms():
 def test_grid_methods_agree():
     x = BernoulliPoint(0.5, 12)
     f = Observable.letter_values({"0": 0.3 + 0.4j, "1": -1.0})
-    fast = fourier_bohr_grid(f, x, 1024, method="fast")
-    direct = fourier_bohr_grid(f, x, 1024, method="direct")
-    assert fast.cross_residual is not None
+    fast = fourier_bohr_grid(f, x, 1024)
+    direct = folner.phase_sums(1024, 0, fast.track) / 1024
     assert fast.cross_residual < 1e-10
-    assert direct.cross_residual < 1e-10
-    assert np.max(np.abs(fast.amplitudes - direct.amplitudes)) < 1e-10
+    assert np.max(np.abs(fast.amplitudes - direct)) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,24 +128,25 @@ def test_grid_fast_equals_direct(n, pattern, seed, re_, im):
     x = PeriodicPoint(pattern) if seed is None else BernoulliPoint(0.5, seed)
     f = Observable.letter_values(
         {a: complex(re_, im) if a in "A1" else 1.0 for a in x.alphabet})
-    fast = fourier_bohr_grid(f, x, n, method="fast", direct_check_limit=0)
-    direct = fourier_bohr_grid(f, x, n, method="direct")
-    scale = np.max(np.abs(direct.amplitudes))
-    assert np.max(np.abs(fast.amplitudes - direct.amplitudes)) <= 1e-10 * scale
+    fast = fourier_bohr_grid(f, x, n)
+    direct = folner.phase_sums(n, 0, fast.track) / n
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(fast.amplitudes - direct)) <= 1e-10 * scale
+    assert fast.cross_residual <= 1e-10
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                     reason="needs an extended-precision long double")
 @pytest.mark.parametrize("n", [1000, 3000])
 def test_direct_grid_reduces_j_t_mod_n_exactly(n):
-    # the direct route against a long double sum with j t reduced mod n
+    # the direct grid against a long double sum with j t reduced mod n
     # in integers: given j / n rounded alone, the kernel would put the
     # phase at t near n up to n 2^-54 of a turn off (1e-13 of the largest
-    # amplitude at n = 3000); reduced exactly, the direct and FFT routes
-    # are both within 5e-16 here, and the bound leaves 4x
+    # amplitude at n = 3000); reduced exactly, the direct grid and the
+    # FFT's check are both within 5e-16 here, and the bound leaves 4x
     rng = np.random.default_rng(n)
     values = rng.random(n) + 1j * rng.random(n)
-    grid = spectral._grid(values, "direct")
+    direct = folner.phase_sums(n, 0, values) / n
     j = np.arange(n)
     two_pi = 8 * np.arctan(np.longdouble(1))
     want = np.empty(n, dtype=np.clongdouble)
@@ -156,8 +155,29 @@ def test_direct_grid_reduces_j_t_mod_n_exactly(n):
         want[a:a + 128] = np.exp(-two_pi * turns * np.clongdouble(1j)) @ values
     want /= n
     scale = float(np.max(np.abs(want)))
-    assert float(np.max(np.abs(grid.amplitudes - want))) <= 2e-15 * scale
-    assert grid.cross_residual <= 2e-15
+    assert float(np.max(np.abs(direct - want))) <= 2e-15 * scale
+    assert spectral._grid(values).cross_residual <= 2e-15
+
+
+def test_a_perturbed_peak_bin_fails_the_grid_check(monkeypatch):
+    # every stage is checked at the peaks detection would refine: a real
+    # FFT whose strongest bin is off by 1e-9 shows in the residual
+    f = Observable.letter_values({"0": 1.0, "1": -1.0})
+    x = SubstitutionPoint(THUE_MORSE_RULES, ("0", "0"))
+    n = 2 ** 13
+    clean = fourier_bohr_grid(f, x, n)
+    peak = int(np.argmax(np.abs(clean.amplitudes[:n // 2 + 1])))
+    rfft = np.fft.rfft
+
+    def perturbed(a, *args, **kwargs):
+        out = rfft(a, *args, **kwargs)
+        out[peak] += 1e-9 * len(a)      # 1e-9 on the grid's coefficient
+        return out
+    monkeypatch.setattr(np.fft, "rfft", perturbed)
+    grid = fourier_bohr_grid(f, x, n)
+    assert abs(grid.amplitudes[peak] - clean.amplitudes[peak] - 1e-9) < 1e-15
+    assert clean.cross_residual < 1e-14
+    assert grid.cross_residual > 1e-10
 
 
 def test_grid_thue_morse_max_is_small_but_positive():
@@ -195,7 +215,7 @@ def test_real_track_grid_is_exactly_hermitian(n, seed, levels):
     assert np.array_equal(amps[half:].view(np.uint64),
                           np.conj(amps[n - half:0:-1]).view(np.uint64))
     assert amps[0].imag == 0.0 and (n % 2 or amps[n // 2].imag == 0.0)
-    assert grid.cross_residual is not None and grid.cross_residual <= 1e-10
+    assert grid.cross_residual <= 1e-10
     # a complex track keeps the full FFT
     tilted = values + 1j * values[::-1]
     if tilted.imag.any():
@@ -679,7 +699,7 @@ def test_report_periodic_is_pure_point():
     rep = spectral_report(f, x, intervals(base=100, n_max=6), [256, 512])
     assert rep.purity == "evidence-pure-point"
     assert len(rep.frequencies) == 2
-    assert all(r is not None and r < 1e-10 for r in rep.cross_residuals)
+    assert all(r < 1e-10 for r in rep.cross_residuals)
 
 
 def test_far_probe_shifts_are_read_apart():
