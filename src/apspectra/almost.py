@@ -136,7 +136,11 @@ def superlevel_density(x: PointGen, t: int, delta: float,
 
 
 class OrbitProfile(Record):
-    """Per-translate distances at one budget: everything a scan needs."""
+    """Per-translate distances at one budget: everything a scan needs.
+
+    A ``weyl_value`` at or above the ``below`` its profile was asked
+    for may be a lower bound of the exact value rather than the value.
+    """
 
     t_values: np.ndarray
     mean_tail_max: np.ndarray
@@ -147,7 +151,8 @@ class OrbitProfile(Record):
 
 
 def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
-                  threads: int = 1, kinds=KINDS) -> OrbitProfile:
+                  threads: int = 1, kinds=KINDS,
+                  below: float | None = None) -> OrbitProfile:
     """Mean / weyl / bohr distance summaries for each translate t.
 
     Kinds not requested are skipped and reported as NaN columns.  Each
@@ -156,11 +161,20 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     A translate t > 0 whose -t is also requested shares one mismatch
     mask and one sliding pass with it: the run of -t is the run of t
     moved by t.
+
+    ``below`` is the largest epsilon the caller compares the weyl
+    values against.  A mismatch inside the shift-0 weyl window, a
+    metric radius from either end, adds the whole kernel weight C to
+    that window's sum, so the count of those mismatches over the window
+    length bounds the weyl value from below.  Where that bound reaches
+    ``below`` for t and its pair, it is their weyl value: the sliding
+    maximum and the cylinder sums outside the mean and bohr ranges are
+    skipped, and no value under ``below`` changes.
     """
     t_values = np.asarray(sorted(int(t) for t in t_values), dtype=np.int64)
     sched = budget.schedule
     (lo_needed, hi_needed), ranges = budget.ranges(tuple(kinds))
-    part = {k: slice(lo - lo_needed, hi - lo_needed)
+    part = {k: (lo - lo_needed, hi - lo_needed)
             for k, (lo, hi) in ranges.items()}
 
     # one codes sample serves every translate: x on the needed range
@@ -181,8 +195,16 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
         m = math.lcm(*tail_lengths.tolist())
         scales = [m // n for n in tail_lengths.tolist()]
         tol_num, tol_den = budget.estimator.convergence_tol.as_integer_ratio()
+    settle = None
     if "weyl" in part:
-        _, w_len = sched.window(budget.resolved_weyl_index())
+        w_start, w_len = sched.window(budget.resolved_weyl_index())
+        # the mask entries whose whole kernel lies in the shift-0 window
+        inner = (w_start - lo_needed + 2 * radius, w_start - lo_needed + w_len)
+        if below is not None and inner[0] < inner[1]:
+            settle = inner
+    # the sums a settled unit still reads: the hull of the mean and bohr runs
+    kept = [part[k] for k in ("mean", "bohr") if k in part] or [(0, 0)]
+    kept = (min(p for p, _ in kept), max(q for _, q in kept))
 
     # a unit is a translate t and the lead l of its mask
     # codes[a - l + i] != codes[a - l + t + i], i < n + l: the sums of t
@@ -192,38 +214,60 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
     units = [(t, t if t > 0 and -t in distinct else 0)
              for t in sorted(distinct) if not (t < 0 and -t in distinct)]
 
+    def bounds(t, lo, unit, mask):
+        """The mismatch-count bounds of the unit's weyl values, or None
+        unless every one reaches ``below``."""
+        p, q = settle
+        found = []
+        for _, offset in unit:
+            i, j = lo + offset + p, lo + offset + q
+            np.not_equal(codes[i:j], codes[i + t:j + t], out=mask[:q - p])
+            found.append(int(np.count_nonzero(mask[:q - p])) / w_len)
+            if found[-1] < below:
+                return None
+        return found
+
     def work(block):
         # one workspace per worker, reused for each of its units
         size = n + max((lead for _, lead in block), default=0)
         cyl = CylinderSums(size)
         rows = {}
         for t, lead in block:
-            lo, run = a - lead, n + lead
-            np.not_equal(codes[lo:lo + run], codes[lo + t:lo + t + run],
-                         out=cyl.mask[:run])
-            sums_all, c = cyl.counts(radius, run)
+            lo = a - lead
             unit = ((t, lead), (-t, 0)) if lead else ((t, 0),)
-            if "weyl" in part:
+            weyl = settle and bounds(t, lo, unit, cyl.mask)
+            # the unit's sums cover [first, last) of the offsets from
+            # lo_needed, moved by its lead
+            first, last = kept if weyl else (0, n - 2 * radius)
+            if last > first:
+                run = last - first + lead + 2 * radius
+                np.not_equal(codes[lo + first:lo + first + run],
+                             codes[lo + first + t:lo + first + t + run],
+                             out=cyl.mask[:run])
+                sums_all, c = cyl.counts(radius, run)
+            if "weyl" in part and not weyl:
                 # one sliding pass over the union of the unit's weyl runs
-                w = part["weyl"]
-                last = w.stop - w.start - w_len
-                tops = max_sliding_sums(
-                    sums_all[w.start:w.stop + lead], w_len,
-                    [(offset, offset + last) for _, offset in unit])
+                p, q = part["weyl"]
+                shifts = q - p - w_len
+                weyl = [top / (c * w_len) for top in max_sliding_sums(
+                    sums_all[p:q + lead], w_len,
+                    [(offset, offset + shifts) for _, offset in unit])]
             for i, (u, offset) in enumerate(unit):
-                s = sums_all[offset:offset + n - 2 * radius]
+                def s(p, q):
+                    return sums_all[offset + p - first:offset + q - first]
                 row = [np.nan, False, np.nan, np.nan]
                 if "mean" in part:
-                    sums = segments.sums(lambda a, b: s[a - lo_needed:b - lo_needed])[-k:]
+                    sums = segments.sums(
+                        lambda a, b: s(a - lo_needed, b - lo_needed))[-k:]
                     q = [p * f for p, f in zip(sums.tolist(), scales)]
-                    top = int(np.max(s[part["mean"]]))
+                    top = int(np.max(s(*part["mean"])))
                     row[0] = float(np.max(sums / (c * tail_lengths)))
                     row[1] = (top == 0 or (max(q) - min(q)) * tol_den
                               < tol_num * top * m)
                 if "weyl" in part:
-                    row[2] = tops[i] / (c * w_len)
+                    row[2] = weyl[i]
                 if "bohr" in part:
-                    row[3] = int(np.max(s[part["bohr"]])) / c
+                    row[3] = int(np.max(s(*part["bohr"]))) / c
                 rows[u] = row
         return rows
 
@@ -303,7 +347,7 @@ def almost_period_scan(x: PointGen, epsilon: float, kind: str,
     if hi < lo:
         raise ValueError("scan range is empty")
     profile = orbit_profile(x, range(lo, hi + 1), budget, threads=threads,
-                            kinds=(kind,))
+                            kinds=(kind,), below=epsilon)
     return _scan_from_profile(profile, epsilon, kind, scan_range)
 
 
@@ -359,7 +403,7 @@ def classify_point(x: PointGen, eps_grid, budget: ScanBudget,
     """Finite-scale almost-periodicity evidence for all three kinds.
 
     One orbit profile is computed per translate and shared by every
-    kind and epsilon.  Verdicts are reconciled with the seminorm
+    kind and epsilon; the largest epsilon is its ``below``.  Verdicts are reconciled with the seminorm
     hierarchy: evidence-for propagates downward from bohr, and
     evidence-against propagates upward from mean, so reported verdicts
     never contradict the ordering of the underlying distances.
@@ -368,7 +412,8 @@ def classify_point(x: PointGen, eps_grid, budget: ScanBudget,
     if not eps_grid:
         raise ValueError("epsilon grid must be nonempty")
     lo, hi = scan_range
-    profile = orbit_profile(x, range(lo, hi + 1), budget, threads=threads)
+    profile = orbit_profile(x, range(lo, hi + 1), budget, threads=threads,
+                            below=eps_grid[-1])
 
     scans = {kind: {eps: _scan_from_profile(profile, eps, kind, scan_range)
                     for eps in eps_grid}

@@ -25,7 +25,7 @@ from . import almost, diffraction, spectral
 from .config import (build_budget, build_observable, build_point,
                      build_schedule, build_weights, canonical_json,
                      config_hash, load_config, validate)
-from .errors import ApspectraError, ConfigError
+from .errors import ApspectraError, ConfigError, FractionExceedsOne
 from .folner import EstimatorConfig
 from .points import observable_keys, observable_track, shift
 
@@ -358,8 +358,13 @@ def _cmd_diffract(cfg: dict, threads: int) -> dict:
     density = diffraction.diffraction_density(eta, taper, cfg["grid_size"])
     atoms = dict(zip(atom_thetas, eta.atoms))
     masses = [(t, est.tail_max()) for t, est in atoms.items()]
-    fraction = diffraction.pure_point_fraction(masses, eta.eta0) \
-        if masses and eta.eta0 > 0 else 0.0
+    try:
+        fraction = diffraction.pure_point_fraction(masses, eta.eta0) \
+            if masses and eta.eta0 > 0 else 0.0
+    except FractionExceedsOne as exc:
+        # on a short schedule, near thetas each pick up their neighbours' mass
+        raise ConfigError("atom_thetas", f"{exc}: list fewer thetas or "
+                                         "lengthen the schedule") from None
     eta_rows = [[int(k), eta.eta(int(k)).real, eta.eta(int(k)).imag]
                 for k in eta.lags()]
     dens_rows = [[t, v] for t, v in zip(density.thetas, density.values)]

@@ -391,17 +391,21 @@ def validate(command: str, cfg: dict, seed_override: int | None = None) -> dict:
                       m * (2 * out["k_max"] + 1))
     # every stage holds its grid: a halving ladder up to the budget sums
     # to under twice it
-    for path, sizes in (("grid_sizes", out.get("grid_sizes")),
-                        ("detect.grid_sizes",
-                         out.get("detect", {}).get("grid_sizes"))):
+    grids = (("grid_sizes", out.get("grid_sizes")),
+             ("detect.grid_sizes", out.get("detect", {}).get("grid_sizes")))
+    for path, sizes in grids:
         if sizes and sum(sizes) > 2 * SAMPLE_BUDGET:
             raise ConfigError(path, f"sizes sum to {sum(sizes)}, more than "
                                     f"twice the budget of {SAMPLE_BUDGET}")
-    # a kind scanned twice writes its column twice, and a theta met twice
-    # modulo 1 counts its mass twice
-    for key, same in (("kinds", str), ("thetas", _turn), ("atom_thetas", _turn)):
+    # a kind scanned twice writes its column twice, a theta met twice
+    # modulo 1 counts its mass twice, and a grid size met twice checks
+    # persistence against the same grid, so it filters nothing
+    for key, values, same in (("kinds", out.get("kinds"), str),
+                              ("thetas", out.get("thetas"), _turn),
+                              ("atom_thetas", out.get("atom_thetas"), _turn),
+                              *((path, sizes, int) for path, sizes in grids)):
         seen = set()
-        for i, value in enumerate(map(same, out.get(key) or ())):
+        for i, value in enumerate(map(same, values or ())):
             if value in seen:
                 raise ConfigError(f"{key}[{i}]", f"repeats {value!r}")
             seen.add(value)

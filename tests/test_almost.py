@@ -20,7 +20,7 @@ from apspectra.almost import (EVIDENCE_AGAINST, EVIDENCE_FOR, ScanBudget,
                               orbit_profile, superlevel_density)
 from apspectra.errors import EmptyShiftRange, MissingSamples
 from apspectra.folner import (Converged, EstimatorConfig, FolnerSchedule,
-                              partial_means, uniform_mean)
+                              max_sliding_sums, partial_means, uniform_mean)
 from apspectra.points import (FIBONACCI_RULES, PERIOD_DOUBLING_RULES,
                               THUE_MORSE_RULES, BernoulliPoint, Observable,
                               PeriodicPoint, StepPoint, SturmianPoint,
@@ -587,6 +587,88 @@ def weyl_run_inside_bohr(b):
 EPS_GRIDS = st.lists(st.floats(0.001, 0.5), min_size=1, max_size=4)
 SCAN_RANGES = st.tuples(st.integers(-30, 10), st.integers(0, 40)).map(
     lambda r: (r[0], r[0] + r[1]))
+
+
+COLUMNS = ("mean_tail_max", "mean_converged", "weyl_value", "bohr_value")
+
+# radii small next to the windows, so the mismatch count of many
+# translates reaches below
+SETTLING_BUDGETS = st.builds(
+    lambda base, n_max, radius, index, span, horizon: ScanBudget(
+        intervals(base, n_max), metric_radius=radius,
+        weyl_index=min(index, n_max), weyl_shift_span=span,
+        bohr_horizon=horizon),
+    st.integers(20, 80), st.integers(1, 4), st.integers(1, 6),
+    st.integers(1, 4), st.integers(0, 40), st.integers(0, 80))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.one_of(st.just(PeriodicPoint("A")), EVERY_KIND),
+       b=st.one_of(ANY_BUDGETS, SETTLING_BUDGETS), ts=TRANSLATES,
+       eps_grid=EPS_GRIDS,
+       kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True))
+def test_profile_below_settles_only_values_at_or_above_it(x, b, ts, eps_grid,
+                                                          kinds):
+    # a weyl value settled by its mismatch count is a lower bound that
+    # reaches below, so no kind finds other periods at any epsilon up to
+    # below, and the mean and bohr columns keep their bits
+    below = max(eps_grid)
+    exact = orbit_profile(x, ts, b, kinds=tuple(kinds))
+    fast = orbit_profile(x, ts, b, kinds=tuple(kinds), below=below)
+    with mock.patch.object(almost.os, "cpu_count", return_value=8):
+        two = orbit_profile(x, ts, b, threads=2, kinds=tuple(kinds),
+                            below=below)
+    for column in COLUMNS:
+        got = getattr(fast, column)
+        assert np.array_equal(got, getattr(two, column), equal_nan=True)
+        if column != "weyl_value":
+            assert np.array_equal(got, getattr(exact, column), equal_nan=True)
+    if "weyl" in kinds:
+        settled = fast.weyl_value != exact.weyl_value
+        assert np.all(fast.weyl_value <= exact.weyl_value)
+        assert np.all(fast.weyl_value[settled] >= below)
+    scan_range = (min(ts), max(ts))
+    for eps in eps_grid:
+        for kind in kinds:
+            assert (almost._scan_from_profile(fast, eps, kind, scan_range)
+                    == almost._scan_from_profile(exact, eps, kind, scan_range))
+
+
+def test_profile_bound_counts_only_mismatches_under_the_whole_kernel():
+    # the one mismatch of the step's translates +-1, moved across the
+    # shift-0 weyl window and its edges: a bound that counted it while
+    # part of its kernel weight falls outside the window would exceed the
+    # exact value, and where the bound is taken it equals that value
+    radius, length = 3, 20
+    b = ScanBudget(intervals(length, 1), metric_radius=radius,
+                   weyl_shift_span=0, bohr_horizon=0)
+    for c in range(-2 * radius - 2, length + 2 * radius + 2):
+        x = shift(StepPoint(), c)
+        exact = orbit_profile(x, [-1, 0, 1], b, kinds=("weyl",))
+        fast = orbit_profile(x, [-1, 0, 1], b, kinds=("weyl",),
+                             below=0.5 / length)
+        assert np.array_equal(fast.weyl_value, exact.weyl_value), c
+
+
+def test_classify_slides_only_the_unsettled_unit(monkeypatch):
+    # every Bernoulli translate but 0 mismatches about half its weyl
+    # window, above the largest epsilon, so only the unit of t = 0 (the
+    # one unit with a single translate) reaches the sliding maximum
+    spans = []
+
+    def counted(values, length, unit_spans):
+        spans.append(len(unit_spans))
+        return max_sliding_sums(values, length, unit_spans)
+
+    monkeypatch.setattr(almost, "max_sliding_sums", counted)
+    x = BernoulliPoint(0.5, 42)
+    b = budget(base=100, n_max=4, bohr_horizon=32)
+    classify_point(x, [0.05, 0.1, 0.2], b, (-50, 50))
+    assert spans == [1]
+    prof = orbit_profile(x, range(-50, 51), b, below=0.2)
+    assert spans == [1, 1]
+    assert prof.weyl_value[50] == 0.0
+    assert np.all(np.delete(prof.weyl_value, 50) >= 0.2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -675,6 +675,13 @@ SMALL_AB = {"point": "periodic:AB",
     # every stage holds its grid: eight of the largest size would not fit
     ("spectrum", {**SMALL_AB, "observable": "indicator:A",
                   "grid_sizes": [2 ** 22] * 8}, "grid_sizes"),
+    # a grid size met twice checks persistence against the same grid, so
+    # the persistence filter would drop nothing
+    ("spectrum", {**SMALL_AB, "observable": "indicator:A",
+                  "grid_sizes": [64, 64]}, "grid_sizes[1]"),
+    ("parseval", {**SMALL_AB, "observable": "indicator:A",
+                  "detect": {"grid_sizes": [64, 128, 64]}},
+     "detect.grid_sizes[2]"),
 ])
 def test_validation_names_offending_field(tmp_path, command, cfg, field):
     path = write_config(tmp_path / "c.json", cfg)
@@ -688,6 +695,20 @@ def test_validation_names_offending_field(tmp_path, command, cfg, field):
         res = run_cli(args)
     assert res.exit_code == 2
     assert field in res.output
+
+
+def test_diffract_atom_masses_over_eta0_exit_two(tmp_path):
+    # thetas detected on a short schedule: their masses sum past eta(0),
+    # which the library raises on and the command line reports as a config
+    # error naming the thetas
+    path = write_config(tmp_path / "c.json", {
+        "point": "sturmian:0.3", "weights": {"0": 1, "1": 0}, "k_max": 4,
+        "schedule": {"kind": "intervals", "base": 100, "n_max": 6}})
+    res = run_cli(["diffract", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "atom_thetas" in res.output
+    assert "list fewer thetas or lengthen the schedule" in res.output
+    assert not (tmp_path / "o").exists()
 
 
 # one small config a command, each list key given, for the exit-code
