@@ -27,7 +27,7 @@ from .config import (build_budget, build_observable, build_point,
                      config_hash, load_config, validate)
 from .errors import ApspectraError, ConfigError, FractionExceedsOne
 from .folner import EstimatorConfig
-from .points import observable_keys, observable_track, shift
+from .points import observable_keys, observable_track
 
 __all__ = ["main"]
 
@@ -334,9 +334,9 @@ def _cmd_eigen(cfg: dict, threads: int) -> dict:
     """A Besicovitch eigenfunction sample at one frequency."""
     point = build_point(cfg["point"])
     sample = spectral.eigenfunction_sample(
-        build_observable(cfg["observable"], point), cfg["theta"],
-        [shift(point, s) for s in cfg["point_shifts"]],
-        build_schedule(cfg["schedule"]), tuple(cfg["shift_probes"]),
+        build_observable(cfg["observable"], point), cfg["theta"], point,
+        cfg["point_shifts"], build_schedule(cfg["schedule"]),
+        tuple(cfg["shift_probes"]),
         EstimatorConfig(**cfg["estimator"]))
     return {"eigen.json": _json_doc({"eigen": sample.describe()}, cfg)}
 

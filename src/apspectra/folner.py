@@ -389,13 +389,13 @@ class WindowSegments:
         return np.add.reduceat(np.asarray(values, dtype=complex)
                                if phase is None else values * phase, piece[2])
 
-    def combine(self, partials) -> np.ndarray:
+    def combine(self, partials, op=np.add) -> np.ndarray:
         """Segment sums from the sums of every piece, in order: each block
-        that joins a long segment is added to the sum of those before it."""
+        that joins a long segment is joined to those before it by ``op``."""
         sums = []
         for piece, part in zip(self.pieces, partials):
             if piece[3]:
-                sums[-1] = sums[-1] + part
+                sums[-1] = op(sums[-1], part)
             else:
                 sums.append(part)
         return np.concatenate(sums)

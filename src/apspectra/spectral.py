@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .folner import (Character, Converged, EstimatorConfig, FolnerSchedule,
-                     MeanEstimate, Oscillating, WindowSegments, estimate,
-                     grid_thetas, phases, sliding_sums)
+from .folner import (RUN_BLOCK, Character, Converged, EstimatorConfig,
+                     FolnerSchedule, MeanEstimate, Oscillating, WindowSegments,
+                     estimate, grid_thetas, phases, sliding_sums)
 from .points import (Observable, PointGen, Record, Track, observable_source,
-                     observable_track, sup_norm)
+                     observable_track)
 
 __all__ = [
     "fourier_bohr",
@@ -38,47 +38,31 @@ __all__ = [
 ]
 
 
-def _sweep(sources, schedule: FolnerSchedule, thetas, shifts=(0,),
-           energy: bool = False):
-    """Averages of the sample ``sources`` along the schedule.
+def _sweep(source, segments: WindowSegments, thetas, energy: bool = False):
+    """Averages of the samples ``source(a, b)`` over ``segments``' windows.
 
-    For each source v and shift s, in that order, and each theta: the
-    window means of v(t + s) conj(xi(t)), xi the character of theta, and
-    the sup of |v| over the span moved by s.  With ``energy``, also the
-    window means of |v|^2 of the first source (shift 0 must come first).
-    One piece of one source is held at a time, read once for all of them
-    (once a shift when the shifts spread wider than the piece), with one
-    piece of each character.
+    For each theta, the window means of v(t) conj(xi(t)), xi the
+    character of theta; the largest |v| on each segment; with
+    ``energy``, the window means of |v|^2.  One piece of the source is
+    held at a time, with one piece of each character.
     """
-    segments = WindowSegments(schedule.windows)
-    first, last = min(shifts), max(shifts)
-    means = [[[] for _ in thetas] for _ in sources for _ in shifts]
-    sups, squares = [0.0] * len(means), []
+    means, peaks, squares = [[] for _ in thetas], [], []
     for piece in segments.pieces:
         a, b = piece[:2]
-        for n, source in enumerate(sources):
-            if last - first > b - a:
-                vs = [source(a + s, b + s) for s in shifts]
-            else:
-                part = source(a + first, b + last)
-                vs = [part[s - first:s - first + b - a] for s in shifts]
-            rows = range(n * len(shifts), (n + 1) * len(shifts))
-            for k, v in zip(rows, vs):
-                sups[k] = max(sups[k], sup_norm(v))
-            if energy and n == 0:
-                # |v|^2 of a real v is v^2, bit for bit, with no array of |v|
-                squares.append(segments.reduce(piece, np.abs(vs[0]) ** 2
-                                               if np.iscomplexobj(vs[0])
-                                               else vs[0] ** 2))
-            for m, theta in enumerate(thetas):
-                phase = None        # frees the last piece of a character first
-                phase = Character(theta).conj_values(a, b)
-                for k, v in zip(rows, vs):
-                    means[k][m].append(segments.reduce(piece, v, phase))
+        v = source(a, b)
+        peaks.append(np.maximum.reduceat(np.abs(v), piece[2]))
+        if energy:
+            squares.append(segments.reduce(piece, np.abs(v) ** 2))
+        for m, theta in enumerate(thetas):
+            phase = None        # frees the last piece of a character first
+            phase = Character(theta).conj_values(a, b)
+            means[m].append(segments.reduce(piece, v, phase))
+    lengths = segments.ends[segments.last] - segments.ends[segments.first]
 
     def window_means(partials):
-        return segments.totals(segments.combine(partials)) / schedule.lengths()
-    return ([[window_means(row) for row in rows] for rows in means], sups,
+        return segments.totals(segments.combine(partials)) / lengths
+    return ([window_means(row) for row in means],
+            segments.combine(peaks, np.maximum),
             window_means(squares) if energy else None)
 
 
@@ -86,9 +70,9 @@ def fourier_bohr(f: Observable, x: PointGen, theta: float,
                  schedule: FolnerSchedule,
                  config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
     """Averages of f(t.x) against conj(character theta) along the schedule."""
-    ((means,),), (sup,), _ = _sweep([observable_source(f, x)], schedule,
-                                    (theta,))
-    return estimate(means, sup, config)
+    (means,), peaks, _ = _sweep(observable_source(f, x),
+                                WindowSegments(schedule.windows), (theta,))
+    return estimate(means, float(peaks.max()), config)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +377,10 @@ def parseval_defect(f: Observable, x: PointGen, thetas,
     the full spectral mass of this observable along this point.
     """
     thetas = tuple(float(t) for t in thetas)
-    (means,), (sup,), energy = _sweep([observable_source(f, x)], schedule,
-                                      thetas, energy=True)
-    return _parseval(thetas, means, energy, sup, config)
+    means, peaks, energy = _sweep(observable_source(f, x),
+                                  WindowSegments(schedule.windows), thetas,
+                                  energy=True)
+    return _parseval(thetas, means, energy, float(peaks.max()), config)
 
 
 def _parseval(thetas: tuple, means, energy: np.ndarray, sup: float,
@@ -443,42 +428,55 @@ def _eigen_value(est: MeanEstimate) -> tuple[complex, str]:
     return complex(est.last), "undecided"
 
 
-def eigenfunction_sample(f: Observable, theta: float, points,
-                         schedule: FolnerSchedule,
+RUN_WINDOWS = RUN_BLOCK // 16   # windows one eigen sweep takes, 130-300 traced B each
+
+
+def eigenfunction_sample(f: Observable, theta: float, x: PointGen,
+                         point_shifts, schedule: FolnerSchedule,
                          shift_probes=(1, 2, 3, 5, 8),
                          config: EstimatorConfig = EstimatorConfig()) -> EigenfunctionSample:
-    """Sampled eigenfunction values e(x) = lim A(f_x conj(xi)) per point.
+    """Sampled eigenfunction values e(s.x) = lim A(f_{s.x} conj(xi)) per
+    point shift s.
 
     Oscillating averages are zeroed and flagged; undecided ones are
     flagged and left out of the modulus statistics.  The residual is
     the worst violation of e(t.x) = xi(t) e(x) over the probe shifts.
+    The average at s.x moved by a probe t is xi(d) times that of
+    f(u.x) conj(xi(u)) over the windows moved by d = s + t: one sweep of
+    x's samples serves each run of sorted offsets, cut where two lie
+    more than a span apart or a run holds ``RUN_WINDOWS`` windows.  Of
+    each offset it takes the span, for the sup, and the last 2 tail - 1
+    windows, all that a verdict reads.
     """
-    points = list(points)
-    if not points:
+    shifts = [int(s) for s in point_shifts]
+    if not shifts:
         raise ValueError("need at least one sample point")
-    xi = Character(theta)
-    shifts = (0, *(int(t) for t in shift_probes))
-    # every point and its probes from one read of each point's samples
-    rows, sups, _ = _sweep([observable_source(f, p) for p in points], schedule,
-                           (theta,), shifts)
-    found = [_eigen_value(estimate(m, sup, config))
-             for (m,), sup in zip(rows, sups)]
-    values, flags = [], []
-    residual = 0.0
-    for at in range(0, len(found), len(shifts)):
-        (e_p, flag), *probes = found[at:at + len(shifts)]
-        values.append(e_p)
-        flags.append(flag)
-        if flag == "undecided":
+    xi, probes = Character(theta), [int(t) for t in shift_probes]
+    judged = 2 * config.tail - 1 if config.tail > 0 else len(schedule)
+    (lo, hi), source = schedule.span(), observable_source(f, x)
+    windows = [(lo, hi - lo), *schedule.windows[-judged:]]
+    offsets = sorted({s + t for s in shifts for t in (0, *probes)})
+    found, run, m = {}, [], len(windows)
+    for d, after in zip(offsets, offsets[1:] + [None]):
+        run.append(d)
+        if after is not None and after - d <= hi - lo and len(run) * m < RUN_WINDOWS:
             continue
-        for t, (e_shift, flag_shift) in zip(shifts[1:], probes):
-            if flag_shift != "undecided":
-                residual = max(residual, abs(e_shift - complex(xi(t)) * e_p))
-
+        segments = WindowSegments([(a + e, l) for e in run for a, l in windows])
+        (means,), peaks, _ = _sweep(source, segments, (theta,))
+        for k, e in enumerate(run):
+            sup = peaks[segments.first[k * m]:segments.last[k * m]].max()
+            found[e] = _eigen_value(estimate(means[k * m + 1:(k + 1) * m] * xi(e),
+                                             float(sup), config))
+        run = []
+    turns = [xi(t) for t in probes]
+    residual = max([abs(found[s + t][0] - turn * found[s][0])
+                    for s in shifts if found[s][1] != "undecided"
+                    for t, turn in zip(probes, turns)
+                    if found[s + t][1] != "undecided"], default=0.0)
+    values, flags = zip(*(found[s] for s in shifts))
     mods = [abs(v) for v, flag in zip(values, flags) if flag != "undecided"]
     spread = (max(mods) - min(mods)) if mods else 0.0
-    return EigenfunctionSample(xi.theta, tuple(values), tuple(flags),
-                               float(residual), float(spread))
+    return EigenfunctionSample(xi.theta, values, flags, residual, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +584,9 @@ def spectral_report(f: Observable, x: PointGen, schedule: FolnerSchedule,
 
     def read(a, b):
         return whole.read(a, b) if 0 <= a and b <= whole.stop else source(a, b)
-    (means,), (sup,), energy = _sweep([read], schedule, thetas, energy=True)
+    means, peaks, energy = _sweep(read, WindowSegments(schedule.windows),
+                                  thetas, energy=True)
+    sup = float(peaks.max())
     trajectories = {t: estimate(m, sup, config) for t, m in zip(thetas, means)}
     parseval = _parseval(thetas, means, energy, sup, config)
     purity = _purity_verdict(parseval.energy, parseval.defects)

@@ -152,8 +152,7 @@ def fibonacci_spectrum():
     traj = parseval_defect(f, x, top9, sched)
     theta1 = min((fr.theta for fr in freqs), key=lambda t: circ(t, GOLDEN))
     sample = eigenfunction_sample(
-        f, theta1, [shift(x, s) for s in (0, 13, 34, 89, 233)], sched,
-        shift_probes=(1, 2, 3))
+        f, theta1, x, (0, 13, 34, 89, 233), sched, shift_probes=(1, 2, 3))
     return {"freqs": freqs, "traj": traj, "sample": sample,
             "elapsed": time.perf_counter() - started,
             "started": started}

@@ -288,6 +288,39 @@ def test_eigen_peak_memory_does_not_grow_with_the_span(tmp_path):
     assert large - small <= SPAN_GROWTH_BYTES, (small, large)
 
 
+def eigen_offsets_config(point_shifts, base, n_max, probes=39, tail=5):
+    """An eigen config on the Fibonacci point, probes 1..``probes`` at
+    every point."""
+    return {"point": "fibonacci", "observable": "indicator:0",
+            "schedule": {"kind": "intervals", "base": base, "n_max": n_max},
+            "theta": GOLDEN, "point_shifts": list(point_shifts),
+            "shift_probes": list(range(1, probes + 1)),
+            "estimator": {"tail": tail}}
+
+
+def test_eigen_peak_memory_does_not_grow_with_the_offsets(tmp_path):
+    # each offset's sweep takes its span and the 2 tail - 1 windows the
+    # verdict reads, 30 here: 20 offsets (0..19) or 2030 (0..2029) are
+    # swept in runs of at most RUN_WINDOWS windows, where one sweep of all
+    # 2030 held 60,900
+    small, large = [traced_peak("eigen", write_config(
+        tmp_path / f"{len(shifts)}.json",
+        eigen_offsets_config(shifts, 64, 1024, probes, tail=15)),
+        tmp_path / f"out{len(shifts)}")
+        for shifts, probes in (([0], 19), (range(0, 2000, 10), 39))]
+    assert large - small <= SPAN_GROWTH_BYTES, (small, large)
+
+
+def test_eigen_with_many_points_and_probes_ends_in_time(tmp_path):
+    # 200 points and 39 probes over a 2^22 span: 239 offsets in one run,
+    # where a read of the span per (point, probe) did not end in 60 s
+    cfg = write_config(tmp_path / "c.json",
+                       eigen_offsets_config(range(200), 4096, 1024))
+    res = run_cli_process(["eigen", "--config", cfg, "--out",
+                           str(tmp_path / "out")], timeout=20)
+    assert res.exit_code == 0, res.output
+
+
 def test_generate_peak_memory_does_not_grow_with_the_range(tmp_path):
     # both CSVs are written a block of lines at a time: about 0.8 MiB at
     # 2^20 coordinates, where building every row first held 344 MiB

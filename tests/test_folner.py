@@ -215,6 +215,19 @@ def test_partial_means_undecided_between_tolerances():
     assert isinstance(est.verdict, Undecided)
 
 
+@settings(max_examples=150, deadline=None)
+@given(means=st.lists(st.sampled_from([0.0, 0.5, 0.95, 1.0, 0.5j, 0.9995]),
+                      min_size=1, max_size=14),
+       tail=st.integers(1, 6))
+def test_verdict_reads_only_the_last_two_tails_of_partials(means, tail):
+    # eigenfunction_sample sweeps only the last 2 tail - 1 windows of each
+    # offset, so no partial before them may change a verdict
+    config = EstimatorConfig(tail=tail)
+    means = np.array(means, dtype=complex)
+    judged = estimate(means[-(2 * tail - 1):], 1.0, config)
+    assert judged.verdict == estimate(means, 1.0, config).verdict
+
+
 # ---------------------------------------------------------------------------
 # upper mean
 # ---------------------------------------------------------------------------
@@ -677,28 +690,20 @@ def check_streamed_sums(x, f, schedule, theta, shifts, max_lag):
     assert (bits(lag_window_sums(source, schedule.windows, max_lag))
             == bits(lag_window_sums(track.read, schedule.windows, max_lag)))
 
-    rows, sups, energy = spectral._sweep([source], schedule, (theta,), shifts,
-                                         energy=True)
     square = np.abs(track.values) ** 2
-    assert bits(energy) == bits(partial_means(Track(track.start, square),
-                                              schedule).values)
-    found = []
-    for (means,), sup, s in zip(rows, sups, shifts):
-        moved = Track(track.start - s, track.values)      # t -> v(t + s)
-        want = segments.sums(moved.read, Character(theta).conj_values)
+    for s in shifts:
+        # the windows moved by s, read from the one source of x's samples
+        moved = WindowSegments([(a + s, l) for a, l in schedule.windows])
+        (means,), peaks, energy = spectral._sweep(source, moved, (theta,),
+                                                  energy=s == 0)
+        want = moved.sums(track.read, Character(theta).conj_values)
         assert bits(means) == bits(want / lengths)
-        assert sup == sup_norm(moved.read(lo, hi))
-        found.append(spectral._eigen_value(estimate(want / lengths, sup,
-                                                    EstimatorConfig())))
-    (e_x, flag), *moved_values = found
-    residual = max([abs(e - complex(Character(theta)(t)) * e_x)
-                    for t, (e, moved_flag) in zip(shifts[1:], moved_values)
-                    if flag != "undecided" and moved_flag != "undecided"],
-                   default=0.0)
-    sample = spectral.eigenfunction_sample(f, theta, [x], schedule, shifts[1:])
-    assert sample.flags == (flag,)
-    assert bits(np.array(sample.values)) == bits(np.array([e_x]))
-    assert bits(np.array(sample.eigen_residual)) == bits(np.array(residual))
+        if s == 0:
+            assert bits(energy) == bits(partial_means(Track(track.start, square),
+                                                      schedule).values)
+        assert peaks.tolist() == [sup_norm(track.read(a, b))
+                                  for a, b in zip(moved.ends, moved.ends[1:])]
+        assert peaks.max() == sup_norm(track.read(lo + s, hi + s))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,18 +1,22 @@
 """Fourier coefficients along orbits, detection, Parseval, eigenfunctions."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apspectra import folner, spectral
 from apspectra.folner import (Character, Converged, EstimatorConfig,
-                              FolnerSchedule)
+                              FolnerSchedule, Oscillating, WindowSegments,
+                              estimate)
 from apspectra.points import (FIBONACCI_RULES, THUE_MORSE_RULES,
-                              BernoulliPoint, Observable, PeriodicPoint,
-                              StepPoint, SturmianPoint, SubstitutionPoint,
-                              Track, observable_source, observable_track,
-                              shift)
+                              BernoulliPoint, BlockPoint, Observable,
+                              PeriodicPoint, StepPoint, SturmianPoint,
+                              SubstitutionPoint, Track, observable_source,
+                              observable_track, shift, sup_norm)
 from apspectra.spectral import (detect_frequencies, eigenfunction_sample,
                                 fourier_bohr, fourier_bohr_grid,
                                 fourier_bohr_grids, parseval_defect,
@@ -610,7 +614,7 @@ def test_parseval_bessel_nonnegative_defect_exact_characters():
 
 def test_eigen_non_frequency_gives_zeros():
     f, x = ab_indicator()
-    sample = eigenfunction_sample(f, 0.3, [x, shift(x, 1)],
+    sample = eigenfunction_sample(f, 0.3, x, [0, 1],
                                   intervals(base=1000, n_max=6))
     assert all(abs(v) < 1e-2 for v in sample.values)
     assert sample.modulus_spread < 1e-2
@@ -619,7 +623,7 @@ def test_eigen_non_frequency_gives_zeros():
 
 def test_eigen_periodic_half_frequency():
     f, x = ab_indicator()
-    sample = eigenfunction_sample(f, 0.5, [x, shift(x, 1)],
+    sample = eigenfunction_sample(f, 0.5, x, [0, 1],
                                   intervals(base=100, n_max=6),
                                   shift_probes=(1, 2, 3))
     e0, e1 = sample.values
@@ -639,7 +643,7 @@ def test_eigen_residual_vanishes_on_periodic_points(pattern, data):
     letter = data.draw(st.sampled_from(x.alphabet))
     f = Observable.indicator(letter, x.alphabet)
     # windows of whole periods make every average exact
-    sample = eigenfunction_sample(f, theta, [x, shift(x, 1)],
+    sample = eigenfunction_sample(f, theta, x, [0, 1],
                                   intervals(base=p * 20, n_max=6))
     assert sample.flags == ("", "")
     assert sample.eigen_residual <= 1e-12
@@ -648,7 +652,7 @@ def test_eigen_residual_vanishes_on_periodic_points(pattern, data):
 def test_eigen_oscillating_average_is_zeroed_and_flagged():
     y = StepPoint()
     f = Observable.indicator("1", y.alphabet)
-    sample = eigenfunction_sample(f, 0.0, [y], FolnerSchedule.alternating(12),
+    sample = eigenfunction_sample(f, 0.0, y, [0], FolnerSchedule.alternating(12),
                                   shift_probes=())
     assert sample.values == (0.0 + 0.0j,)
     assert sample.flags == ("oscillating",)
@@ -657,7 +661,162 @@ def test_eigen_oscillating_average_is_zeroed_and_flagged():
 def test_eigen_needs_points():
     f, x = ab_indicator()
     with pytest.raises(ValueError):
-        eigenfunction_sample(f, 0.5, [], intervals(10, 3))
+        eigenfunction_sample(f, 0.5, x, [], intervals(10, 3))
+
+
+def per_point_eigen(f, theta, x, point_shifts, schedule, probes, config):
+    """The eigen sample taken point by point and probe by probe, the
+    reference route: for each point s.x and probe t, the window means of
+    f(u.(t.(s.x))) conj(xi(u)) over every B_n, from a track of s.x over
+    the span moved by t, whose sup scales the verdict.
+    Returns the sample's fields, each offset s + t's sup, and whether
+    some verdict was decided by rounding (``near_a_tolerance``)."""
+    xi = Character(theta)
+    lo, hi = schedule.span()
+    segments = WindowSegments(schedule.windows)
+    found, sups, tie = {}, {}, False
+    for s in point_shifts:
+        for t in (0, *probes):
+            track = observable_track(f, shift(x, s), lo + t, hi + t - 1)
+            moved = Track(lo, track.values)             # u -> f((u + t).(s.x))
+            means = segments.sums(moved.read, xi.conj_values) / schedule.lengths()
+            sups[s + t] = max(0.0, sup_norm(track.values))
+            est = estimate(means, sups[s + t], config)
+            tie = tie or near_a_tolerance(means, sups[s + t], config)
+            if isinstance(est.verdict, Converged):
+                found[s, t] = complex(est.verdict.limit), ""
+            elif isinstance(est.verdict, Oscillating):
+                found[s, t] = 0j, "oscillating"
+            else:
+                found[s, t] = est.last, "undecided"
+    values, flags, residual = [], [], 0.0
+    for s in point_shifts:
+        e_p, flag = found[s, 0]
+        values.append(e_p)
+        flags.append(flag)
+        if flag == "undecided":
+            continue
+        for t in probes:
+            e_t, flag_t = found[s, t]
+            if flag_t != "undecided":
+                residual = max(residual, abs(e_t - xi(t) * e_p))
+    mods = [abs(v) for v, flag in zip(values, flags) if flag != "undecided"]
+    spread = max(mods) - min(mods) if mods else 0.0
+    return values, flags, residual, spread, sups, tie
+
+
+def near_a_tolerance(means, sup, config):
+    """Does a spread that the verdict compares with a tolerance lie within
+    1e-12 of it?  Then rounding alone decides the verdict: a window mean
+    summed in another order may fall on the other side."""
+    k = min(config.tail, len(means))
+    scale = sup if sup > 0 else 1.0
+    conv, osc = config.convergence_tol * scale, config.oscillation_threshold * scale
+    spreads = [np.max(np.abs(np.subtract.outer(w, w))) for w in
+               (means[max(0, len(means) - back - k):len(means) - back]
+                for back in range(k))]
+    return any(abs(d - tol) <= 1e-12 for d, tol in
+               [(spreads[0], conv), *((d, osc) for d in spreads)])
+
+
+EIGEN_POINTS = st.one_of(
+    st.sampled_from([PeriodicPoint("ABC"), SubstitutionPoint(FIBONACCI_RULES),
+                     SubstitutionPoint(THUE_MORSE_RULES),
+                     SturmianPoint(GOLDEN, 0.3), StepPoint(), BlockPoint()]),
+    st.builds(BernoulliPoint, st.just(0.4), st.integers(0, 2 ** 32)))
+
+
+@st.composite
+def custom_schedules(draw):
+    # growing lengths at any starts: windows that need not nest or touch
+    lengths = sorted(draw(st.lists(st.integers(1, 120), min_size=1, max_size=6,
+                                   unique=True)))
+    return FolnerSchedule.custom([(draw(st.integers(-150, 150)), length)
+                                  for length in lengths])
+
+
+@st.composite
+def eigen_cases(draw):
+    x = draw(EIGEN_POINTS)
+    window = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2,
+                           unique=True))
+    patterns = ["".join(p) for p in itertools.product(x.alphabet,
+                                                      repeat=len(window))]
+    # all-real tables make real tracks, the others complex ones
+    entries = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0, 1j,
+                                             complex(0.5, -1.5)]),
+                            min_size=len(patterns), max_size=len(patterns)))
+    f = Observable(tuple(window), dict(zip(patterns, map(complex, entries))))
+    schedule = draw(st.one_of(
+        st.builds(FolnerSchedule.intervals, st.integers(1, 60), st.integers(1, 8)),
+        st.builds(FolnerSchedule.alternating, st.integers(1, 40)),
+        custom_schedules()))
+    theta = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1.0 - 1e-13, 0.5, 1 / 3,
+                                  GOLDEN, -0.3, 1.7, 5.25]))
+    shifts = draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=5))
+    probes = draw(st.lists(st.integers(-8, 8), max_size=4))
+    tail = draw(st.integers(1, 6))
+    return x, f, schedule, theta, shifts, probes, tail
+
+
+CFG7_CASE = (SturmianPoint(GOLDEN, 0.0),
+             Observable.indicator("0", ("0", "1")), intervals(10_000, 10),
+             GOLDEN, [0, 13, 34, 89, 233], [1, 2, 3], 5)
+FAR_CASE = (SubstitutionPoint(FIBONACCI_RULES),
+            Observable.letter_values({"0": 1.0, "1": -0.5j}), intervals(50, 4),
+            0.3, [-5000, 0, 0, 7, 10 ** 6], [0, 3, 3, 250, -199], 5)
+# one run of offsets whose moved spans see sups 0.5 and 2 on either side
+# of the step
+STEP_CASE = (StepPoint(), Observable.letter_values({"0": 0.5, "1": -2.0}),
+             intervals(10, 3), GOLDEN, [-40, -35, -20], [1, 5], 5)
+# means 0.5, 0.5, 1: undecided, since the oldest of the 2 tail - 1 = 3
+# partials the verdict reads ends the oscillation; without it, oscillating
+OLDEST_CASE = (StepPoint(), Observable.indicator("1", ("0", "1")),
+               FolnerSchedule.custom([(-1, 2), (-2, 4), (0, 6)]), 0.0, [0], [],
+               2)
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=CFG7_CASE, run_windows=spectral.RUN_WINDOWS,
+         run_block=folner.RUN_BLOCK)
+@example(case=FAR_CASE, run_windows=spectral.RUN_WINDOWS,
+         run_block=folner.RUN_BLOCK)
+@example(case=STEP_CASE, run_windows=spectral.RUN_WINDOWS, run_block=5)
+@example(case=OLDEST_CASE, run_windows=1, run_block=folner.RUN_BLOCK)
+@given(case=eigen_cases(), run_windows=st.sampled_from([1, 7, spectral.RUN_WINDOWS]),
+       run_block=st.sampled_from([5, 64, folner.RUN_BLOCK]))
+def test_eigen_from_one_track_equals_the_per_point_route(case, run_windows,
+                                                         run_block):
+    # e(theta d) times the means over the windows moved by d = s + t, read
+    # in runs of offsets, gives the per-point sample: flags equal, every
+    # sup bit for bit and the values to 1e-12.  Not where a spread ties a
+    # tolerance: intervals(20, 2) at theta 1/4 on a 0/1 track has window
+    # means -0.05 +- 0.05i, whose spread 0.1 is the oscillation threshold
+    # up to rounding, and the two routes round it to either side
+    x, f, schedule, theta, shifts, probes, tail = case
+    config = EstimatorConfig(tail=tail)
+    values, flags, residual, spread, sups, tie = per_point_eigen(
+        f, theta, x, shifts, schedule, probes, config)
+    assume(not tie)
+    seen = []
+
+    def recording(avgs, sup, config):
+        seen.append(sup)
+        return estimate(avgs, sup, config)
+    with mock.patch.object(spectral, "estimate", recording), \
+            mock.patch.object(spectral, "RUN_WINDOWS", run_windows), \
+            mock.patch.object(folner, "RUN_BLOCK", run_block):
+        sample = eigenfunction_sample(f, theta, x, shifts, schedule, probes,
+                                      config)
+    assert list(sample.flags) == flags
+    assert bits(np.array(seen)) == bits(np.array([sups[d] for d in sorted(sups)]))
+    assert max(abs(a - b) for a, b in zip(sample.values, values)) <= 1e-12
+    assert abs(sample.eigen_residual - residual) <= 1e-12
+    assert abs(sample.modulus_spread - spread) <= 1e-12
+
+
+def bits(values: np.ndarray) -> list[int]:
+    return values.view(np.uint64).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -702,22 +861,28 @@ def test_report_periodic_is_pure_point():
     assert all(r < 1e-10 for r in rep.cross_residuals)
 
 
-def test_far_probe_shifts_are_read_apart():
-    # a piece is read once for every shift unless the shifts spread wider
-    # than the piece: then each shift is read on its own, so the samples
-    # read stay twice the span instead of growing with the spread
+def test_eigen_reads_each_run_of_offsets_once(monkeypatch):
+    # 5 points and 3 probes within one span: one run reads the span and
+    # the offsets' spread once, where a read per (point, probe) took 20
+    # spans; offsets more than a span apart are read in runs of their own
     x = SturmianPoint(GOLDEN, 0.1)
-    source = observable_source(Observable.indicator("0", x.alphabet), x)
-    lengths = []
+    f = Observable.indicator("0", x.alphabet)
+    reads = []
 
-    def counting(a, b):
-        lengths.append(b - a)
-        return source(a, b)
-    schedule = intervals(base=2 ** 16, n_max=4)
-    for shifts, read in (((0, 3), 2 ** 18 + 4 * 3), ((0, 10 ** 6), 2 ** 19)):
-        lengths.clear()
-        spectral._sweep([counting], schedule, (GOLDEN,), shifts)
-        assert sum(lengths) == read
+    def counting(f, x):
+        source = observable_source(f, x)
+
+        def read(a, b):
+            reads.append((a, b))
+            return source(a, b)
+        return read
+    monkeypatch.setattr(spectral, "observable_source", counting)
+    schedule = intervals(base=1000, n_max=8)            # a span of 8000
+    eigenfunction_sample(f, GOLDEN, x, [0, 13, 34, 89, 233], schedule, (1, 2, 3))
+    assert sum(b - a for a, b in reads) == 8000 + 236
+    reads.clear()
+    eigenfunction_sample(f, GOLDEN, x, [10 ** 6, 0, -10 ** 6], schedule, (1, 2, 3))
+    assert sorted(reads) == [(s, s + 8003) for s in (-10 ** 6, 0, 10 ** 6)]
 
 
 @pytest.mark.parametrize("schedule", [
