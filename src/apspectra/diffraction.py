@@ -16,10 +16,9 @@ import itertools
 import numpy as np
 
 from .errors import FractionExceedsOne
-from .folner import (Character, EstimatorConfig, FolnerSchedule, MeanEstimate,
+from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate,
                      WindowSegments, estimate, phase_sums)
-from .points import (Observable, PointGen, Record, Track, observable_track,
-                     sup_norm)
+from .points import Observable, PointGen, Record, Track, observable_track
 
 __all__ = [
     "WeightedComb",
@@ -107,30 +106,21 @@ def autocorrelation(comb: WeightedComb, k_max: int,
     Stage n, lag k >= 0: (1/|B_n|) sum_{t in B_n} w(t) conj(w(t-k)),
     with w read off the comb wherever the lag reaches.  Negative lags
     are filled in by conjugation, which enforces Hermitian symmetry
-    exactly.  The same read of the weights, one piece of the window
-    segments at a time, gives the atom estimate
-    (:func:`bombieri_taylor_atom`) at each of ``atom_thetas``.
+    exactly.  The same sweep of the weights (:meth:`WindowSegments.sweep`)
+    gives the atom estimate (:func:`bombieri_taylor_atom`) at each of
+    ``atom_thetas``.  The lag verdicts are scaled by the largest |w|^2
+    the sweep reads, the k_max coordinates before the span included.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    segments = WindowSegments(schedule.windows)
-    lags, atoms, sup = [], [[] for _ in atom_thetas], 0.0
-    for piece in segments.pieces:
-        a, b = piece[:2]
-        values = np.asarray(comb.values(a - k_max, b), dtype=complex)
-        sup = max(sup, sup_norm(values))
-        lags.append(segments.lag_reduce(piece, values, k_max))
-        for seg, theta in zip(atoms, atom_thetas):
-            seg.append(segments.reduce(piece, values[k_max:],
-                                       Character(theta).conj_values(a, b)))
-    lengths = schedule.lengths()
-    table = segments.totals(segments.combine(lags)) / lengths[:, None]
-    verdicts = tuple(estimate(table[:, k], sup ** 2, config)
+    swept = WindowSegments(schedule.windows).sweep(comb.values, atom_thetas,
+                                                   max_lag=k_max)
+    verdicts = tuple(estimate(swept.lags[:, k], swept.sup ** 2, config)
                      for k in range(k_max + 1))
-    atoms = tuple(estimate((np.abs(segments.totals(segments.combine(seg))
-                                   / lengths) ** 2).astype(complex),
-                           comb.sup_weight() ** 2, config) for seg in atoms)
-    return AutocorrEstimate(k_max, schedule.windows, table, verdicts, atoms)
+    atoms = tuple(estimate((np.abs(m) ** 2).astype(complex),
+                           comb.sup_weight() ** 2, config) for m in swept.means)
+    return AutocorrEstimate(k_max, schedule.windows, swept.lags, verdicts,
+                            atoms)
 
 
 def bombieri_taylor_atom(comb: WeightedComb, theta: float,

@@ -29,8 +29,8 @@ __all__ = [
     "MeanEstimate",
     "AdmissibleSeminorm",
     "StabilizationReport",
+    "Sweep",
     "WindowSegments",
-    "lag_window_sums",
     "sliding_sums",
     "max_sliding_sums",
     "estimate",
@@ -337,6 +337,16 @@ def estimate(avgs: np.ndarray, sup: float, config: EstimatorConfig) -> MeanEstim
 RUN_BLOCK = 1 << 16
 
 
+class Sweep(Record):
+    """The window means of one :meth:`WindowSegments.sweep` of samples v."""
+
+    means: tuple                    # of v conj(xi), xi each theta's character
+    energy: np.ndarray | None       # of |v|^2
+    lags: np.ndarray | None         # of v(t) conj(v(t - k)), column k a lag
+    peaks: np.ndarray               # the largest |v| on each window
+    sup: float                      # the largest |v| on every coordinate read
+
+
 class WindowSegments:
     """Schedule windows cut at their ends into segments.
 
@@ -352,6 +362,8 @@ class WindowSegments:
     (:data:`RUN_BLOCK`).  Each piece is summed by one ``reduceat``, or one
     ``np.vdot`` per segment and lag, and :meth:`combine` adds a long
     segment's blocks left to right: that is the order of every sum.
+    :meth:`sweep` reads every character, energy and lag average, and
+    :meth:`sums` the bare samples; no other module reads a piece.
     """
 
     def __init__(self, windows):
@@ -376,18 +388,12 @@ class WindowSegments:
         for piece in self.pieces:       # reduceat would convert a list per call
             piece[2] = np.array(piece[2])
 
-    def reduce(self, piece, values: np.ndarray,
-               phase: np.ndarray | None = None) -> np.ndarray:
+    def reduce(self, piece, values: np.ndarray) -> np.ndarray:
         """The segment sums of a piece by one ``reduceat``, from
-        ``values`` on it: of the values as complex, or of their product
-        with ``phase`` (the conjugate character on the piece); integer
-        values without a phase sum exactly in int64.  The product is not
-        taken in place: numpy rounds an in-place product of one value
-        otherwise."""
-        if phase is None and values.dtype.kind not in "fc":
+        ``values`` on it, as complex; integer values sum exactly in int64."""
+        if values.dtype.kind not in "fc":
             return np.add.reduceat(values, piece[2], dtype=np.int64)
-        return np.add.reduceat(np.asarray(values, dtype=complex)
-                               if phase is None else values * phase, piece[2])
+        return np.add.reduceat(np.asarray(values, dtype=complex), piece[2])
 
     def combine(self, partials, op=np.add) -> np.ndarray:
         """Segment sums from the sums of every piece, in order: each block
@@ -400,26 +406,55 @@ class WindowSegments:
                 sums.append(part)
         return np.concatenate(sums)
 
-    def sums(self, source, phase=None) -> np.ndarray:
-        """Sums of the source's values over each window, times the
-        conjugate character ``phase(a, b)`` on [a, b) when given."""
+    def sums(self, source) -> np.ndarray:
+        """Sums of the source's values over each window."""
         if len(self.pieces) == 1:       # most schedules: no generator, no combine
             p = self.pieces[0]
-            return self.totals(self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2])))
-        return self.totals(self.combine(
-            self.reduce(p, source(*p[:2]), None if phase is None else phase(*p[:2]))
-            for p in self.pieces))
+            return self.totals(self.reduce(p, source(*p[:2])))
+        return self.totals(self.combine(self.reduce(p, source(*p[:2]))
+                                        for p in self.pieces))
 
-    def lag_reduce(self, piece, values: np.ndarray, max_lag: int) -> np.ndarray:
-        """Lag sums sum v(t) conj(v(t - k)), k = 0..max_lag, of the
-        segments of a piece [a, b), a row each, from complex ``values`` on
-        [a - max_lag, b): a BLAS dot product per segment and lag."""
-        cuts = (max_lag + piece[2]).tolist() + [len(values)]
-        seg = np.empty((len(piece[2]), max_lag + 1), dtype=complex)
-        for m, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            for k in range(max_lag + 1):
-                seg[m, k] = np.vdot(values[a - k:b - k], values[a:b])
-        return seg
+    def sweep(self, source, thetas=(), energy: bool = False,
+              max_lag: int | None = None) -> Sweep:
+        """The :class:`Sweep` of the samples ``source(a, b)``, each piece
+        read once: with the ``max_lag`` coordinates before it, as complex
+        values, when lags are asked for, a lag sum being one ``np.vdot``."""
+        back, chars = max_lag or 0, [Character(theta) for theta in thetas]
+        means, squares, lags, peaks, sup = [[] for _ in chars], [], [], [], 0.0
+        for piece in self.pieces:
+            a, b = piece[:2]
+            w = source(a - back, b)
+            if max_lag is not None:
+                w = np.asarray(w, dtype=complex)
+                cuts = (back + piece[2]).tolist() + [len(w)]
+                lags.append(np.array([[np.vdot(w[c - k:d - k], w[c:d])
+                                       for k in range(max_lag + 1)]
+                                      for c, d in zip(cuts, cuts[1:])]))
+            v = w[back:]
+            for m, xi in enumerate(chars):
+                phase = None    # frees the last piece of a character first
+                phase = xi.conj_values(a, b)
+                # not in place: numpy rounds an in-place product of one
+                # value otherwise than a product over the span
+                means[m].append(self.reduce(piece, v * phase))
+            phase = None        # |w| is held beside no piece of a character
+            size = np.abs(w)
+            sup = max(sup, float(size.max()))
+            peaks.append(np.maximum.reduceat(size[back:], piece[2]))
+            if energy:
+                squares.append(self.reduce(piece, size[back:] ** 2))
+            del size
+        lengths = self.ends[self.last] - self.ends[self.first]
+
+        def window_means(partials):     # .T: the lag sums of a window are a row
+            return (self.totals(self.combine(partials)).T / lengths).T
+        # a window's peak is a reduceat over (first, last); 0 pads the end
+        top = np.append(self.combine(peaks, np.maximum), 0.0)
+        pairs = np.ravel((self.first, self.last), order="F")
+        return Sweep(tuple(window_means(row) for row in means),
+                     window_means(squares) if energy else None,
+                     None if max_lag is None else window_means(lags),
+                     np.maximum.reduceat(top, pairs)[::2], sup)
 
     def totals(self, seg: np.ndarray) -> np.ndarray:
         """Window totals from segment sums, row i of ``seg`` summing the
@@ -427,18 +462,6 @@ class WindowSegments:
         cum = np.zeros((len(self.ends),) + seg.shape[1:], dtype=seg.dtype)
         np.cumsum(seg, axis=0, out=cum[1:])
         return cum[self.last] - cum[self.first]
-
-
-def lag_window_sums(source, windows, max_lag: int) -> np.ndarray:
-    """Lag sums sum_{t in [s, s + l)} v(t) conj(v(t - k)) per window and
-    lag: row n, column k holds window n at lag k = 0..max_lag.  ``source``
-    gives the values on every window and the ``max_lag`` coordinates
-    before it."""
-    segments = WindowSegments(windows)
-    return segments.totals(segments.combine(
-        segments.lag_reduce(p, np.asarray(source(p[0] - max_lag, p[1]),
-                                          dtype=complex), max_lag)
-        for p in segments.pieces))
 
 
 def sliding_sums(values: np.ndarray, length: int) -> np.ndarray:

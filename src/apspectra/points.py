@@ -393,8 +393,9 @@ def sup_norm(values: np.ndarray) -> float:
         # |v| a block at a time: no float array as long as the values
         return max((float(np.max(np.abs(values[k:k + HASH_BLOCK])))
                     for k in range(0, len(values), HASH_BLOCK)), default=0.0)
-    # real values need no array of |v|: their extremes decide
-    return float(max(values.max(initial=0.0), -values.min(initial=0.0)))
+    # real values need no array of |v|: their extremes decide; + 0.0
+    # turns the -0.0 that a max over -0.0 entries keeps into 0.0
+    return float(max(values.max(initial=0.0), -values.min(initial=0.0))) + 0.0
 
 
 class Observable(Record):

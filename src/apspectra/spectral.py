@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .folner import (RUN_BLOCK, Character, Converged, EstimatorConfig,
-                     FolnerSchedule, MeanEstimate, Oscillating, WindowSegments,
-                     estimate, grid_thetas, phases, sliding_sums)
+                     FolnerSchedule, MeanEstimate, Oscillating, Sweep,
+                     WindowSegments, estimate, grid_thetas, phases,
+                     sliding_sums)
 from .points import (Observable, PointGen, Record, Track, observable_source,
                      observable_track)
 
@@ -38,41 +39,13 @@ __all__ = [
 ]
 
 
-def _sweep(source, segments: WindowSegments, thetas, energy: bool = False):
-    """Averages of the samples ``source(a, b)`` over ``segments``' windows.
-
-    For each theta, the window means of v(t) conj(xi(t)), xi the
-    character of theta; the largest |v| on each segment; with
-    ``energy``, the window means of |v|^2.  One piece of the source is
-    held at a time, with one piece of each character.
-    """
-    means, peaks, squares = [[] for _ in thetas], [], []
-    for piece in segments.pieces:
-        a, b = piece[:2]
-        v = source(a, b)
-        peaks.append(np.maximum.reduceat(np.abs(v), piece[2]))
-        if energy:
-            squares.append(segments.reduce(piece, np.abs(v) ** 2))
-        for m, theta in enumerate(thetas):
-            phase = None        # frees the last piece of a character first
-            phase = Character(theta).conj_values(a, b)
-            means[m].append(segments.reduce(piece, v, phase))
-    lengths = segments.ends[segments.last] - segments.ends[segments.first]
-
-    def window_means(partials):
-        return segments.totals(segments.combine(partials)) / lengths
-    return ([window_means(row) for row in means],
-            segments.combine(peaks, np.maximum),
-            window_means(squares) if energy else None)
-
-
 def fourier_bohr(f: Observable, x: PointGen, theta: float,
                  schedule: FolnerSchedule,
                  config: EstimatorConfig = EstimatorConfig()) -> MeanEstimate:
     """Averages of f(t.x) against conj(character theta) along the schedule."""
-    (means,), peaks, _ = _sweep(observable_source(f, x),
-                                WindowSegments(schedule.windows), (theta,))
-    return estimate(means, float(peaks.max()), config)
+    swept = WindowSegments(schedule.windows).sweep(observable_source(f, x),
+                                                   (theta,))
+    return estimate(swept.means[0], swept.sup, config)
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +350,18 @@ def parseval_defect(f: Observable, x: PointGen, thetas,
     the full spectral mass of this observable along this point.
     """
     thetas = tuple(float(t) for t in thetas)
-    means, peaks, energy = _sweep(observable_source(f, x),
-                                  WindowSegments(schedule.windows), thetas,
-                                  energy=True)
-    return _parseval(thetas, means, energy, float(peaks.max()), config)
+    swept = WindowSegments(schedule.windows).sweep(observable_source(f, x),
+                                                   thetas, energy=True)
+    return _parseval(thetas, swept, config)
 
 
-def _parseval(thetas: tuple, means, energy: np.ndarray, sup: float,
+def _parseval(thetas: tuple, swept: Sweep,
               config: EstimatorConfig) -> ParsevalTrajectory:
-    """Parseval trajectory from the character means of each theta and the
-    energy means, the samples' sup being ``sup``."""
-    energy = estimate(energy, sup * sup, config)
+    """Parseval trajectory from a sweep's character means of each theta
+    and its energy means."""
+    energy = estimate(swept.energy, swept.sup * swept.sup, config)
     captured = np.zeros(len(energy.partials))
-    for m in means:
+    for m in swept.means:
         captured += np.abs(m) ** 2
     defects = tuple(float(e.real - c) for (_, e), c in zip(energy.partials, captured))
     return ParsevalTrajectory(thetas, energy, tuple(float(c) for c in captured),
@@ -461,12 +433,12 @@ def eigenfunction_sample(f: Observable, theta: float, x: PointGen,
         run.append(d)
         if after is not None and after - d <= hi - lo and len(run) * m < RUN_WINDOWS:
             continue
-        segments = WindowSegments([(a + e, l) for e in run for a, l in windows])
-        (means,), peaks, _ = _sweep(source, segments, (theta,))
+        swept = WindowSegments([(a + e, l) for e in run for a, l in windows]
+                               ).sweep(source, (theta,))
         for k, e in enumerate(run):
-            sup = peaks[segments.first[k * m]:segments.last[k * m]].max()
-            found[e] = _eigen_value(estimate(means[k * m + 1:(k + 1) * m] * xi(e),
-                                             float(sup), config))
+            found[e] = _eigen_value(estimate(
+                swept.means[0][k * m + 1:(k + 1) * m] * xi(e),
+                float(swept.peaks[k * m]), config))
         run = []
     turns = [xi(t) for t in probes]
     residual = max([abs(found[s + t][0] - turn * found[s][0])
@@ -584,11 +556,10 @@ def spectral_report(f: Observable, x: PointGen, schedule: FolnerSchedule,
 
     def read(a, b):
         return whole.read(a, b) if 0 <= a and b <= whole.stop else source(a, b)
-    means, peaks, energy = _sweep(read, WindowSegments(schedule.windows),
-                                  thetas, energy=True)
-    sup = float(peaks.max())
-    trajectories = {t: estimate(m, sup, config) for t, m in zip(thetas, means)}
-    parseval = _parseval(thetas, means, energy, sup, config)
+    swept = WindowSegments(schedule.windows).sweep(read, thetas, energy=True)
+    trajectories = {t: estimate(m, swept.sup, config)
+                    for t, m in zip(thetas, swept.means)}
+    parseval = _parseval(thetas, swept, config)
     purity = _purity_verdict(parseval.energy, parseval.defects)
     return SpectralReport(tuple(freqs), trajectories, parseval.energy, parseval,
                           purity, tuple(grids),

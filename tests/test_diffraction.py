@@ -9,7 +9,7 @@ from apspectra.diffraction import (WeightedComb, autocorrelation,
                                    bombieri_taylor_atom, diffraction_density,
                                    nphi_bridge, pure_point_fraction)
 from apspectra.errors import FractionExceedsOne
-from apspectra.folner import FolnerSchedule, lag_window_sums
+from apspectra.folner import FolnerSchedule, Undecided, WindowSegments
 from apspectra.points import (THUE_MORSE_RULES, BernoulliPoint, Observable,
                               PeriodicPoint, StepPoint, SubstitutionPoint,
                               Track, shift)
@@ -106,7 +106,7 @@ def chained_windows(draw):
 @settings(max_examples=80, deadline=None)
 @given(schedule=chained_windows(), k_max=st.integers(0, 8),
        seed=st.integers(0, 2 ** 32 - 1), zero_one=st.booleans())
-def test_lag_window_sums_match_per_lag_oracle(schedule, k_max, seed, zero_one):
+def test_sweep_lag_means_match_per_lag_oracle(schedule, k_max, seed, zero_one):
     rng = np.random.default_rng(seed)
     lo, hi = schedule.span()
     n = hi - lo + k_max
@@ -114,13 +114,14 @@ def test_lag_window_sums_match_per_lag_oracle(schedule, k_max, seed, zero_one):
         w = rng.integers(0, 2, n).astype(complex)
     else:
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = lag_window_sums(Track(lo - k_max, w).read, schedule.windows, k_max)
-    want = per_lag_oracle(w, lo, schedule.windows, k_max)
+    got = WindowSegments(schedule.windows).sweep(Track(lo - k_max, w).read,
+                                                 max_lag=k_max).lags
+    want = per_lag_oracle(w, lo, schedule.windows, k_max) \
+        / schedule.lengths()[:, None]
     if zero_one:
         assert np.array_equal(got, want)
     else:
-        scale = schedule.lengths()[:, None] * np.max(np.abs(w)) ** 2
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(w)) ** 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,6 +140,18 @@ def test_autocorrelation_matches_per_lag_oracle(schedule, k_max, seed, weights):
         assert np.array_equal(eta.table, want)
     else:
         assert np.all(np.abs(eta.table - want) <= 1e-12 * comb.sup_weight() ** 2)
+
+
+def test_autocorrelation_scales_its_verdicts_by_every_weight_it_reads():
+    # w(-1) = 5 (letter B) sits just left of the span, where only the lag
+    # products read; w = 1 on the span.  The lag-1 means 5, 3, 7/3, 2 are
+    # undecided against a scale of 5^2 but would oscillate against the
+    # span's scale of 1
+    comb = WeightedComb(PeriodicPoint("AAAAB"), {"A": 1, "B": 5})
+    eta = autocorrelation(comb, 1, FolnerSchedule.intervals(1, 4))
+    assert np.allclose(eta.table[:, 1], [5, 3, 7 / 3, 2], rtol=1e-15)
+    assert isinstance(eta.verdicts[1].verdict, Undecided)
+    assert eta.verdicts[1].sup_samples == 25
 
 
 WEIGHT = st.builds(complex, st.floats(-2, 2, allow_subnormal=False),

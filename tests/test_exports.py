@@ -4,8 +4,8 @@ package root imports no submodule, the command line needs nothing but
 the standard library and numpy, and an orbit command loads neither the
 thread pool nor the traceback module it does not use, nor OpenSSL, and
 no command builds dataclasses; an orbit command peaks close to its own
-import; and one function of the package, the exponential kernel, calls
-``np.exp``."""
+import; one function of the package, the exponential kernel, calls
+``np.exp``; and only folner reads the pieces of its window segments."""
 
 import ast
 import importlib
@@ -61,6 +61,53 @@ def test_the_exponential_kernel_is_the_one_caller_of_exp():
     owners = [owner for path in sorted(package.glob("*.py"))
               for owner in exp_owners(path)]
     assert owners == ["folner.phases"]
+
+
+# what a WindowSegments holds of its pieces and the methods that work a
+# piece at a time: the piece format, which only folner reads
+PIECE_FORMAT = {"pieces", "ends", "first", "last",
+                "reduce", "lag_reduce", "combine", "totals"}
+
+
+def piece_readers(code: str) -> list[str]:
+    """Each ``name.attr`` of a module's code with ``attr`` in the piece
+    format, where ``name`` is bound to a ``WindowSegments(...)`` call or
+    is a parameter annotated ``WindowSegments``, and each such attribute
+    of a ``WindowSegments(...)`` call itself."""
+    tree = ast.parse(code)
+
+    def is_segments(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "WindowSegments")
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_segments(node.value):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif (isinstance(node, ast.arg) and isinstance(node.annotation, ast.Name)
+              and node.annotation.id == "WindowSegments"):
+            names.add(node.arg)
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in PIECE_FORMAT
+            and (is_segments(node.value) or (isinstance(node.value, ast.Name)
+                                             and node.value.id in names))]
+
+
+def test_only_folner_reads_the_piece_format():
+    # every character, energy and lag average goes through
+    # WindowSegments.sweep, the one loop over the pieces
+    package = Path(apspectra.__file__).parent
+    readers = [f"{path.stem}: {reader}" for path in sorted(package.glob("*.py"))
+               if path.stem != "folner"
+               for reader in piece_readers(path.read_text(encoding="utf-8"))]
+    assert readers == []
+    # each way of reaching a WindowSegments is seen; its sweep is not a read
+    assert piece_readers(
+        "segments = WindowSegments(w)\n"
+        "segments.sweep(read).means, segments.pieces\n"
+        "WindowSegments(w).totals(x)\n"
+        "def f(s: WindowSegments, m):\n"
+        "    return s.first, m.last\n") == [
+            "segments.pieces", "WindowSegments(w).totals", "s.first"]
 
 
 def test_imports_stay_lazy_and_need_only_numpy():

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apspectra import folner, spectral
+from apspectra import folner
 from apspectra.errors import EmptyShiftRange, MissingSamples, NeverBelow
 from apspectra.folner import (AdmissibleSeminorm, Character, Converged,
                               EstimatorConfig, FolnerSchedule, Oscillating,
                               Undecided, WindowSegments, estimate,
-                              max_sliding_sums,
-                              lag_window_sums, partial_means,
+                              max_sliding_sums, partial_means,
                               seminorm_eval, sliding_sums,
                               stabilization_check, uniform_mean,
                               upper_mean)
@@ -597,6 +596,7 @@ def check_segment_sums(schedule, before, after, max_lag, real, theta, seed):
         values = values + 1j * rng.standard_normal(n)
     segments = WindowSegments(schedule.windows)
     ends = segments.ends.tolist()
+    lengths = schedule.lengths()
     w = values.astype(complex)
 
     def reduceat(span):
@@ -609,16 +609,16 @@ def check_segment_sums(schedule, before, after, max_lag, real, theta, seed):
     table = Character(theta).conj_values(lo, hi)
     want = segments.totals(in_defined_order(
         ends, reduceat(values[lo - start:hi - start] * table)))
-    got = segments.sums(read, Character(theta).conj_values)
-    assert bits(got) == bits(want)
-    shared = segments.sums(read, lambda a, b: table[a - lo:b - lo])
+    got = segments.sweep(read, (theta,)).means[0]
+    assert bits(got) == bits(want / lengths)
+    shared = segments.sums(lambda a, b: read(a, b) * table[a - lo:b - lo])
     assert bits(shared) == bits(want)
 
     want = segments.totals(in_defined_order(ends, lambda c, d: np.array([
         np.vdot(w[c - k - start:d - k - start], w[c - start:d - start])
         for k in range(max_lag + 1)])))
-    got = lag_window_sums(read, schedule.windows, max_lag)
-    assert bits(got) == bits(want)
+    got = segments.sweep(read, max_lag=max_lag).lags
+    assert bits(got) == bits(want / lengths[:, None])
 
 
 @pytest.mark.parametrize("run_block", [1, 64, 100])
@@ -631,10 +631,12 @@ def test_long_segment_sums_keep_signed_zeros(run_block):
     with mock.patch.object(folner, "RUN_BLOCK", run_block):
         segments = WindowSegments(windows)
         assert sum(joins for *_, joins in segments.pieces) > 2
-        for phase, values in ((None, read(0, 5000)),
-                              (Character(0.25).conj_values, read(0, 5000) * table)):
-            want = segments.totals(np.add.reduceat(values, [0, 1, 1000]))
-            assert bits(segments.sums(read, phase)) == bits(want)
+        want = segments.totals(np.add.reduceat(read(0, 5000), [0, 1, 1000]))
+        assert bits(segments.sums(read)) == bits(want)
+        want = segments.totals(np.add.reduceat(read(0, 5000) * table,
+                                               [0, 1, 1000]))
+        got = segments.sweep(read, (0.25,)).means[0]
+        assert bits(got) == bits(want / np.array([1, 1000, 5000]))
 
 
 STREAM_POINTS = st.one_of(
@@ -687,23 +689,25 @@ def check_streamed_sums(x, f, schedule, theta, shifts, max_lag):
 
     assert (bits(segments.sums(source) / lengths)
             == bits(partial_means(track, schedule).values))
-    assert (bits(lag_window_sums(source, schedule.windows, max_lag))
-            == bits(lag_window_sums(track.read, schedule.windows, max_lag)))
+    lagged = segments.sweep(source, max_lag=max_lag)
+    assert (bits(lagged.lags)
+            == bits(segments.sweep(track.read, max_lag=max_lag).lags))
+    assert lagged.sup == sup_norm(track.read(lo - max_lag, hi))
 
     square = np.abs(track.values) ** 2
+    xi = Character(theta)
     for s in shifts:
         # the windows moved by s, read from the one source of x's samples
         moved = WindowSegments([(a + s, l) for a, l in schedule.windows])
-        (means,), peaks, energy = spectral._sweep(source, moved, (theta,),
-                                                  energy=s == 0)
-        want = moved.sums(track.read, Character(theta).conj_values)
-        assert bits(means) == bits(want / lengths)
+        swept = moved.sweep(source, (theta,), energy=s == 0)
+        want = moved.sums(lambda a, b: track.read(a, b) * xi.conj_values(a, b))
+        assert bits(swept.means[0]) == bits(want / lengths)
         if s == 0:
-            assert bits(energy) == bits(partial_means(Track(track.start, square),
-                                                      schedule).values)
-        assert peaks.tolist() == [sup_norm(track.read(a, b))
-                                  for a, b in zip(moved.ends, moved.ends[1:])]
-        assert peaks.max() == sup_norm(track.read(lo + s, hi + s))
+            assert bits(swept.energy) == bits(partial_means(
+                Track(track.start, square), schedule).values)
+        assert swept.peaks.tolist() == [sup_norm(track.read(a + s, a + s + l))
+                                        for a, l in schedule.windows]
+        assert swept.sup == sup_norm(track.read(lo + s, hi + s))
 
 
 @settings(max_examples=60, deadline=None)

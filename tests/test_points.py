@@ -17,7 +17,7 @@ from apspectra.points import (FIBONACCI_RULES, MAX_RADIUS,
                               SubstitutionPoint, Track, cylinder_weights,
                               eval_window, metric_d, mismatch_track,
                               observable_track, shift, smeared_counts,
-                              sup_metric_lb)
+                              sup_metric_lb, sup_norm)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -367,6 +367,14 @@ def test_track_values_bounded_by_sup_norm():
     f = Observable.letter_values({"0": 0.4 + 0.3j, "1": -0.6j})
     track = observable_track(f, x, -50, 50)
     assert float(np.max(np.abs(track.values))) <= f.sup_norm() + 1e-15
+
+
+@pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0, 0.0], [0.0, -0.0],
+                                    [complex(-0.0, -0.0)], []])
+def test_sup_norm_of_zeros_is_positive_zero(values):
+    # a max over entries that are all -0.0 keeps the -0.0; |v| does not
+    got = sup_norm(np.array(values))
+    assert got == 0.0 and np.copysign(1.0, got) == 1.0
 
 
 def test_track_commutes_with_shift():

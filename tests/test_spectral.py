@@ -679,8 +679,9 @@ def per_point_eigen(f, theta, x, point_shifts, schedule, probes, config):
         for t in (0, *probes):
             track = observable_track(f, shift(x, s), lo + t, hi + t - 1)
             moved = Track(lo, track.values)             # u -> f((u + t).(s.x))
-            means = segments.sums(moved.read, xi.conj_values) / schedule.lengths()
-            sups[s + t] = max(0.0, sup_norm(track.values))
+            means = segments.sums(lambda a, b: moved.read(a, b)
+                                  * xi.conj_values(a, b)) / schedule.lengths()
+            sups[s + t] = sup_norm(track.values)
             est = estimate(means, sups[s + t], config)
             tie = tie or near_a_tolerance(means, sups[s + t], config)
             if isinstance(est.verdict, Converged):
