@@ -10,7 +10,6 @@ classifier only ever reports finite-scale evidence, never theorems.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -150,8 +149,7 @@ class OrbitProfile(Record):
     budget: ScanBudget
 
 
-def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
-                  threads: int = 1, kinds=KINDS,
+def orbit_profile(x: PointGen, t_values, budget: ScanBudget, kinds=KINDS,
                   below: float | None = None) -> OrbitProfile:
     """Mean / weyl / bohr distance summaries for each translate t.
 
@@ -227,62 +225,46 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget,
                 return None
         return found
 
-    def work(block):
-        # one workspace per worker, reused for each of its units
-        size = n + max((lead for _, lead in block), default=0)
-        cyl = CylinderSums(size)
-        rows = {}
-        for t, lead in block:
-            lo = a - lead
-            unit = ((t, lead), (-t, 0)) if lead else ((t, 0),)
-            weyl = settle and bounds(t, lo, unit, cyl.mask)
-            # the unit's sums cover [first, last) of the offsets from
-            # lo_needed, moved by its lead
-            first, last = kept if weyl else (0, n - 2 * radius)
-            if last > first:
-                run = last - first + lead + 2 * radius
-                np.not_equal(codes[lo + first:lo + first + run],
-                             codes[lo + first + t:lo + first + t + run],
-                             out=cyl.mask[:run])
-                sums_all, c = cyl.counts(radius, run)
-            if "weyl" in part and not weyl:
-                # one sliding pass over the union of the unit's weyl runs
-                p, q = part["weyl"]
-                shifts = q - p - w_len
-                weyl = [top / (c * w_len) for top in max_sliding_sums(
-                    sums_all[p:q + lead], w_len,
-                    [(offset, offset + shifts) for _, offset in unit])]
-            for i, (u, offset) in enumerate(unit):
-                def s(p, q):
-                    return sums_all[offset + p - first:offset + q - first]
-                row = [np.nan, False, np.nan, np.nan]
-                if "mean" in part:
-                    sums = segments.sums(
-                        lambda a, b: s(a - lo_needed, b - lo_needed))[-k:]
-                    q = [p * f for p, f in zip(sums.tolist(), scales)]
-                    top = int(np.max(s(*part["mean"])))
-                    row[0] = float(np.max(sums / (c * tail_lengths)))
-                    row[1] = (top == 0 or (max(q) - min(q)) * tol_den
-                              < tol_num * top * m)
-                if "weyl" in part:
-                    row[2] = weyl[i]
-                if "bohr" in part:
-                    row[3] = int(np.max(s(*part["bohr"]))) / c
-                rows[u] = row
-        return rows
-
-    workers = min(threads, len(units), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # blocks of whole units, so t and -t stay with one worker
-        cuts = [len(units) * i // workers for i in range(workers + 1)]
-        blocks = [units[i:j] for i, j in zip(cuts, cuts[1:])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = {t: row for block in pool.map(work, blocks)
-                    for t, row in block.items()}
-    else:
-        rows = work(units)
+    # one workspace, sized for the widest unit, reused for each of them
+    cyl = CylinderSums(n + max((lead for _, lead in units), default=0))
+    rows = {}
+    for t, lead in units:
+        lo = a - lead
+        unit = ((t, lead), (-t, 0)) if lead else ((t, 0),)
+        weyl = settle and bounds(t, lo, unit, cyl.mask)
+        # the unit's sums cover [first, last) of the offsets from
+        # lo_needed, moved by its lead
+        first, last = kept if weyl else (0, n - 2 * radius)
+        if last > first:
+            run = last - first + lead + 2 * radius
+            np.not_equal(codes[lo + first:lo + first + run],
+                         codes[lo + first + t:lo + first + t + run],
+                         out=cyl.mask[:run])
+            sums_all, c = cyl.counts(radius, run)
+        if "weyl" in part and not weyl:
+            # one sliding pass over the union of the unit's weyl runs
+            p, q = part["weyl"]
+            shifts = q - p - w_len
+            weyl = [top / (c * w_len) for top in max_sliding_sums(
+                sums_all[p:q + lead], w_len,
+                [(offset, offset + shifts) for _, offset in unit])]
+        for i, (u, offset) in enumerate(unit):
+            def s(p, q):
+                return sums_all[offset + p - first:offset + q - first]
+            row = [np.nan, False, np.nan, np.nan]
+            if "mean" in part:
+                sums = segments.sums(
+                    lambda a, b: s(a - lo_needed, b - lo_needed))[-k:]
+                q = [p * f for p, f in zip(sums.tolist(), scales)]
+                top = int(np.max(s(*part["mean"])))
+                row[0] = float(np.max(sums / (c * tail_lengths)))
+                row[1] = (top == 0 or (max(q) - min(q)) * tol_den
+                          < tol_num * top * m)
+            if "weyl" in part:
+                row[2] = weyl[i]
+            if "bohr" in part:
+                row[3] = int(np.max(s(*part["bohr"]))) / c
+            rows[u] = row
     rows = [rows[t] for t in t_values.tolist()]
 
     mean_tm = np.array([r[0] for r in rows])
@@ -330,8 +312,8 @@ def _scan_from_profile(profile: OrbitProfile, epsilon: float, kind: str,
 
 
 def almost_period_scan(x: PointGen, epsilon: float, kind: str,
-                       scan_range: tuple[int, int], budget: ScanBudget,
-                       threads: int = 1) -> AlmostPeriodScan:
+                       scan_range: tuple[int, int],
+                       budget: ScanBudget) -> AlmostPeriodScan:
     """All translates t in the range passing the kind's distance test.
 
     mean: the tail max of the averaged-distance partials stays under
@@ -346,8 +328,8 @@ def almost_period_scan(x: PointGen, epsilon: float, kind: str,
     lo, hi = scan_range
     if hi < lo:
         raise ValueError("scan range is empty")
-    profile = orbit_profile(x, range(lo, hi + 1), budget, threads=threads,
-                            kinds=(kind,), below=epsilon)
+    profile = orbit_profile(x, range(lo, hi + 1), budget, kinds=(kind,),
+                            below=epsilon)
     return _scan_from_profile(profile, epsilon, kind, scan_range)
 
 
@@ -398,8 +380,7 @@ def _kind_verdict(per_eps: dict, kind: str, profile: OrbitProfile,
 
 def classify_point(x: PointGen, eps_grid, budget: ScanBudget,
                    scan_range: tuple[int, int] = (-256, 256),
-                   gap_threshold: float = 0.2,
-                   threads: int = 1) -> ClassificationReport:
+                   gap_threshold: float = 0.2) -> ClassificationReport:
     """Finite-scale almost-periodicity evidence for all three kinds.
 
     One orbit profile is computed per translate and shared by every
@@ -412,8 +393,7 @@ def classify_point(x: PointGen, eps_grid, budget: ScanBudget,
     if not eps_grid:
         raise ValueError("epsilon grid must be nonempty")
     lo, hi = scan_range
-    profile = orbit_profile(x, range(lo, hi + 1), budget, threads=threads,
-                            below=eps_grid[-1])
+    profile = orbit_profile(x, range(lo, hi + 1), budget, below=eps_grid[-1])
 
     scans = {kind: {eps: _scan_from_profile(profile, eps, kind, scan_range)
                     for eps in eps_grid}

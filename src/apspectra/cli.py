@@ -32,19 +32,6 @@ from .points import observable_keys, observable_track
 __all__ = ["main"]
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("APSPECTRA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("threads",
-                              f"APSPECTRA_THREADS is not an integer: {env!r}")
-    return 1
-
-
 class OutputDir:
     """Lock-guarded output directory with atomic writes.
 
@@ -207,7 +194,7 @@ def _csv_doc(header: list[str], rows, expanded: dict, budget: dict | None) -> st
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(cfg: dict, threads: int) -> dict:
+def _cmd_generate(cfg: dict) -> dict:
     """The letters of a point over a range, and an observable's track."""
     point = build_point(cfg["point"])
     obs = None if cfg["observable"] is None else \
@@ -243,14 +230,14 @@ def _range_lines(lo: int, hi: int, read):
                       for t, k in zip(range(a, b), key.tolist()))
 
 
-def _cmd_scan(cfg: dict, threads: int) -> dict:
+def _cmd_scan(cfg: dict) -> dict:
     """Almost periods of each requested kind over the translate range."""
     point = build_point(cfg["point"])
     budget = build_budget(cfg)
     kinds = cfg["kinds"]
     lo, hi = cfg["range"]
     profile = almost.orbit_profile(point, range(lo, hi + 1), budget,
-                                   threads=threads, kinds=tuple(kinds))
+                                   kinds=tuple(kinds))
     scans = {kind: almost._scan_from_profile(profile, cfg["epsilon"], kind,
                                              (lo, hi))
              for kind in kinds}
@@ -274,15 +261,15 @@ def _cmd_scan(cfg: dict, threads: int) -> dict:
     }
 
 
-def _cmd_classify(cfg: dict, threads: int) -> dict:
+def _cmd_classify(cfg: dict) -> dict:
     """Mean, Weyl and Bohr almost-periodicity evidence for a point."""
     report = almost.classify_point(
         build_point(cfg["point"]), cfg["eps_grid"], build_budget(cfg),
-        tuple(cfg["range"]), cfg["gap_threshold"], threads=threads)
+        tuple(cfg["range"]), cfg["gap_threshold"])
     return {"classify.json": _json_doc({"report": report.describe()}, cfg)}
 
 
-def _cmd_spectrum(cfg: dict, threads: int) -> dict:
+def _cmd_spectrum(cfg: dict) -> dict:
     """Fourier-Bohr grids and the frequencies detected on them."""
     point = build_point(cfg["point"])
     report = spectral.spectral_report(
@@ -311,7 +298,7 @@ def _detect_thetas(cfg: dict, point, obs) -> list[float]:
     return [fr.theta for fr in freqs[:det["top"]]]
 
 
-def _cmd_parseval(cfg: dict, threads: int) -> dict:
+def _cmd_parseval(cfg: dict) -> dict:
     """The Parseval defect of an observable along the schedule."""
     point = build_point(cfg["point"])
     obs = build_observable(cfg["observable"], point)
@@ -330,7 +317,7 @@ def _cmd_parseval(cfg: dict, threads: int) -> dict:
     }
 
 
-def _cmd_eigen(cfg: dict, threads: int) -> dict:
+def _cmd_eigen(cfg: dict) -> dict:
     """A Besicovitch eigenfunction sample at one frequency."""
     point = build_point(cfg["point"])
     sample = spectral.eigenfunction_sample(
@@ -341,7 +328,7 @@ def _cmd_eigen(cfg: dict, threads: int) -> dict:
     return {"eigen.json": _json_doc({"eigen": sample.describe()}, cfg)}
 
 
-def _cmd_diffract(cfg: dict, threads: int) -> dict:
+def _cmd_diffract(cfg: dict) -> dict:
     """Autocorrelation, diffraction density and atoms of a comb."""
     point = build_point(cfg["point"])
     schedule = build_schedule(cfg["schedule"])
@@ -396,11 +383,11 @@ _HANDLERS = {
 }
 
 
-def _run(command: str, config_path: str, out: str, threads: int | None,
+def _run(command: str, config_path: str, out: str,
          seed_override: int | None) -> int:
     try:
         cfg = validate(command, load_config(config_path), seed_override)
-        files = _HANDLERS[command](cfg, _resolve_threads(threads))
+        files = _HANDLERS[command](cfg)
         with OutputDir(out) as sink:
             for name, content in sorted(files.items()):
                 write = sink.write_text if isinstance(content, str) \
@@ -437,12 +424,12 @@ def main(args=None, prog_name=None):
                          help="JSON experiment config")
         cmd.add_argument("--out", default="out", metavar="DIR",
                          help="output directory (default: out)")
-        cmd.add_argument("--threads", type=int, metavar="N",
-                         help="worker threads (falls back to APSPECTRA_THREADS)")
+        cmd.add_argument("--threads", type=int, choices=(1,), metavar="1",
+                         help="accepted and ignored: commands run on one thread")
         cmd.add_argument("--seed-override", type=int, metavar="SEED",
                          help="replace the configured generator seed")
     ns = parser.parse_args(args)
-    sys.exit(_run(ns.command, ns.config, ns.out, ns.threads, ns.seed_override))
+    sys.exit(_run(ns.command, ns.config, ns.out, ns.seed_override))
 
 
 if __name__ == "__main__":

@@ -204,11 +204,7 @@ class SubstitutionPoint(PointGen):
         if seed not in ends[1:]:
             raise ValueError("no power p <= 24 of the rules fixes the seed pair")
         self._power = ends.index(seed, 1)
-        self._lengths = lengths = [(1,) * n]    # level j: |sigma^j(a)|, capped
-        while (len(lengths) - 1) % self._power or min(
-                lengths[-1][a] for a in seed) < _LENGTH_CAP:
-            lengths.append(tuple(min(_LENGTH_CAP, sum(lengths[-1][b] for b in w))
-                                 for w in images))
+        self._lengths = [(1,) * n]      # level j: |sigma^j(a)|, capped
         # per side: the images (mirrored for the left half), and concatenated
         self._tables = [(t, np.fromiter(itertools.chain(*t), np.int64))
                         for t in ([w[::-1] for w in images], images)]
@@ -222,6 +218,15 @@ class SubstitutionPoint(PointGen):
             return np.zeros(0, dtype=np.int64)
         images, flat = self._tables[side]
         letter, lengths = self._seed[side], self._lengths
+        if lengths[-1][letter] < stop:
+            # levels a power at a time, on a copy published whole: a
+            # thread still reading the old table reads all of it
+            lengths = list(lengths)
+            while lengths[-1][letter] < stop:
+                for _ in range(self._power):
+                    lengths.append(tuple(min(_LENGTH_CAP, sum(
+                        lengths[-1][b] for b in w)) for w in images))
+            self._lengths = lengths
         depth = next(j for j in range(0, len(lengths), self._power)
                      if lengths[j][letter] >= stop)
         # the run of tiles meeting the window starts at lo, its last tile at

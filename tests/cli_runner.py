@@ -50,11 +50,11 @@ def run_cli_process(args, timeout: float) -> Result:
 
 def traced_peak(command: str, config, out) -> int:
     """The peak of the memory tracemalloc traces while ``command`` runs
-    in process on ``config`` into ``out``, single-threaded, in bytes; a
-    run that does not exit 0 fails."""
+    in process on ``config`` into ``out``, in bytes; a run that does not
+    exit 0 fails."""
     tracemalloc.start()
     try:
-        code = cli._run(command, str(config), str(out), 1, None)
+        code = cli._run(command, str(config), str(out), None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,12 +1,10 @@
 """Averaged orbit metrics, almost-period scans, classification."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,51 +285,6 @@ def test_classify_hierarchy_never_contradicts():
             assert rep.verdicts["weyl"] == EVIDENCE_AGAINST
 
 
-def test_profile_threads_deterministic():
-    x = BernoulliPoint(0.5, 11)
-    b = budget(base=100, n_max=4, bohr_horizon=32)
-    one = orbit_profile(x, range(-25, 26), b, threads=1)
-    four = orbit_profile(x, range(-25, 26), b, threads=4)
-    assert np.array_equal(one.t_values, four.t_values)
-    assert np.array_equal(one.mean_tail_max, four.mean_tail_max)
-    assert np.array_equal(one.weyl_value, four.weyl_value)
-    assert np.array_equal(one.bohr_value, four.bohr_value)
-
-
-def test_profile_pool_is_bounded(monkeypatch):
-    # a recorder stands in for the pool: it logs max_workers and runs the
-    # work inline, so no real thread is started.  orbit_profile imports
-    # the pool only when it needs one, so the patch goes where it looks
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    x = PeriodicPoint("AB")
-    b = budget(base=20, n_max=3, bohr_horizon=8)
-    serial = orbit_profile(x, range(-5, 6), b)
-    assert sizes == []
-    monkeypatch.setattr(almost.os, "cpu_count", lambda: 8)
-    pooled = orbit_profile(x, range(-5, 6), b, threads=10 ** 6)
-    assert np.array_equal(pooled.weyl_value, serial.weyl_value)
-    orbit_profile(x, range(3), b, threads=10 ** 6)
-    monkeypatch.setattr(almost.os, "cpu_count", lambda: None)
-    orbit_profile(x, range(3), b, threads=10 ** 6)
-    # one worker per unit at most: t = 0 and the pairs +-1 .. +-5 are six
-    assert sizes == [6, 3]
-
-
 def float_profile_row(x, t, b):
     """The per-translate float route orbit_profile replaced, the test oracle:
     convolved cylinder distances, then float window and sliding sums."""
@@ -442,16 +395,14 @@ SCAN_BUDGETS = st.builds(
                           SubstitutionPoint(THUE_MORSE_RULES)]),
        budgets=st.lists(SCAN_BUDGETS, min_size=2, max_size=2),
        kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True),
-       threads=st.sampled_from([1, 2]), first=st.integers(-20, 0),
-       count=st.integers(1, 12))
-def test_profile_buffers_match_float_route(x, budgets, kinds, threads, first,
-                                           count):
+       first=st.integers(-20, 0), count=st.integers(1, 12))
+def test_profile_buffers_match_float_route(x, budgets, kinds, first, count):
     # two calls in a row whose sample runs differ in length: a buffer that
     # kept stale sums or the wrong size would show in the second
     assume(budgets[0].metric_radius != budgets[1].metric_radius)
     ts = range(first, first + count)
     for b in budgets:
-        prof = orbit_profile(x, ts, b, threads=threads, kinds=tuple(kinds))
+        prof = orbit_profile(x, ts, b, kinds=tuple(kinds))
         columns = dict(zip(almost.KINDS, (prof.mean_tail_max, prof.weyl_value,
                                           prof.bohr_value)))
         for i, t in enumerate(ts):
@@ -496,9 +447,7 @@ ANY_BUDGETS = st.builds(
     st.integers(1, 16), st.integers(1, 6), st.integers(0, 40),
     st.integers(0, 80), st.sampled_from([0.05, 0.0625, 0.5]))
 
-# symmetric and lopsided ranges, {0} alone, and scattered sets; under two
-# or three workers a symmetric range is one whose t and -t a plain split
-# of the sorted translates would give to different workers
+# symmetric and lopsided ranges, {0} alone, and scattered sets
 TRANSLATES = st.one_of(
     st.integers(0, 20).map(lambda h: list(range(-h, h + 1))),
     st.tuples(st.integers(-20, 0), st.integers(0, 20)).map(
@@ -509,14 +458,11 @@ TRANSLATES = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(x=EVERY_KIND, b=ANY_BUDGETS, ts=TRANSLATES,
-       kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True),
-       threads=st.sampled_from([1, 2, 3]))
-def test_profile_pairs_are_invisible(x, b, ts, kinds, threads):
+       kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True))
+def test_profile_pairs_are_invisible(x, b, ts, kinds):
     # t and -t share one mask; each row must be the one a profile of t
-    # alone gives, bit for bit, with any number of workers (more CPUs
-    # than the host has, so three workers really run)
-    with mock.patch.object(almost.os, "cpu_count", return_value=8):
-        prof = orbit_profile(x, ts, b, threads=threads, kinds=tuple(kinds))
+    # alone gives, bit for bit
+    prof = orbit_profile(x, ts, b, kinds=tuple(kinds))
     assert prof.t_values.tolist() == sorted(ts)
     for i, t in enumerate(prof.t_values.tolist()):
         one = orbit_profile(x, [t], b, kinds=tuple(kinds))
@@ -615,12 +561,8 @@ def test_profile_below_settles_only_values_at_or_above_it(x, b, ts, eps_grid,
     below = max(eps_grid)
     exact = orbit_profile(x, ts, b, kinds=tuple(kinds))
     fast = orbit_profile(x, ts, b, kinds=tuple(kinds), below=below)
-    with mock.patch.object(almost.os, "cpu_count", return_value=8):
-        two = orbit_profile(x, ts, b, threads=2, kinds=tuple(kinds),
-                            below=below)
     for column in COLUMNS:
         got = getattr(fast, column)
-        assert np.array_equal(got, getattr(two, column), equal_nan=True)
         if column != "weyl_value":
             assert np.array_equal(got, getattr(exact, column), equal_nan=True)
     if "weyl" in kinds:

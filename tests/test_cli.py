@@ -119,6 +119,8 @@ def test_scan_csv_has_columns_of_requested_kinds_only(tmp_path, kinds,
 
 
 def test_threads_do_not_change_output(tmp_path):
+    # --threads 1 is still accepted, and changes nothing: every command
+    # runs on one thread
     cfg = write_config(tmp_path / "c.json", {
         "point": "bernoulli:0.5:7",
         "schedule": {"kind": "intervals", "base": 200, "n_max": 4},
@@ -127,23 +129,13 @@ def test_threads_do_not_change_output(tmp_path):
         "bohr_horizon": 16,
     })
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    run_cli(["scan", "--config", cfg, "--out", str(out1), "--threads", "1"])
-    run_cli(["scan", "--config", cfg, "--out", str(out2), "--threads", "4"])
-    assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
-
-
-def test_env_threads_fallback(tmp_path):
-    cfg = write_config(tmp_path / "c.json", {
-        "point": "periodic:AB",
-        "schedule": {"kind": "intervals", "base": 40, "n_max": 3},
-        "epsilon": 0.2, "range": [-10, 10], "bohr_horizon": 8,
-    })
-    res = run_cli(["scan", "--config", cfg, "--out", str(tmp_path / "o")],
-                  env={"APSPECTRA_THREADS": "3"})
-    assert res.exit_code == 0
-    res = run_cli(["scan", "--config", cfg, "--out", str(tmp_path / "o2")],
-                  env={"APSPECTRA_THREADS": "junk"})
-    assert res.exit_code == 2
+    run_cli(["scan", "--config", cfg, "--out", str(out1)])
+    run_cli(["scan", "--config", cfg, "--out", str(out2), "--threads", "1"])
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert "scan.csv" in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_seed_override_changes_hash_and_data(tmp_path):
@@ -356,6 +348,8 @@ def test_module_entry_point_lists_commands():
     ["sweep", "--config", "c.json"],                # unknown command
     ["generate"],                                   # no --config
     ["generate", "--config", "c.json", "--threads", "two"],
+    ["generate", "--config", "c.json", "--threads", "2"],   # one thread only
+    ["generate", "--config", "c.json", "--threads", "0"],
     ["generate", "--config", "c.json", "--seed-override", "1.5"],
     ["generate", "--conf", "c.json"],               # abbreviated option
     ["generate", "--config", "c.json", "--seed", "5"],

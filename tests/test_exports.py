@@ -5,10 +5,13 @@ the standard library and numpy, and an orbit command loads neither the
 thread pool nor the traceback module it does not use, nor OpenSSL, and
 no command builds dataclasses; an orbit command peaks close to its own
 import; one function of the package, the exponential kernel, calls
-``np.exp``; and only folner reads the pieces of its window segments."""
+``np.exp``; only folner reads the pieces of its window segments; and
+every command runs on one thread: no module imports a thread pool or
+reads a thread count, and every handler takes the config alone."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import apspectra
+from apspectra import cli
 from test_acceptance import DETERMINISM_CONFIGS
 
 
@@ -110,6 +114,47 @@ def test_only_folner_reads_the_piece_format():
             "segments.pieces", "WindowSegments(w).totals", "s.first"]
 
 
+THREAD_MODULES = {"concurrent", "threading", "_thread", "multiprocessing"}
+
+
+def thread_imports(code: str) -> list[str]:
+    """Each module a code imports, at any depth, whose top package runs
+    threads or processes."""
+    found = []
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] in THREAD_MODULES]
+
+
+def test_every_command_runs_on_one_thread():
+    package = Path(apspectra.__file__).parent
+    imports, readers = [], []
+    for path in sorted(package.glob("*.py")):
+        code = path.read_text(encoding="utf-8")
+        imports += [f"{path.stem}: {name}" for name in thread_imports(code)]
+        if "APSPECTRA_THREADS" in code:
+            readers.append(path.stem)
+    assert imports == []
+    assert readers == []
+    # each way of importing is seen, inside a function too
+    assert thread_imports(
+        "import os, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "def f():\n"
+        "    from concurrent import futures\n"
+        "    import multiprocessing.pool as mp\n"
+        "from . import threads\n") == [
+            "threading", "concurrent.futures", "concurrent",
+            "multiprocessing.pool"]
+    # a handler takes the validated config and nothing else
+    params = {name: list(inspect.signature(fn).parameters)
+              for name, fn in cli._HANDLERS.items()}
+    assert params == {name: ["cfg"] for name in cli._HANDLERS}
+
+
 def test_imports_stay_lazy_and_need_only_numpy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -145,7 +190,6 @@ def child_env():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop("APSPECTRA_THREADS", None)
     return env
 
 
@@ -201,5 +245,5 @@ def test_orbit_commands_peak_within_2_5_mib_of_the_import(tmp_path):
         path = tmp_path / f"cfg{i}.json"
         path.write_text(json.dumps(cfg))
         over[i] = peak_kib(command, "--config", str(path), "--out",
-                           str(tmp_path / f"out{i}"), "--threads", "1") - base
+                           str(tmp_path / f"out{i}")) - base
     assert max(over.values()) <= 2.5 * 1024, over

@@ -1,6 +1,9 @@
 """Generators, observables, tracks and the cylinder metric."""
 
 import itertools
+import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,6 +21,7 @@ from apspectra.points import (FIBONACCI_RULES, MAX_RADIUS,
                               eval_window, metric_d, mismatch_track,
                               observable_track, shift, smeared_counts,
                               sup_metric_lb, sup_norm)
+from cli_runner import SRC
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -209,6 +213,46 @@ def test_substitution_codes_are_safe_across_threads():
         sys.setswitchinterval(interval)
     for i, codes in enumerate(got):
         assert np.array_equal(codes, expected[i % len(windows)])
+
+
+# a 125-letter rule whose seed letters grow only through a 122-letter
+# cycle c_0 -> c_1 -> ... -> c_121 -> c_0 c_0: the letter lengths reach
+# 2^63 only after about 6800 levels
+SLOW_CYCLE = [chr(0x4E00 + i) for i in range(122)]
+SLOW_RULES = {**{a: b for a, b in zip(SLOW_CYCLE, SLOW_CYCLE[1:])},
+              SLOW_CYCLE[-1]: SLOW_CYCLE[0] * 2,
+              "l": SLOW_CYCLE[0] + "l", "r": "r" + SLOW_CYCLE[0], "s": "lr"}
+SLOW_PROBE = """
+import json, sys, time
+from apspectra.points import SubstitutionPoint
+rules = json.loads(sys.argv[1])
+started = time.perf_counter()
+x = SubstitutionPoint(rules, ("l", "r"))
+built = time.perf_counter()
+levels = len(x._lengths)
+codes = x.codes(-1000, 1000)
+read = time.perf_counter()
+print(json.dumps([built - started, read - built, levels, len(x._lengths),
+                  codes.tolist()]))
+"""
+
+
+def test_slow_substitution_builds_only_the_levels_it_reads():
+    # in a fresh process, so the times include no warm cache; the table
+    # holds level 0 until a read, and then about the 390 levels that
+    # cover 1000 letters, not the 6840 that reach 2^63
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", SLOW_PROBE,
+                          json.dumps(SLOW_RULES)], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    build_s, read_s, built, read, codes = json.loads(res.stdout)
+    assert build_s < 2.0 and read_s < 2.0, (build_s, read_s)
+    assert built == 1 and read < 1000, (built, read)
+    alphabet = sorted(SLOW_RULES)
+    window = oracle_window(SLOW_RULES, ("l", "r"), -1000, 1000)
+    assert codes == [alphabet.index(a) for a in window]
 
 
 def test_bernoulli_reproducible_and_order_independent():
