@@ -137,8 +137,8 @@ def superlevel_density(x: PointGen, t: int, delta: float,
 class OrbitProfile(Record):
     """Per-translate distances at one budget: everything a scan needs.
 
-    A ``weyl_value`` at or above the ``below`` its profile was asked
-    for may be a lower bound of the exact value rather than the value.
+    A ``weyl_value`` or ``bohr_value`` at or above the profile's ``below``
+    may be a lower bound of the exact value rather than the value.
     """
 
     t_values: np.ndarray
@@ -158,16 +158,20 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget, kinds=KINDS,
     sum or the largest cylinder sum) once, so it is correctly rounded.
     A translate t > 0 whose -t is also requested shares one mismatch
     mask and one sliding pass with it: the run of -t is the run of t
-    moved by t.
+    moved by t.  A window sum of the cylinder sums S is the sum over
+    j = 0..2r of 2^(r - |j - r|) times the mismatch count of the window
+    moved by j, so the mean partials come from counts; S is built only
+    where the bounds on a range's largest S (0 without a mismatch within
+    r of it, at least 2^r with one inside, at most C) leave a value open.
 
-    ``below`` is the largest epsilon the caller compares the weyl
-    values against.  A mismatch inside the shift-0 weyl window, a
+    ``below`` is the largest epsilon the caller compares the weyl and
+    bohr values against.  A mismatch inside the shift-0 weyl window, a
     metric radius from either end, adds the whole kernel weight C to
     that window's sum, so the count of those mismatches over the window
     length bounds the weyl value from below.  Where that bound reaches
-    ``below`` for t and its pair, it is their weyl value: the sliding
-    maximum and the cylinder sums outside the mean and bohr ranges are
-    skipped, and no value under ``below`` changes.
+    ``below`` for t and its pair, it is their weyl value, and the
+    sliding maximum is skipped; where 2^r / C reaches it, it is the
+    bohr value of a translate with a mismatch in the horizon.
     """
     t_values = np.asarray(sorted(int(t) for t in t_values), dtype=np.int64)
     sched = budget.schedule
@@ -183,7 +187,12 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget, kinds=KINDS,
     codes = codes.astype(np.min_scalar_type(len(x.alphabet) - 1))
     a = lo_needed - radius - base
     n = hi_needed - lo_needed + 2 * radius
-    segments = WindowSegments(sched.windows)
+    c = 3 * 2 ** radius - 2
+    # the mask windows counted: each mean and bohr range widened by 2r
+    # and moved by r, then each tail window moved by j = 0..2r
+    counted = [k for k in ("mean", "bohr") if k in part]
+    windows = [w for p, q in map(part.get, counted)
+               for w in ((p, q - p + 2 * radius), (p + radius, q - p))]
     if "mean" in part:
         # the verdict puts the tail partials over their common length m
         # and compares integers, so a spread that ties the tolerance (at
@@ -193,6 +202,9 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget, kinds=KINDS,
         m = math.lcm(*tail_lengths.tolist())
         scales = [m // n for n in tail_lengths.tolist()]
         tol_num, tol_den = budget.estimator.convergence_tol.as_integer_ratio()
+        weights = 2 ** (radius - np.abs(np.arange(-radius, radius + 1)))
+        windows += [(start - lo_needed + j, length) for start, length
+                    in sched.windows[-k:] for j in range(2 * radius + 1)]
     settle = None
     if "weyl" in part:
         w_start, w_len = sched.window(budget.resolved_weyl_index())
@@ -200,9 +212,6 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget, kinds=KINDS,
         inner = (w_start - lo_needed + 2 * radius, w_start - lo_needed + w_len)
         if below is not None and inner[0] < inner[1]:
             settle = inner
-    # the sums a settled unit still reads: the hull of the mean and bohr runs
-    kept = [part[k] for k in ("mean", "bohr") if k in part] or [(0, 0)]
-    kept = (min(p for p, _ in kept), max(q for _, q in kept))
 
     # a unit is a translate t and the lead l of its mask
     # codes[a - l + i] != codes[a - l + t + i], i < n + l: the sums of t
@@ -212,66 +221,79 @@ def orbit_profile(x: PointGen, t_values, budget: ScanBudget, kinds=KINDS,
     units = [(t, t if t > 0 and -t in distinct else 0)
              for t in sorted(distinct) if not (t < 0 and -t in distinct)]
 
-    def bounds(t, lo, unit, mask):
+    def mismatch(t, i, w, out):
+        """The mask codes[i + j] != codes[i + t + j], j < w, in out."""
+        return np.not_equal(codes[i:i + w], codes[i + t:i + t + w], out=out[:w])
+
+    def bounds(t, lo, unit):
         """The mismatch-count bounds of the unit's weyl values, or None
         unless every one reaches ``below``."""
         p, q = settle
         found = []
         for _, offset in unit:
-            i, j = lo + offset + p, lo + offset + q
-            np.not_equal(codes[i:j], codes[i + t:j + t], out=mask[:q - p])
-            found.append(int(np.count_nonzero(mask[:q - p])) / w_len)
+            mask = mismatch(t, lo + offset + p, q - p, cyl.mask)
+            found.append(int(np.count_nonzero(mask)) / w_len)
             if found[-1] < below:
                 return None
         return found
 
     # one workspace, sized for the widest unit, reused for each of them
-    cyl = CylinderSums(n + max((lead for _, lead in units), default=0))
+    widest = max((lead for _, lead in units), default=0)
+    cyl = CylinderSums(n + widest)
+    if counted:
+        # the counts read a mask of their own, over the windows' hull
+        kept = (min(p for p, _ in windows), max(p + w for p, w in windows))
+        segments = WindowSegments([(p - kept[0], w) for p, w in windows])
+        seen = np.empty(kept[1] - kept[0] + widest, dtype=bool)
+        pair = {k: slice(2 * i, 2 * i + 2) for i, k in enumerate(counted)}
     rows = {}
     for t, lead in units:
         lo = a - lead
         unit = ((t, lead), (-t, 0)) if lead else ((t, 0),)
-        weyl = settle and bounds(t, lo, unit, cyl.mask)
-        # the unit's sums cover [first, last) of the offsets from
-        # lo_needed, moved by its lead
-        first, last = kept if weyl else (0, n - 2 * radius)
-        if last > first:
-            run = last - first + lead + 2 * radius
-            np.not_equal(codes[lo + first:lo + first + run],
-                         codes[lo + first + t:lo + first + t + run],
-                         out=cyl.mask[:run])
-            sums_all, c = cyl.counts(radius, run)
+        weyl = settle and bounds(t, lo, unit)
+        whole = None
         if "weyl" in part and not weyl:
             # one sliding pass over the union of the unit's weyl runs
+            mismatch(t, lo, n + lead, cyl.mask)
+            whole, _ = cyl.counts(radius, n + lead)
             p, q = part["weyl"]
-            shifts = q - p - w_len
             weyl = [top / (c * w_len) for top in max_sliding_sums(
-                sums_all[p:q + lead], w_len,
-                [(offset, offset + shifts) for _, offset in unit])]
+                whole[p:q + lead], w_len,
+                [(offset, offset + q - p - w_len) for _, offset in unit])]
+        if counted:
+            mismatch(t, lo + kept[0], kept[1] - kept[0] + lead, seen)
         for i, (u, offset) in enumerate(unit):
-            def s(p, q):
-                return sums_all[offset + p - first:offset + q - first]
+            def s(p, q):    # S of u on [p, q) of the offsets from lo_needed
+                if whole is not None:
+                    return whole[offset + p:offset + q]
+                mismatch(t, lo + offset + p, q - p + 2 * radius, cyl.mask)
+                return cyl.counts(radius, q - p + 2 * radius)[0]
             row = [np.nan, False, np.nan, np.nan]
+            if counted:
+                counts = segments.sums(lambda p, q: seen[p + offset:q + offset])
             if "mean" in part:
-                sums = segments.sums(
-                    lambda a, b: s(a - lo_needed, b - lo_needed))[-k:]
+                sums = counts[2 * len(counted):].reshape(k, -1) @ weights
                 q = [p * f for p, f in zip(sums.tolist(), scales)]
-                top = int(np.max(s(*part["mean"])))
-                row[0] = float(np.max(sums / (c * tail_lengths)))
-                row[1] = (top == 0 or (max(q) - min(q)) * tol_den
-                          < tol_num * top * m)
+                spread = (max(q) - min(q)) * tol_den
+                wide, inside = counts[pair["mean"]]
+                row[0] = float((sums / (c * tail_lengths)).max())
+                low = 2 ** radius if inside else 1
+                row[1] = (not wide or spread < tol_num * low * m
+                          or spread < tol_num * c * m and spread
+                          < tol_num * int(s(*part["mean"]).max()) * m)
             if "weyl" in part:
                 row[2] = weyl[i]
             if "bohr" in part:
-                row[3] = int(np.max(s(*part["bohr"]))) / c
+                wide, inside = counts[pair["bohr"]]
+                floor = 2 ** radius / c
+                row[3] = (0.0 if not wide else floor
+                          if inside and below is not None and floor >= below
+                          else int(s(*part["bohr"]).max()) / c)
             rows[u] = row
-    rows = [rows[t] for t in t_values.tolist()]
-
-    mean_tm = np.array([r[0] for r in rows])
-    conv = np.array([r[1] for r in rows], dtype=bool)
-    weyl = np.array([r[2] for r in rows])
-    bohr = np.array([r[3] for r in rows])
-    return OrbitProfile(t_values, mean_tm, conv, weyl, bohr, budget)
+    rows = np.array([rows[t] for t in t_values.tolist()], dtype=object)
+    mean_tm, conv, weyl, bohr = rows.reshape(-1, 4).T
+    return OrbitProfile(t_values, mean_tm.astype(float), conv.astype(bool),
+                        weyl.astype(float), bohr.astype(float), budget)
 
 
 class AlmostPeriodScan(Record):

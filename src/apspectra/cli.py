@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import gc
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
+# one BLAS thread unless the caller set a count, read as numpy loads
+if "numpy" not in sys.modules:
+    os.environ.update({key: os.environ.get(key, "1") for key in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 import numpy as np
 
 # every layer loads with the CLI: perfbench's tracer looks each one up
@@ -429,7 +434,10 @@ def main(args=None, prog_name=None):
         cmd.add_argument("--seed-override", type=int, metavar="SEED",
                          help="replace the configured generator seed")
     ns = parser.parse_args(args)
-    sys.exit(_run(ns.command, ns.config, ns.out, ns.seed_override))
+    code = _run(ns.command, ns.config, ns.out, ns.seed_override)
+    if args is None:    # the process ends: spare its exit collections a walk
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,23 +8,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from apspectra import almost
+from apspectra import almost, cli
 from apspectra.almost import (EVIDENCE_AGAINST, EVIDENCE_FOR, ScanBudget,
                               almost_period_scan, averaged_D, averaged_Dn,
                               classify_point, function_almost_periods,
                               orbit_profile, superlevel_density)
+from apspectra.config import build_budget, build_point, validate
 from apspectra.errors import EmptyShiftRange, MissingSamples
 from apspectra.folner import (Converged, EstimatorConfig, FolnerSchedule,
-                              max_sliding_sums, partial_means, uniform_mean)
+                              max_sliding_sums, partial_means, sliding_sums,
+                              uniform_mean)
 from apspectra.points import (FIBONACCI_RULES, PERIOD_DOUBLING_RULES,
                               THUE_MORSE_RULES, BernoulliPoint, Observable,
                               PeriodicPoint, StepPoint, SturmianPoint,
                               SubstitutionPoint,
-                              BlockPoint, Track, cylinder_weights, metric_d,
-                              observable_track, shift)
+                              BlockPoint, CylinderSums, Track,
+                              cylinder_weights, metric_d, observable_track,
+                              shift, smeared_counts)
+from test_acceptance import DETERMINISM_CONFIGS
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -555,20 +559,20 @@ SETTLING_BUDGETS = st.builds(
        kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True))
 def test_profile_below_settles_only_values_at_or_above_it(x, b, ts, eps_grid,
                                                           kinds):
-    # a weyl value settled by its mismatch count is a lower bound that
-    # reaches below, so no kind finds other periods at any epsilon up to
-    # below, and the mean and bohr columns keep their bits
+    # a weyl or bohr value settled by a mismatch-count bound is a lower
+    # bound that reaches below, so no kind finds other periods at any
+    # epsilon up to below, and the mean columns keep their bits
     below = max(eps_grid)
     exact = orbit_profile(x, ts, b, kinds=tuple(kinds))
     fast = orbit_profile(x, ts, b, kinds=tuple(kinds), below=below)
     for column in COLUMNS:
-        got = getattr(fast, column)
-        if column != "weyl_value":
-            assert np.array_equal(got, getattr(exact, column), equal_nan=True)
-    if "weyl" in kinds:
-        settled = fast.weyl_value != exact.weyl_value
-        assert np.all(fast.weyl_value <= exact.weyl_value)
-        assert np.all(fast.weyl_value[settled] >= below)
+        got, want = getattr(fast, column), getattr(exact, column)
+        if column[:4] not in ("weyl", "bohr") or column[:4] not in kinds:
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            settled = got != want
+            assert np.all(got <= want)
+            assert np.all(got[settled] >= below)
     scan_range = (min(ts), max(ts))
     for eps in eps_grid:
         for kind in kinds:
@@ -611,6 +615,212 @@ def test_classify_slides_only_the_unsettled_unit(monkeypatch):
     assert spans == [1, 1]
     assert prof.weyl_value[50] == 0.0
     assert np.all(np.delete(prof.weyl_value, 50) >= 0.2)
+
+
+def cylinder_route(x, t, b, kinds):
+    """The route orbit_profile reads from counts where it can, the test
+    oracle: the cylinder sums S of t's whole mask, exact window sums of
+    S for the mean partials, the largest S on a range, and the largest
+    sliding sum of S for weyl."""
+    r = b.metric_radius
+    (lo, hi), ranges = b.ranges(kinds)
+    mask = x.codes(lo - r, hi + r) != x.codes(lo - r + t, hi + r + t)
+    s, c = smeared_counts(mask, r)
+    s = s.astype(np.int64)
+
+    def on(p, q):
+        return s[p - lo:q - lo]
+    out = {}
+    if "mean" in kinds:
+        k = min(b.estimator.tail, len(b.schedule))
+        partials = [Fraction(int(on(a, a + n).sum()), c * n)
+                    for a, n in b.schedule.windows[-k:]]
+        top = int(on(*ranges["mean"]).max())
+        spread = max(partials) - min(partials)
+        out["mean"] = float(max(partials))
+        out["converged"] = top == 0 or (
+            spread < Fraction(b.estimator.convergence_tol) * Fraction(top, c))
+    if "weyl" in kinds:
+        _, w_len = b.schedule.window(b.resolved_weyl_index())
+        top = int(sliding_sums(on(*ranges["weyl"]), w_len).max())
+        out["weyl"] = top / (c * w_len)
+    if "bohr" in kinds:
+        out["bohr"] = int(on(*ranges["bohr"]).max()) / c
+    return out
+
+
+def config_case(i, ts):
+    """The point and budget of determinism config i, its kinds, the
+    ``below`` its command passes, its epsilons and translates ``ts``."""
+    command, raw = DETERMINISM_CONFIGS[i]
+    cfg = validate(command, raw)
+    eps = cfg["eps_grid"] if command == "classify" else [cfg["epsilon"]]
+    kinds = almost.KINDS if command == "classify" else cfg["kinds"]
+    return dict(x=build_point(cfg["point"]), b=build_budget(cfg),
+                ts=list(ts), kinds=list(kinds), below=max(eps), eps_grid=eps)
+
+
+# Thue-Morse translates whose mean spread equals tol * 2^r / C exactly:
+# the count bound ties, so the cylinder sums decide; top is 2^r at -3
+# and 3 (not converged) and above it at the others
+TIE = dict(x=SubstitutionPoint(THUE_MORSE_RULES),
+           b=ScanBudget(intervals(4, 2), metric_radius=1, bohr_horizon=3,
+                        estimator=EstimatorConfig(convergence_tol=0.125,
+                                                  tail=2)),
+           ts=[-5, -3, -1, 1, 3, 5], kinds=["mean"], below=None,
+           eps_grid=[0.1])
+def step_edge(c, base, n_max, radius, tol=0.05, kinds=("mean",), below=None):
+    return dict(x=shift(StepPoint(), c),
+                b=ScanBudget(intervals(base, n_max), metric_radius=radius,
+                             bohr_horizon=5,
+                             estimator=EstimatorConfig(convergence_tol=tol)),
+                ts=[-1, 0, 1], kinds=list(kinds), below=below,
+                eps_grid=[0.05, 0.2])
+
+
+# the step's one mismatch of t = +-1 lies outside the mean range, within
+# r of an end, as the step moved by 0..3 puts it: 0 < top < 2^r; in the
+# last two the spread lies between tol * top / C and tol * 2^r / C (top
+# is 8 of 16, then 1 of 4), so only the exact top decides the flag
+EDGE = [step_edge(c, 10, 3, 3, kinds=("mean", "bohr"), below=0.2)
+        for c in range(4)] + [step_edge(0, 5, 3, 4, tol=0.25),
+                              step_edge(1, 1, 2, 2, tol=0.5)]
+# a below above 1/3 and just above the bohr bound 2^r / C (0.4 at
+# r = 2), which therefore cannot settle
+HIGH = dict(x=BernoulliPoint(0.5, 3), b=budget(base=20, n_max=3,
+                                               metric_radius=2,
+                                               bohr_horizon=30),
+            ts=range(-6, 7), kinds=list(almost.KINDS), below=0.41,
+            eps_grid=[0.3, 0.41])
+
+ORACLE_POINTS = st.one_of(
+    st.text("ABC", min_size=1, max_size=6).map(PeriodicPoint),
+    st.builds(BernoulliPoint, st.sampled_from([0.2, 0.5, 0.9]),
+              st.integers(0, 2 ** 20)),
+    st.builds(lambda t: shift(BlockPoint(), t), st.integers(-60, 60)),
+    st.builds(lambda t: shift(StepPoint(), t), st.integers(-60, 60)),
+    st.builds(SubstitutionPoint, st.sampled_from(
+        [FIBONACCI_RULES, THUE_MORSE_RULES, PERIOD_DOUBLING_RULES])))
+
+# every schedule kind, custom ones not nested, any tail and tolerance
+ORACLE_BUDGETS = st.builds(
+    lambda schedule, radius, index, span, horizon, tol, tail: ScanBudget(
+        schedule, metric_radius=radius,
+        weyl_index=min(index, len(schedule)), weyl_shift_span=span,
+        bohr_horizon=horizon,
+        estimator=EstimatorConfig(convergence_tol=tol, tail=tail)),
+    st.one_of(
+        st.builds(intervals, st.integers(1, 30), st.integers(1, 4)),
+        st.builds(FolnerSchedule.dyadic, st.integers(1, 6)),
+        st.builds(FolnerSchedule.alternating, st.integers(1, 12)),
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 40)),
+                 min_size=1, max_size=4, unique_by=lambda w: w[1]).map(
+            lambda ws: FolnerSchedule.custom(sorted(ws, key=lambda w: w[1])))),
+    st.integers(1, 16), st.integers(1, 6), st.integers(0, 40),
+    st.integers(0, 80),
+    st.one_of(st.sampled_from([0.05, 0.0625, 0.125, 0.5]),
+              st.floats(0.001, 1.0)),
+    st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=ORACLE_POINTS, b=ORACLE_BUDGETS, ts=TRANSLATES,
+       kinds=st.lists(st.sampled_from(almost.KINDS), min_size=1, unique=True),
+       below=st.one_of(st.none(), st.floats(0.001, 0.9)), eps_grid=EPS_GRIDS)
+@example(**config_case(3, range(-500, 501)))
+@example(**config_case(4, range(-40, 41)))
+@example(**config_case(9, range(-32, 33)))
+@example(**config_case(10, range(-16, 17)))
+@example(**TIE)
+@example(**EDGE[0])
+@example(**EDGE[1])
+@example(**EDGE[2])
+@example(**EDGE[3])
+@example(**EDGE[4])
+@example(**EDGE[5])
+@example(**HIGH)
+def test_profile_counts_match_the_cylinder_route(x, b, ts, kinds, below,
+                                                 eps_grid):
+    # the mean partials and flags keep their bits; weyl and bohr values
+    # do where no count bound settles them, and a settled one lies in
+    # [below, exact], so no epsilon up to below finds other periods
+    kinds = tuple(kinds)
+    prof = orbit_profile(x, ts, b, kinds=kinds, below=below)
+    want = [cylinder_route(x, t, b, kinds) for t in prof.t_values.tolist()]
+    columns = {"mean": prof.mean_tail_max, "weyl": prof.weyl_value,
+               "bohr": prof.bohr_value}
+    for kind, column in columns.items():
+        if kind not in kinds:
+            assert np.all(np.isnan(column))
+            continue
+        exact = np.array([row[kind] for row in want])
+        if kind == "mean":
+            assert column.tobytes() == exact.tobytes()
+            assert prof.mean_converged.tolist() == [
+                row["converged"] for row in want]
+            continue
+        open_ = np.ones(len(exact), dtype=bool) if below is None \
+            else exact < below
+        assert column[open_].tobytes() == exact[open_].tobytes()
+        assert np.all((below <= column[~open_]) & (column[~open_]
+                                                   <= exact[~open_]))
+    epsilons = eps_grid if below is None else [
+        min(eps, below) for eps in eps_grid] + [below]
+    for kind in kinds:
+        for eps in epsilons:
+            assert (prof.t_values[columns[kind] < eps].tolist()
+                    == [t for t, row in zip(prof.t_values.tolist(), want)
+                        if row[kind] < eps])
+
+
+def test_profile_examples_sit_at_the_count_bounds():
+    # TIE's spreads equal tol * 2^r / C, so the bound leaves each flag
+    # open; the exact top decides, 2^r at -3 and 3
+    b = TIE["b"]
+    for t in TIE["ts"]:
+        spread, _ = exact_mean_spread(TIE["x"], t, b)
+        assert spread * (3 * 2 - 2) == Fraction(0.125) * 2
+    prof = orbit_profile(TIE["x"], TIE["ts"], b, kinds=("mean",))
+    assert prof.mean_converged.tolist() == [True, False, True, True, False,
+                                            True]
+    # each step of EDGE has a translate whose largest S on the mean
+    # range lies strictly between 0 and 2^r
+    for case in EDGE:
+        r = case["b"].metric_radius
+        tops = [int(exact_mean_spread(case["x"], t, case["b"])[1]
+                    * (3 * 2 ** r - 2)) for t in case["ts"]]
+        assert any(0 < top < 2 ** r for top in tops), tops
+
+
+# the leads of the units that build cylinder sums: none in the scans;
+# in cfg4 the unit of t = 0, the one whose weyl count is under below;
+# in cfg0 the even translates, which have no mismatch (the odd ones
+# mismatch everywhere)
+BUILDING_LEADS = {0: range(0, 65, 2), 3: [], 4: [0], 9: [], 10: []}
+
+
+@pytest.mark.parametrize("i", sorted(BUILDING_LEADS))
+def test_orbit_configs_build_cylinder_sums_only_for_open_units(i,
+                                                               monkeypatch):
+    # each run CylinderSums.counts builds is recorded by its length; the
+    # run of a unit whose weyl value slides is the whole needed run
+    # moved by its lead
+    command, raw = DETERMINISM_CONFIGS[i]
+    cfg = validate(command, raw)
+    b = build_budget(cfg)
+    kinds = almost.KINDS if command == "classify" else cfg["kinds"]
+    (lo, hi), _ = b.ranges(tuple(kinds))
+    runs = []
+    counts = CylinderSums.counts
+
+    def counted(self, radius, length=None):
+        runs.append(length)
+        return counts(self, radius, length)
+
+    monkeypatch.setattr(CylinderSums, "counts", counted)
+    cli._HANDLERS[command](cfg)
+    n = hi - lo + 2 * b.metric_radius
+    assert runs == [n + lead for lead in BUILDING_LEADS[i]]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,13 @@
 """Front-door behavior: exit codes, determinism, locks, overrides."""
 
 import fcntl
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from apspectra.diffraction import WeightedComb
 from apspectra.errors import ConfigError
 from apspectra.points import BernoulliPoint, Observable
 from apspectra.spectral import FourierBohrGrid, fourier_bohr_grid
-from cli_runner import run_cli, run_cli_process, traced_peak
+from cli_runner import SRC, run_cli, run_cli_process, traced_peak
 
 
 GOLDEN = (5 ** 0.5 - 1) / 2
@@ -341,6 +346,84 @@ def test_module_entry_point_lists_commands():
     for name in ("generate", "scan", "classify", "spectrum", "parseval",
                  "eigen", "diffract"):
         assert re.search(rf"^\s+{name}\b", res.output, re.M), name
+
+
+# runs the command line as ``python -m apspectra.cli`` does, after an
+# exit hook that reports whether the collector's objects were frozen
+ENTRY_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+runpy.run_module("apspectra.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def probe(code, *args, env=os.environ):
+    """``python -c code args`` in ``env`` with this tree's ``src`` first on
+    the path and ResourceWarnings shown: its exit code and output."""
+    child = dict(env, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-W", "always::ResourceWarning",
+                          "-c", code, *args], env=child, capture_output=True,
+                         text=True, timeout=60)
+    return res.returncode, res.stdout, res.stderr
+
+
+def test_entry_point_exits_with_frozen_objects(tmp_path):
+    # as the entry point, main freezes the collector's objects before it
+    # exits, so the exit-time collections skip them; the codes and the
+    # output stay those of the command
+    good = write_config(tmp_path / "g.json", {"point": "step", "range": [0, 5]})
+    bad = write_config(tmp_path / "b.json", {"point": "step", "range": [5, 0]})
+    blocked = tmp_path / "blocked"
+    (blocked / "sequence.csv").mkdir(parents=True)  # os.replace onto it fails
+    for cfg, out, code in ((good, tmp_path / "o", 0), (bad, tmp_path / "o", 2),
+                           (good, blocked, 1)):
+        got, stdout, stderr = probe(ENTRY_PROBE, "generate", "--config", cfg,
+                                    "--out", str(out))
+        assert got == code, stderr
+        assert stdout.splitlines()[-1] == "frozen: True"
+        assert ("generate: wrote generate.json, sequence.csv to "
+                f"{out}\n" in stdout) == (code == 0)
+        assert "ResourceWarning" not in stderr
+    assert (tmp_path / "o" / "sequence.csv").exists()
+
+
+def test_main_called_with_args_keeps_the_collector(tmp_path):
+    good = write_config(tmp_path / "g.json", {"point": "step", "range": [0, 5]})
+    before = gc.get_freeze_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_cli(["generate", "--config", good, "--out",
+                       str(tmp_path / "o")])
+        gc.collect()
+    assert res.exit_code == 0
+    assert gc.get_freeze_count() == before
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_PROBE = """
+import os, sys
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import apspectra.cli
+print(*(os.environ.get(name) for name in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
+"""
+
+
+@pytest.mark.parametrize("preset,args,want", [
+    ({}, [], "1 1 1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, [], "2 1 1"),
+    ({}, ["numpy-first"], "None None None"),
+], ids=["unset", "preset", "numpy-first"])
+def test_blas_threads_default_to_one_before_numpy_loads(preset, args, want):
+    # numpy reads the thread counts as it loads, so the command line sets
+    # each unset one to 1 only where it loads numpy itself
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    code, stdout, stderr = probe(BLAS_PROBE, *args, env={**env, **preset})
+    assert code == 0, stderr
+    assert stdout.strip() == want
 
 
 @pytest.mark.parametrize("args", [
