@@ -669,7 +669,10 @@ TIE = dict(x=SubstitutionPoint(THUE_MORSE_RULES),
                                                   tail=2)),
            ts=[-5, -3, -1, 1, 3, 5], kinds=["mean"], below=None,
            eps_grid=[0.1])
+
+
 def step_edge(c, base, n_max, radius, tol=0.05, kinds=("mean",), below=None):
+    """The step point moved by c, on an intervals budget, as an example."""
     return dict(x=shift(StepPoint(), c),
                 b=ScanBudget(intervals(base, n_max), metric_radius=radius,
                              bohr_horizon=5,
