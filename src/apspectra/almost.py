@@ -13,10 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import EmptyShiftRange
 from .folner import (EstimatorConfig, FolnerSchedule, MeanEstimate,
-                     WindowSegments, max_sliding_sums, partial_means,
-                     uniform_mean, upper_mean)
+                     WindowSegments, max_sliding_sums, partial_means)
 from .points import (CylinderSums, PointGen, Record, Track, mismatch_track,
                      shift)
 
@@ -25,11 +23,9 @@ __all__ = [
     "AlmostPeriodScan",
     "ClassificationReport",
     "averaged_D",
-    "averaged_Dn",
     "superlevel_density",
     "almost_period_scan",
     "classify_point",
-    "function_almost_periods",
 ]
 
 KINDS = ("mean", "weyl", "bohr")
@@ -99,22 +95,6 @@ def averaged_D(x: PointGen, t: int, schedule: FolnerSchedule,
     lo, hi = schedule.span()
     d = mismatch_track(x, shift(x, t), lo, hi, radius)
     return partial_means(Track(lo, d), schedule, config=config)
-
-
-def averaged_Dn(x: PointGen, t: int, schedule: FolnerSchedule, n: int,
-                shifts: tuple[int, int], radius: int = 16) -> tuple[float, int]:
-    """Uniform (shift-sup) window average of the same mismatch track.
-
-    Returns the sup over scanned shifts of the average of
-    s -> d(s.x, (t+s).x) over B_n + shift, with the achieving shift.
-    """
-    s_min, s_max = shifts
-    if s_max < s_min:
-        raise EmptyShiftRange(f"empty shift range {shifts}")
-    start, length = schedule.window(n)
-    lo = start + s_min
-    d = mismatch_track(x, shift(x, t), lo, start + s_max + length, radius)
-    return uniform_mean(Track(lo, d), schedule, n, shifts)
 
 
 def superlevel_density(x: PointGen, t: int, delta: float,
@@ -437,30 +417,3 @@ def classify_point(x: PointGen, eps_grid, budget: ScanBudget,
     return ClassificationReport(scans, verdicts, raw, eps_grid,
                                 tuple(scan_range), gap_threshold,
                                 budget.fingerprint())
-
-
-# ---------------------------------------------------------------------------
-# almost periods of sampled functions
-# ---------------------------------------------------------------------------
-
-
-def function_almost_periods(track, epsilon: float, schedule: FolnerSchedule,
-                            scan_range: tuple[int, int],
-                            tail: int = 5) -> tuple[int, ...]:
-    """Translates t with upper mean of |h - h(. - t)| below epsilon.
-
-    ``track`` must cover every window shifted by every scanned t.
-    Used for closure experiments on sums and products of sampled
-    almost periodic functions.
-    """
-    lo, hi = scan_range
-    s0, s1 = schedule.span()
-    need_lo = min(s0, s0 - hi)
-    values = track.read(need_lo, max(s1, s1 - lo))
-    a, b = s0 - need_lo, s1 - need_lo
-    out = []
-    for t in range(lo, hi + 1):
-        diff = np.abs(values[a:b] - values[a - t:b - t])
-        if upper_mean(Track(s0, diff), schedule, tail=tail) < epsilon:
-            out.append(t)
-    return tuple(out)

@@ -136,46 +136,21 @@ def _fmt(value) -> str:
 _BLOCK = 8192
 
 
-def _block(thetas: np.ndarray, re: list, im: list, mod: list) -> str:
-    return "".join([f"{t!r},{r},{i},{m}\n"
-                    for t, r, i, m in zip(thetas.tolist(), re, im, mod)])
-
-
 def _grid_lines(grid: spectral.FourierBohrGrid):
     """spectrum.csv's theta,re,im,|c| lines with the digits ``_fmt`` writes,
     yielded in blocks of at most ``_BLOCK`` lines that each end in a newline.
+    |c| is ``np.hypot``, which rounds as the scalar ``abs`` does; ``np.abs``
+    of the complex array may not."""
+    from .reprcsv import lines      # only spectrum formats a grid
 
-    The scalar ``abs`` rounds |c| as numpy scalars do; ``np.abs`` of the
-    array may not.  When bin n - j is the conjugate of bin j bit for bit,
-    as a real track's grid is, rows 0 .. n // 2 are formatted and row
-    n - j reuses row j's cells with the sign of ``im`` toggled, which is
-    exact since repr(-x) is "-" + repr(x) for every float but nan.  Only
-    the mirrored blocks, the body's second half, are held until the end.
-    """
-    n = grid.n
-    thetas = grid.thetas
     amps = np.ascontiguousarray(grid.amplitudes, dtype=complex)
-    half = n // 2 + 1
-    hermitian = (
-        np.array_equal(amps[half:].view(np.uint64),
-                       amps[n - half:0:-1].conj().view(np.uint64))
-        and not np.isnan(amps.imag).any())
-    top = half if hermitian else n
-    mirrors = []
-    for lo in range(0, top, _BLOCK):
-        rows = amps[lo:min(lo + _BLOCK, top)]
-        re = list(map(repr, rows.real.tolist()))
-        im = list(map(repr, rows.imag.tolist()))
-        mod = list(map(repr, map(abs, rows.tolist())))
-        yield _block(thetas[lo:lo + len(rows)], re, im, mod)
-        # rows n - j for the rows j = lo + i of this block in 1 .. n - half
-        a, b = max(lo, 1) - lo, min(lo + len(rows), n - half + 1) - lo
-        if hermitian and a < b:
-            mirrors.append(_block(
-                thetas[n - lo - b + 1:n - lo - a + 1], re[a:b][::-1],
-                [s[1:] if s[0] == "-" else "-" + s for s in im[a:b][::-1]],
-                mod[a:b][::-1]))
-    yield from reversed(mirrors)
+    thetas = grid.thetas
+    # a quarter block, 8192 cells, whose arrays stay in a core's cache
+    for lo in range(0, grid.n, _BLOCK // 4):
+        rows = amps[lo:lo + _BLOCK // 4]
+        re, im = rows.real, rows.imag
+        yield lines(np.column_stack([thetas[lo:lo + len(rows)], re, im,
+                                     np.hypot(re, im)]))
 
 
 def _csv_head(header: list[str], expanded: dict, budget: dict | None) -> str:

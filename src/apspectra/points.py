@@ -34,7 +34,6 @@ __all__ = [
     "observable_track",
     "observable_source",
     "sup_norm",
-    "CylinderMetric",
     "MAX_RADIUS",
     "cylinder_weights",
     "CylinderSums",
@@ -42,7 +41,6 @@ __all__ = [
     "smeared_mismatch",
     "mismatch_track",
     "metric_d",
-    "sup_metric_lb",
     "FIBONACCI_RULES",
     "THUE_MORSE_RULES",
     "PERIOD_DOUBLING_RULES",
@@ -529,28 +527,6 @@ def cylinder_weights(radius: int) -> tuple[np.ndarray, float]:
     return w, float(w.sum())
 
 
-class CylinderMetric(Record):
-    """Weighted mismatch distance on a window of coordinates around 0.
-
-    d(x, y) = (1/C) sum_{|k| <= radius} 2^-|k| [x(k) != y(k)] with
-    C the total weight, so values lie in [0, 1] and vanish exactly when
-    the two points agree on the comparison window.
-    """
-
-    radius: int = 16
-
-    @property
-    def weights(self) -> np.ndarray:
-        return cylinder_weights(self.radius)[0]
-
-    @property
-    def normalizer(self) -> float:
-        return cylinder_weights(self.radius)[1]
-
-    def distance(self, x: "PointGen", y: "PointGen") -> float:
-        return metric_d(x, y, self.radius)
-
-
 def _shift_add(high: np.ndarray, shift: int, low: np.ndarray,
                dst: np.ndarray, taps: int) -> np.ndarray:
     """(high << shift) + low, a sum of ``taps`` mask entries, written into
@@ -657,12 +633,3 @@ def mismatch_track(x: PointGen, y: PointGen, s0: int, s1: int,
 def metric_d(x: PointGen, y: PointGen, radius: int = 16) -> float:
     """Weighted mismatch metric (1/C) sum_{|k|<=K} 2^-|k| [x(k) != y(k)]."""
     return float(mismatch_track(x, y, 0, 1, radius)[0])
-
-
-def sup_metric_lb(x: PointGen, y: PointGen, horizon: int,
-                  radius: int = 16) -> float:
-    """max over |s| <= horizon of d(s.x, s.y); a lower bound for the sup metric."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    d = mismatch_track(x, y, -horizon, horizon + 1, radius)
-    return float(np.max(d))

@@ -13,21 +13,20 @@ from hypothesis import strategies as st
 
 from apspectra import almost, cli
 from apspectra.almost import (EVIDENCE_AGAINST, EVIDENCE_FOR, ScanBudget,
-                              almost_period_scan, averaged_D, averaged_Dn,
-                              classify_point, function_almost_periods,
+                              almost_period_scan, averaged_D, classify_point,
                               orbit_profile, superlevel_density)
 from apspectra.config import build_budget, build_point, validate
 from apspectra.errors import EmptyShiftRange, MissingSamples
 from apspectra.folner import (Converged, EstimatorConfig, FolnerSchedule,
                               max_sliding_sums, partial_means, sliding_sums,
-                              uniform_mean)
+                              uniform_mean, upper_mean)
 from apspectra.points import (FIBONACCI_RULES, PERIOD_DOUBLING_RULES,
                               THUE_MORSE_RULES, BernoulliPoint, Observable,
                               PeriodicPoint, StepPoint, SturmianPoint,
                               SubstitutionPoint,
                               BlockPoint, CylinderSums, Track,
-                              cylinder_weights, metric_d, observable_track,
-                              shift, smeared_counts)
+                              cylinder_weights, metric_d, mismatch_track,
+                              observable_track, shift, smeared_counts)
 from test_acceptance import DETERMINISM_CONFIGS
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -79,6 +78,16 @@ def test_averaged_D_matches_bruteforce_metric():
 # ---------------------------------------------------------------------------
 # uniform averaged distance
 # ---------------------------------------------------------------------------
+
+
+def averaged_Dn(x, t, schedule, n, shifts, radius=16):
+    """The uniform averaged distance D_n: the sup over the shifts of the
+    average of s -> d(s.x, (t+s).x) over B_n + shift, and its shift."""
+    start, length = schedule.window(n)
+    lo = start + shifts[0]
+    d = mismatch_track(x, shift(x, t), lo,
+                       max(lo, start + shifts[1] + length), radius)
+    return uniform_mean(Track(lo, d), schedule, n, shifts)
 
 
 def test_averaged_Dn_zero_shift():
@@ -893,6 +902,15 @@ def test_profile_translates_do_not_fault_fresh_pages():
 # ---------------------------------------------------------------------------
 # almost periods of sampled functions (algebra closure, empirically)
 # ---------------------------------------------------------------------------
+
+
+def function_almost_periods(track, epsilon, schedule, scan_range, tail=5):
+    """Translates t with upper mean of |h - h(. - t)| below epsilon."""
+    s0, s1 = schedule.span()
+    return tuple(t for t in range(scan_range[0], scan_range[1] + 1)
+                 if upper_mean(Track(s0, track.read(s0, s1)
+                                     - track.read(s0 - t, s1 - t)),
+                               schedule, tail=tail) < epsilon)
 
 
 def test_sum_and_product_of_periodic_tracks_keep_almost_periods():

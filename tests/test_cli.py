@@ -225,10 +225,11 @@ def test_spectrum_crash_mid_stream_leaves_no_file(tmp_path, monkeypatch):
 
 # bytes per point of the largest grid that a spectrum run may hold at once,
 # as tracemalloc counts them: the run keeps the track, the grids, the
-# refinement moments and half of spectrum.csv's text, about 140 B/pt; it
-# held about 230 B/pt when every stage kept a complex copy of the track
-# and the whole CSV text was built before it was written
-SPECTRUM_BYTES_PER_POINT = 180
+# refinement moments and one block of spectrum.csv's text, about 110 B/pt;
+# it held about 135 B/pt when the mirrored half of the text was kept to
+# the end, and about 230 B/pt when every stage kept a complex copy of the
+# track and the whole CSV text was built before it was written
+SPECTRUM_BYTES_PER_POINT = 150
 
 
 def test_spectrum_peak_memory_scales_with_the_grid(tmp_path):

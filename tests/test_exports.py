@@ -1,10 +1,11 @@
 """Every name a module exports in ``__all__`` exists, so a stale entry
 fails here instead of breaking ``from apspectra.<module> import *``; the
 package root imports no submodule, the command line needs nothing but
-the standard library and numpy, and an orbit command loads neither the
-thread pool nor the traceback module it does not use, nor OpenSSL, and
-no command builds dataclasses; an orbit command peaks close to its own
-import; one function of the package, the exponential kernel, calls
+the standard library and numpy, and an orbit or a parseval command loads
+neither the thread pool nor the traceback module it does not use, nor
+OpenSSL, nor spectrum.csv's formatter, and no command builds
+dataclasses; an orbit command peaks close to its own import; one
+function of the package, the exponential kernel, calls
 ``np.exp``; only folner reads the pieces of its window segments; and
 every command runs on one thread: no module imports a thread pool or
 reads a thread count, and every handler takes the config alone."""
@@ -172,13 +173,15 @@ def test_imports_stay_lazy_and_need_only_numpy():
     assert res.stdout.split("\n")[:2] == ["[]", "['apspectra', 'numpy']"]
 
 
-SCAN_PROBE = """
+COMMAND_PROBE = """
 import sys
 import apspectra.cli
-UNUSED = ("concurrent.futures", "traceback", "dataclasses", "_hashlib", "_ssl")
+UNUSED = ("concurrent.futures", "traceback", "dataclasses", "_hashlib", "_ssl",
+          "apspectra.reprcsv")
 print(sorted(m for m in UNUSED if m in sys.modules))
 try:
-    apspectra.cli.main(["scan", "--config", sys.argv[1], "--out", sys.argv[2]])
+    apspectra.cli.main([sys.argv[1], "--config", sys.argv[2],
+                        "--out", sys.argv[3]])
 except SystemExit as exc:
     print(exc.code)
 print(sorted(m for m in UNUSED if m in sys.modules))
@@ -203,13 +206,27 @@ def test_serial_scan_skips_the_thread_pool_and_traceback(tmp_path):
     cfg.write_text(json.dumps({
         "point": "periodic:AB", "range": [-4, 4], "bohr_horizon": 8,
         "schedule": {"kind": "intervals", "base": 10, "n_max": 3}}))
-    res = subprocess.run([sys.executable, "-c", SCAN_PROBE, str(cfg),
-                          str(tmp_path / "out")], capture_output=True,
+    res = subprocess.run([sys.executable, "-c", COMMAND_PROBE, "scan",
+                          str(cfg), str(tmp_path / "out")], capture_output=True,
                          text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert [lines[0]] + lines[-2:] == ["[]", "0", "[]"]
     assert (tmp_path / "out" / "scan.csv").exists()
+
+
+def test_parseval_loads_no_spectrum_formatter(tmp_path):
+    # an averages command, like an orbit one, never formats a grid, so it
+    # neither compiles nor loads spectrum.csv's formatter
+    cfg = tmp_path / "parseval.json"
+    cfg.write_text(json.dumps(DETERMINISM_CONFIGS[1][1]))
+    res = subprocess.run([sys.executable, "-c", COMMAND_PROBE, "parseval",
+                          str(cfg), str(tmp_path / "out")], capture_output=True,
+                         text=True, env=child_env(), timeout=60)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert [lines[0]] + lines[-2:] == ["[]", "0", "[]"]
+    assert (tmp_path / "out" / "parseval.csv").exists()
 
 
 FOOTPRINT_PROBE = """

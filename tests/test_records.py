@@ -73,7 +73,7 @@ def hash_or_error(obj):
 
 def test_every_record_is_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
     assert {"Converged", "ScanBudget", "FourierBohrGrid",
             "AutocorrEstimate", "Observable"} <= names
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
